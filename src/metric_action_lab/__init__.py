@@ -78,9 +78,6 @@ from .recovery import (  # noqa: F401
     RecoveryMode,
     RecoveryOutput,
     build_recovery,
-    build_recovery_flow,
-    build_recovery_resolvent,
-    build_recovery_vanishing,
     default_tau_schedule,
     diagonal_select,
 )

@@ -44,6 +44,7 @@ from .harness import (
     ExperimentConfig,
     Verdict,
     emit_report,
+    experiment_recovery,
     liminf_probe,
     resolve_base_curve,
     run_example1,
@@ -58,7 +59,6 @@ from .proximal import (
     check_tau_continuity,
     resolvent,
 )
-from .recovery import RecoveryConfig, build_recovery
 from .spaces import (
     check_cat0,
     distance,
@@ -296,22 +296,11 @@ def cmd_action(args) -> int:
 def cmd_recovery(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     gamma = resolve_base_curve(cfg)
-    rcfg = RecoveryConfig(
-        mode=cfg.mode,
-        base_curve=gamma,
-        x0_seq=cfg.x0_seq,
-        x1_seq=cfg.x1_seq,
-        flow_steps=cfg.flow_steps,
-        slope_cap=cfg.slope_cap,
-    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = {"schema": 1, "mode": cfg.mode.value, "h": {}}
     for h in cfg.h_list:
-        if cfg.mode.value == "vanishing":
-            res = build_recovery(cfg.family.base, rcfg, h, eps=cfg.eps_law)
-        else:
-            res = build_recovery(cfg.family.member(h), rcfg, h)
+        res = experiment_recovery(cfg, gamma, h)
         (out / f"recovery_h{h}.csv").write_text(curve_to_csv(res.curve))
         summary["h"][str(h)] = {
             "tau": res.tau,

@@ -105,11 +105,6 @@ def geodesic_curve(space: SpaceHandle, x0: Point, x1: Point, n_intervals: int) -
     return SampledCurve(times, pts, space)
 
 
-def curve_from_function(space: SpaceHandle, fn: Callable[[float], Point], n_intervals: int) -> SampledCurve:
-    times = np.linspace(0.0, 1.0, n_intervals + 1)
-    return SampledCurve(times, [fn(float(t)) for t in times], space)
-
-
 def metric_speed(c: SampledCurve) -> np.ndarray:
     """Per-interval speeds d(p_k, p_{k+1}) / dt_k."""
     d = [distance(c.space, c.points[k], c.points[k + 1]) for k in range(len(c.points) - 1)]

@@ -34,9 +34,6 @@ class FlowTrajectory:
     step: float
     f_values: np.ndarray
 
-    def at_index(self, k: int) -> Point:
-        return self.points[k]
-
     @property
     def end(self) -> Point:
         return self.points[-1]

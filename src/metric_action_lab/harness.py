@@ -9,17 +9,15 @@ violation when such a certificate beats the target by the configured
 margin.
 
 Reports serialize to a CSV table (one row per index) plus a JSON summary.
-Identical configurations produce byte-identical files regardless of the
-thread cap (``METRIC_ACTION_LAB_THREADS``): per-index work items are pure
-and collected in submission order.
+Identical configurations produce byte-identical files.  Per-index work
+items run in order in the calling thread; ``METRIC_ACTION_LAB_THREADS`` is
+accepted and ignored, because the work is pure Python and holds the GIL.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -48,11 +46,7 @@ from .functionals import (
     zero_functional,
 )
 from .laws import parse_law
-from .recovery import (
-    RecoveryConfig,
-    RecoveryMode,
-    build_recovery,
-)
+from .recovery import RecoveryConfig, RecoveryMode, RecoveryOutput, build_recovery
 from .spaces import Point, SpaceHandle, euclidean, half_line, quantile_1d, tripod
 from .spaces import distance as space_distance
 
@@ -72,29 +66,13 @@ class ExperimentReport:
     meta: dict = field(default_factory=dict)
 
 
-# --------------------------------------------------------------------------
-# deterministic parallelism
-# --------------------------------------------------------------------------
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("METRIC_ACTION_LAB_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def parallel_map(fn: Callable, items: Sequence) -> list:
-    """Map preserving order; the thread cap only affects wall time."""
-    items = list(items)
-    cap = thread_cap()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=cap) as ex:
-        return list(ex.map(fn, items))
+    """Map over the per-index work items in order, in the calling thread.
+
+    The name stays because ``perfbench/tracer.py`` hooks it to group the
+    per-index spans.
+    """
+    return [fn(x) for x in items]
 
 
 # --------------------------------------------------------------------------
@@ -167,8 +145,6 @@ class ExperimentConfig:
     base_curve_spec: dict = field(default_factory=lambda: {"type": "geodesic"})
     eps_law: Optional[Callable[[int], float]] = None
     n_intervals: int = 64
-    flow_steps: int = 32
-    n_certificate: int = 1024
     margin: float = 0.05
     d_inf_tol: float = 0.02
     slope_cap: float = 10.0
@@ -208,8 +184,6 @@ class ExperimentConfig:
             base_curve_spec=dict(obj.get("base_curve", {"type": "geodesic"})),
             eps_law=parse_law(obj["eps_law"]) if obj.get("eps_law") else None,
             n_intervals=int(disc.get("N", 64)),
-            flow_steps=int(disc.get("flow_steps", 32)),
-            n_certificate=int(disc.get("n_certificate", 1024)),
             margin=float(tol.get("margin", 0.05)),
             d_inf_tol=float(tol.get("d_inf_tol", 0.02)),
             slope_cap=float(tol.get("slope_cap", 10.0)),
@@ -240,6 +214,22 @@ def resolve_base_curve(cfg: ExperimentConfig) -> SampledCurve:
     raise ConfigError(f"unknown base curve type {kind!r}")
 
 
+def experiment_recovery(cfg: ExperimentConfig, gamma: SampledCurve, h: int) -> RecoveryOutput:
+    """Recovery curve for index ``h`` of the experiment around ``gamma``."""
+    rcfg = RecoveryConfig(
+        mode=cfg.mode,
+        base_curve=gamma,
+        x0_seq=cfg.x0_seq,
+        x1_seq=cfg.x1_seq,
+        slope_cap=cfg.slope_cap,
+    )
+    if cfg.mode is not RecoveryMode.VANISHING:
+        return build_recovery(cfg.family.member(h), rcfg, h)
+    if cfg.family.base is None or cfg.eps_law is None:
+        raise ConfigError("vanishing mode needs a base functional and eps_law")
+    return build_recovery(cfg.family.base, rcfg, h, eps=cfg.eps_law)
+
+
 # --------------------------------------------------------------------------
 # positive experiments
 # --------------------------------------------------------------------------
@@ -262,36 +252,21 @@ def run_positive(cfg: ExperimentConfig) -> ExperimentReport:
     """Build recovery curves per index and compare against the target."""
     gamma = resolve_base_curve(cfg)
     target = action(gamma, cfg.family.limit, cfg.x0, cfg.x1).total
-    rcfg = RecoveryConfig(
-        mode=cfg.mode,
-        base_curve=gamma,
-        x0_seq=cfg.x0_seq,
-        x1_seq=cfg.x1_seq,
-        flow_steps=cfg.flow_steps,
-        slope_cap=cfg.slope_cap,
-    )
 
     def one(h):
         f_h = cfg.family.member(h)
         x0h, x1h = cfg.x0_seq(h), cfg.x1_seq(h)
         row = {"h": h, "theta_target": target}
         try:
-            if cfg.mode is RecoveryMode.VANISHING:
-                if cfg.family.base is None or cfg.eps_law is None:
-                    raise ConfigError("vanishing mode needs a base functional and eps_law")
-                out = build_recovery(cfg.family.base, rcfg, h, eps=cfg.eps_law)
-                f_theta = f_h
-            else:
-                out = build_recovery(f_h, rcfg, h)
-                f_theta = f_h
-            theta_h = action(out.curve, f_theta, x0h, x1h).total
+            out = experiment_recovery(cfg, gamma, h)
+            theta_h = action(out.curve, f_h, x0h, x1h).total
             row.update(
                 tau=out.tau,
                 theta_h=theta_h,
                 gap=theta_h - target,
                 d_inf=uniform_distance(out.curve, gamma),
-                slope_x0=descending_slope(f_theta, cfg.space, x0h, best_slope_method(f_theta)),
-                slope_x1=descending_slope(f_theta, cfg.space, x1h, best_slope_method(f_theta)),
+                slope_x0=descending_slope(f_h, cfg.space, x0h, best_slope_method(f_h)),
+                slope_x1=descending_slope(f_h, cfg.space, x1h, best_slope_method(f_h)),
                 endpoint_gap=max(
                     space_distance(cfg.space, out.curve.start, x0h),
                     space_distance(cfg.space, out.curve.end, x1h),
@@ -350,6 +325,21 @@ def crossing_lower_bound(xs: np.ndarray, sqrt_g_right: Callable[[float], float])
     for a, b in zip(xs[:-1], xs[1:]):
         total += 2.0 * sqrt_g_right(float(b)) * (float(b) - float(a))
     return total
+
+
+def _certified_verdict(rows: list, bound: str, target: float, margin: float) -> tuple:
+    """Mark rows whose ``bound`` column beats the target by the margin.
+
+    The first passing row is the witness; the verdict is a violation only
+    when every row passes, so an empty grid stays inconclusive.
+    """
+    witness = None
+    for row in rows:
+        row["pass"] = bool(row[bound] > target + margin)
+        if row["pass"] and witness is None:
+            witness = {"h": row["h"], "lower_bound": row[bound], "target": target}
+    verdict = Verdict.VIOLATED if witness and all(r["pass"] for r in rows) else Verdict.INCONCLUSIVE
+    return verdict, witness
 
 
 EXAMPLE1_COLUMNS = [
@@ -417,14 +407,7 @@ def run_example1(
         }
 
     rows = parallel_map(one, list(h_list))
-    witness = None
-    for row in rows:
-        row["pass"] = bool(row["certified_lower_bound"] > target + margin)
-        if row["pass"] and witness is None:
-            witness = {"h": row["h"], "lower_bound": row["certified_lower_bound"], "target": target}
-    verdict = Verdict.VIOLATED if witness and all(r["pass"] for r in rows) else Verdict.INCONCLUSIVE
-    if not rows:
-        verdict = Verdict.INCONCLUSIVE
+    verdict, witness = _certified_verdict(rows, "certified_lower_bound", target, margin)
     return ExperimentReport(
         columns=EXAMPLE1_COLUMNS,
         rows=rows,
@@ -497,14 +480,7 @@ def run_example2(
         }
 
     rows = parallel_map(one, list(h_list))
-    witness = None
-    for row in rows:
-        row["pass"] = bool(row["amgm_lower_bound"] > target + margin)
-        if row["pass"] and witness is None:
-            witness = {"h": row["h"], "lower_bound": row["amgm_lower_bound"], "target": target}
-    verdict = Verdict.VIOLATED if witness and all(r["pass"] for r in rows) else Verdict.INCONCLUSIVE
-    if not rows:
-        verdict = Verdict.INCONCLUSIVE
+    verdict, witness = _certified_verdict(rows, "amgm_lower_bound", target, margin)
     return ExperimentReport(
         columns=EXAMPLE2_COLUMNS,
         rows=rows,

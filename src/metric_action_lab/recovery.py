@@ -1,7 +1,8 @@
-"""Recovery-sequence builders: regularized curve plus endpoint repair.
+"""Recovery-sequence builder: regularized curve plus endpoint repair.
 
-Three construction modes share one five-piece shape.  Given a base curve
-``gamma`` joining the limit endpoints and per-index endpoints ``x0h, x1h``:
+``build_recovery`` has three modes that share one five-piece shape.  Given
+a base curve ``gamma`` joining the limit endpoints and per-index
+endpoints ``x0h, x1h``:
 
 * entry piece    (duration tau):   s -> R_s(x0h), from x0h to R_tau(x0h);
 * repair piece   (duration d0):    R_tau applied to the geodesic x0h -> x0;
@@ -61,6 +62,12 @@ def default_tau_schedule(h: int, d0: float, d1: float, lam: float) -> float:
     return min((d0 + d1 + 1.0 / h) / 8.0, tau_cap(lam))
 
 
+DELTA_S = 1e-2          # arclength step for repair geodesics
+N_PHI_MIN = 8           # nodes on entry/exit pieces
+DT_MIN = 1e-3           # finest time step on entry/exit pieces
+ENDPOINT_TOL = 1e-9     # distances below this count as zero
+
+
 @dataclass
 class RecoveryConfig:
     mode: RecoveryMode
@@ -68,12 +75,7 @@ class RecoveryConfig:
     x0_seq: Callable[[int], Point]
     x1_seq: Callable[[int], Point]
     tau_schedule: Optional[Callable[[int], float]] = None
-    delta_s: float = 1e-2           # arclength step for repair geodesics
-    n_phi_min: int = 8              # nodes on entry/exit pieces
-    dt_min: float = 1e-3
-    flow_steps: int = 32            # resolvent iterations per flow application
     slope_cap: float = 10.0         # vanishing mode switch threshold
-    endpoint_tol: float = 1e-9
 
 
 @dataclass
@@ -93,9 +95,9 @@ class RecoveryOutput:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _phi_times(tau: float, cfg: RecoveryConfig) -> np.ndarray:
+def _phi_times(tau: float) -> np.ndarray:
     """Normalized grid for the entry piece, geometric near zero."""
-    n = max(cfg.n_phi_min, int(math.ceil(tau / cfg.dt_min)))
+    n = max(N_PHI_MIN, int(math.ceil(tau / DT_MIN)))
     n = min(n, 64)
     body = np.geomspace(1e-4, 1.0, n)
     return np.concatenate(([0.0], body))
@@ -134,10 +136,9 @@ def _build_core(
     x1: Point,
     tau: float,
     use_flow: bool,
-    cfg: RecoveryConfig,
 ) -> tuple:
     """The shared five-piece assembly; returns the ordered piece list."""
-    phi_t = _phi_times(tau, cfg)
+    phi_t = _phi_times(tau)
 
     # the flow map reuses the entry-piece grid so that junction points are
     # produced by the identical discrete computation on both sides
@@ -167,9 +168,9 @@ def _build_core(
 
     def repair_piece(a: Point, b: Point) -> Optional[SampledCurve]:
         d = distance(space, a, b)
-        if d <= cfg.endpoint_tol:
+        if d <= ENDPOINT_TOL:
             return None
-        n = max(2, int(math.ceil(d / cfg.delta_s)))
+        n = max(2, int(math.ceil(d / DELTA_S)))
         base = geodesic_curve(space, a, b, n)
         return base.mapped(regularize)
 
@@ -192,7 +193,7 @@ def _build_core(
     return pieces
 
 
-def _assemble(pieces, f_h, space, tau, cfg, extra_diag=None) -> RecoveryOutput:
+def _assemble(pieces, f_h, space, tau, extra_diag) -> RecoveryOutput:
     method = best_slope_method(f_h)
 
     def g(p: Point) -> float:
@@ -201,11 +202,11 @@ def _assemble(pieces, f_h, space, tau, cfg, extra_diag=None) -> RecoveryOutput:
 
     kept = []
     for p in pieces:
-        if p.label != "middle" and _is_trivial(p.curve, g, cfg.endpoint_tol):
+        if p.label != "middle" and _is_trivial(p.curve, g, ENDPOINT_TOL):
             continue
         kept.append(p)
     total_duration = sum(p.duration for p in kept)
-    curve = concatenate_rescale(kept, endpoint_tol=max(cfg.endpoint_tol, 1e-8))
+    curve = concatenate_rescale(kept, endpoint_tol=1e-8)
     diags = []
     for p in kept:
         K, P = _piece_integrals(p.curve, p.duration, g)
@@ -217,8 +218,7 @@ def _assemble(pieces, f_h, space, tau, cfg, extra_diag=None) -> RecoveryOutput:
         "total_duration": total_duration,
         "pieces": diags,
     }
-    if extra_diag:
-        diagnostics.update(extra_diag)
+    diagnostics.update(extra_diag)
     return RecoveryOutput(curve, kept, tau, diagnostics)
 
 
@@ -244,85 +244,61 @@ def estimated_entry_constant(f_h, space, x0h, x1h, tau, use_flow: bool) -> float
     return (a * a + b * b) * s * s
 
 
-def build_recovery_resolvent(f_h: FunctionalSpec, cfg: RecoveryConfig, h: int) -> RecoveryOutput:
-    space = cfg.base_curve.space
-    x0h, x1h = cfg.x0_seq(h), cfg.x1_seq(h)
-    x0, x1 = cfg.base_curve.start, cfg.base_curve.end
-    d0, d1 = distance(space, x0h, x0), distance(space, x1h, x1)
-    tau = _resolve_tau(cfg, f_h, h, d0, d1)
-    pieces = _build_core(f_h, space, cfg.base_curve, x0h, x1h, x0, x1, tau, False, cfg)
-    C = estimated_entry_constant(f_h, space, x0h, x1h, tau, False)
-    return _assemble(pieces, f_h, space, tau, cfg, {"entry_constant": C, "mode": "resolvent"})
-
-
-def build_recovery_flow(f_h: FunctionalSpec, cfg: RecoveryConfig, h: int) -> RecoveryOutput:
-    space = cfg.base_curve.space
-    x0h, x1h = cfg.x0_seq(h), cfg.x1_seq(h)
-    x0, x1 = cfg.base_curve.start, cfg.base_curve.end
-    d0, d1 = distance(space, x0h, x0), distance(space, x1h, x1)
-    tau = _resolve_tau(cfg, f_h, h, d0, d1)
-    pieces = _build_core(f_h, space, cfg.base_curve, x0h, x1h, x0, x1, tau, True, cfg)
-    C = estimated_entry_constant(f_h, space, x0h, x1h, tau, True)
-    return _assemble(pieces, f_h, space, tau, cfg, {"entry_constant": C, "mode": "flow"})
-
-
-def _vanishing_endpoint_ride(f, space, anchor, eps_h, cfg):
+def _vanishing_endpoint_ride(f, space, anchor, eps_h, slope_cap):
     """Flow of the unscaled functional until the scaled slope is tame."""
     times = np.concatenate(([0.0], np.geomspace(eps_h * 1e-6, eps_h * 0.999, 48)))
     traj = flow_times(f, space, anchor, times)
     method = best_slope_method(f)
     for k in range(1, len(times)):
         s = descending_slope(f, space, traj.points[k], method)
-        if eps_h * s <= cfg.slope_cap:
+        if eps_h * s <= slope_cap:
             sub_times = times[: k + 1]
             norm = sub_times / sub_times[-1]
             piece = SampledCurve(norm, traj.points[: k + 1], space)
             return piece, float(sub_times[-1])
     raise ScheduleError(
-        f"scaled slope never dropped under {cfg.slope_cap} on (0, {eps_h:g}); refine the grid"
+        f"scaled slope never dropped under {slope_cap} on (0, {eps_h:g}); refine the grid"
     )
 
 
-def build_recovery_vanishing(
-    f: FunctionalSpec, eps: Callable[[int], float], cfg: RecoveryConfig, h: int
+def build_recovery(
+    f: FunctionalSpec, cfg: RecoveryConfig, h: int, eps: Optional[Callable[[int], float]] = None
 ) -> RecoveryOutput:
-    """Recovery for the scaled family eps_h * f without endpoint slope bounds.
+    """Recovery curve for index ``h`` in the mode ``cfg.mode``.
 
-    Requires finite values (not slopes) at the moving endpoints; the flow
-    rides from each endpoint long enough to tame the scaled slope, then the
-    flow-mode construction joins the reached points.
+    In ``resolvent`` and ``flow`` mode ``f`` is the member functional.  In
+    ``vanishing`` mode ``f`` is the unscaled base and ``eps`` the scale
+    law: the scaled family ``eps_h * f`` needs finite values (not slopes)
+    at the moving endpoints, because the flow rides from each endpoint long
+    enough to tame the scaled slope before the flow-mode construction joins
+    the reached points.
     """
     space = cfg.base_curve.space
-    eps_h = eps(h)
-    f_h = f.scaled(eps_h)
     x0h, x1h = cfg.x0_seq(h), cfg.x1_seq(h)
-    for name, pt in (("start", x0h), ("end", x1h)):
-        if not f.in_domain(pt):
-            raise PreconditionError(f"{name} endpoint has infinite value")
-    ride0, t0 = _vanishing_endpoint_ride(f, space, x0h, eps_h, cfg)
-    ride1, t1 = _vanishing_endpoint_ride(f, space, x1h, eps_h, cfg)
-    x0t, x1t = ride0.end, ride1.end
     x0, x1 = cfg.base_curve.start, cfg.base_curve.end
-    d0, d1 = distance(space, x0t, x0), distance(space, x1t, x1)
+    vanishing = cfg.mode is RecoveryMode.VANISHING
+    f_h = f
+    if vanishing:
+        eps_h = eps(h)
+        f_h = f.scaled(eps_h)
+        for name, pt in (("start", x0h), ("end", x1h)):
+            if not f.in_domain(pt):
+                raise PreconditionError(f"{name} endpoint has infinite value")
+        ride0, t0 = _vanishing_endpoint_ride(f, space, x0h, eps_h, cfg.slope_cap)
+        ride1, t1 = _vanishing_endpoint_ride(f, space, x1h, eps_h, cfg.slope_cap)
+        x0h, x1h = ride0.end, ride1.end
+    use_flow = cfg.mode is not RecoveryMode.RESOLVENT
+    d0, d1 = distance(space, x0h, x0), distance(space, x1h, x1)
     tau = _resolve_tau(cfg, f_h, h, d0, d1)
-    core = _build_core(f_h, space, cfg.base_curve, x0t, x1t, x0, x1, tau, True, cfg)
-    pieces = [Piece(ride0, t0, "ride_in")] + core + [Piece(ride1.reversed_time(), t1, "ride_out")]
-    return _assemble(
-        pieces,
-        f_h,
-        space,
-        tau,
-        cfg,
-        {"mode": "vanishing", "eps": eps_h, "t_switch": (t0, t1)},
-    )
-
-
-def build_recovery(f_or_family, cfg: RecoveryConfig, h: int, eps=None) -> RecoveryOutput:
-    if cfg.mode is RecoveryMode.RESOLVENT:
-        return build_recovery_resolvent(f_or_family, cfg, h)
-    if cfg.mode is RecoveryMode.FLOW:
-        return build_recovery_flow(f_or_family, cfg, h)
-    return build_recovery_vanishing(f_or_family, eps, cfg, h)
+    pieces = _build_core(f_h, space, cfg.base_curve, x0h, x1h, x0, x1, tau, use_flow)
+    if vanishing:
+        ride_out = Piece(ride1.reversed_time(), t1, "ride_out")
+        pieces = [Piece(ride0, t0, "ride_in")] + pieces + [ride_out]
+        extra = {"mode": "vanishing", "eps": eps_h, "t_switch": (t0, t1)}
+    else:
+        C = estimated_entry_constant(f_h, space, x0h, x1h, tau, use_flow)
+        extra = {"entry_constant": C, "mode": cfg.mode.value}
+    return _assemble(pieces, f_h, space, tau, extra)
 
 
 # --------------------------------------------------------------------------

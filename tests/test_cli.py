@@ -5,6 +5,7 @@ import pytest
 
 from metric_action_lab.cli import main
 from metric_action_lab.curves import curve_to_csv, geodesic_curve
+from metric_action_lab.errors import ConfigError
 from metric_action_lab.spaces import half_line
 
 
@@ -122,6 +123,24 @@ def test_cli_recovery_outputs(tmp_path):
     assert "4" in summary["h"]
     labels = {p["label"] for p in summary["h"]["4"]["pieces"]}
     assert "middle" in labels
+
+
+def test_cli_recovery_vanishing_without_eps_law(tmp_path):
+    # the same config gives a ConfigError row under `gamma positive`
+    cfg = write_json(
+        tmp_path / "cfg.json",
+        {
+            "space": {"kind": "half_line"},
+            "family": {"name": "example1"},
+            "x0": 1.0,
+            "x1": 2.0,
+            "h_list": [2],
+            "mode": "vanishing",
+            "base_curve": {"type": "geodesic", "N": 16},
+        },
+    )
+    with pytest.raises(ConfigError, match="eps_law"):
+        main(["recovery", "--config", cfg, "--out", str(tmp_path)])
 
 
 def test_cli_gamma_liminf(tmp_path):

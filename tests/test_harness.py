@@ -21,7 +21,6 @@ from metric_action_lab.harness import (
     run_example2,
     run_positive,
     space_from_config,
-    thread_cap,
 )
 from metric_action_lab.laws import parse_law
 from metric_action_lab.proximal import resolvent
@@ -333,19 +332,10 @@ def test_emit_report_byte_stable(tmp_path):
     assert p1[1].read_bytes() == p2[1].read_bytes()
 
 
-def test_parallel_map_matches_serial(monkeypatch):
+def test_parallel_map_matches_serial():
     items = list(range(20))
     fn = lambda x: x * x + 1
-    monkeypatch.setenv("METRIC_ACTION_LAB_THREADS", "4")
-    assert thread_cap() == 4
-    out_threaded = parallel_map(fn, items)
-    monkeypatch.setenv("METRIC_ACTION_LAB_THREADS", "1")
-    assert parallel_map(fn, items) == out_threaded
-
-
-def test_thread_cap_garbage(monkeypatch):
-    monkeypatch.setenv("METRIC_ACTION_LAB_THREADS", "many")
-    assert thread_cap() == 1
+    assert parallel_map(fn, items) == [fn(x) for x in items]
 
 
 def test_example2_thread_count_invariance(monkeypatch, tmp_path):

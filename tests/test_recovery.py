@@ -16,9 +16,7 @@ from metric_action_lab.functionals import (
 from metric_action_lab.recovery import (
     RecoveryConfig,
     RecoveryMode,
-    build_recovery_flow,
-    build_recovery_resolvent,
-    build_recovery_vanishing,
+    build_recovery,
     default_tau_schedule,
     diagonal_select,
     estimated_entry_constant,
@@ -56,7 +54,7 @@ def piece_by_label(out, label):
 def test_resolvent_recovery_middle_piece_closed_form():
     gamma = unit_line()
     cfg = cfg_for(gamma, lambda h: E1.point(0.0), lambda h: E1.point(1.0), tau=0.1)
-    out = build_recovery_resolvent(QUAD, cfg, 1)
+    out = build_recovery(QUAD, cfg, 1)
     mid = next(p for p in out.pieces if p.label == "middle")
     for t, p in zip(mid.curve.times, mid.curve.points):
         assert p.coords[0] == pytest.approx(t / 1.1, rel=1e-12)
@@ -69,7 +67,7 @@ def test_resolvent_recovery_zero_functional_reproduces_base():
     gamma = unit_line()
     f = zero_functional(E1)
     cfg = cfg_for(gamma, lambda h: E1.point(0.0), lambda h: E1.point(1.0), tau=0.2)
-    out = build_recovery_resolvent(f, cfg, 3)
+    out = build_recovery(f, cfg, 3)
     assert uniform_distance(out.curve, gamma) <= 1e-12
     av = action(out.curve, f, E1.point(0.0), E1.point(1.0))
     assert av.total == pytest.approx(1.0, rel=1e-9)
@@ -80,7 +78,7 @@ def test_resolvent_recovery_endpoint_exactness():
     for h in (4, 16, 64):
         x0h, x1h = E1.point(1.0 / h), E1.point(1.0 + 1.0 / h)
         cfg = cfg_for(gamma, lambda _h: x0h, lambda _h: x1h)
-        out = build_recovery_resolvent(QUAD, cfg, h)
+        out = build_recovery(QUAD, cfg, h)
         assert distance(E1, out.curve.start, x0h) <= 1e-9
         assert distance(E1, out.curve.end, x1h) <= 1e-9
 
@@ -92,7 +90,7 @@ def test_resolvent_recovery_repair_piece_bound():
     h, tau = 8, 0.1
     x0h = E1.point(1.0 / h)
     cfg = cfg_for(gamma, lambda _h: x0h, lambda _h: E1.point(1.0), tau=tau)
-    out = build_recovery_resolvent(QUAD, cfg, h)
+    out = build_recovery(QUAD, cfg, h)
     rep = piece_by_label(out, "repair_start")
     d0 = 1.0 / h
     assert rep.duration == pytest.approx(d0)
@@ -108,7 +106,7 @@ def test_resolvent_recovery_entry_piece_bound():
     tau = 0.125
     x1h = E1.point(1.0)
     cfg = cfg_for(gamma, lambda h: E1.point(0.0), lambda h: x1h, tau=tau)
-    out = build_recovery_resolvent(QUAD, cfg, 64)
+    out = build_recovery(QUAD, cfg, 64)
     entry = piece_by_label(out, "exit")
     C = estimated_entry_constant(QUAD, E1, E1.point(0.0), x1h, tau, use_flow=False)
     assert C == pytest.approx(2.0, rel=1e-12)  # 2 * slope(x1)^2 for this case
@@ -120,7 +118,7 @@ def test_resolvent_recovery_middle_inflation():
     theta = action(gamma, QUAD, gamma.start, gamma.end).total
     for tau in (0.2, 0.1, 0.05):
         cfg = cfg_for(gamma, lambda h: E1.point(0.0), lambda h: E1.point(1.0), tau=tau)
-        out = build_recovery_resolvent(QUAD, cfg, 4)
+        out = build_recovery(QUAD, cfg, 4)
         mid = piece_by_label(out, "middle")
         assert mid.kinetic + mid.potential <= (1 + tau) * theta + 1e-6
 
@@ -135,7 +133,7 @@ def test_resolvent_recovery_infinite_endpoint_slope_rejected():
         x1_seq=lambda h: HL.point(1.0),
     )
     with pytest.raises(PreconditionError, match="bounded endpoint slopes"):
-        build_recovery_resolvent(f, cfg, 2)
+        build_recovery(f, cfg, 2)
 
 
 def test_uniform_closeness_table_decreasing_diagonal():
@@ -146,7 +144,7 @@ def test_uniform_closeness_table_decreasing_diagonal():
     for i, tau in enumerate(taus):
         for j, h in enumerate(hs):
             cfg = cfg_for(gamma, lambda _h: E1.point(1.0 / _h), lambda _h: E1.point(1.0), tau=tau)
-            out = build_recovery_resolvent(QUAD, cfg, h)
+            out = build_recovery(QUAD, cfg, h)
             table[i, j] = uniform_distance(out.curve, gamma)
     diag = [table[k, k] for k in range(len(taus))]
     assert all(b < a for a, b in zip(diag, diag[1:]))
@@ -163,7 +161,7 @@ def test_flow_recovery_middle_piece_exponential():
         gamma, lambda h: E1.point(0.0), lambda h: E1.point(1.0),
         mode=RecoveryMode.FLOW, tau=0.1,
     )
-    out = build_recovery_flow(QUAD, cfg, 1)
+    out = build_recovery(QUAD, cfg, 1)
     mid = next(p for p in out.pieces if p.label == "middle")
     for t, p in zip(mid.curve.times, mid.curve.points):
         assert p.coords[0] == pytest.approx(math.exp(-0.1) * t, abs=1.5e-3)
@@ -174,7 +172,7 @@ def test_flow_recovery_zero_functional_identity():
     f = zero_functional(E1)
     cfg = cfg_for(gamma, lambda h: E1.point(0.0), lambda h: E1.point(1.0),
                   mode=RecoveryMode.FLOW, tau=0.2)
-    out = build_recovery_flow(f, cfg, 1)
+    out = build_recovery(f, cfg, 1)
     assert uniform_distance(out.curve, gamma) <= 1e-12
 
 
@@ -184,7 +182,7 @@ def test_flow_recovery_entry_bound_from_decay_estimates():
     tau = 0.1
     cfg = cfg_for(gamma, lambda h: E1.point(0.0), lambda h: E1.point(1.0),
                   mode=RecoveryMode.FLOW, tau=tau)
-    out = build_recovery_flow(QUAD, cfg, 1)
+    out = build_recovery(QUAD, cfg, 1)
     entry = piece_by_label(out, "exit")  # anchored at x1 = 1, slope 1
     C = estimated_entry_constant(QUAD, E1, E1.point(0.0), E1.point(1.0), tau, use_flow=True)
     assert C == pytest.approx(2.0, rel=1e-12)
@@ -216,7 +214,7 @@ def test_vanishing_recovery_quadratic_side_pieces_shrink():
             x0_seq=lambda _h: E1.point(0.0),
             x1_seq=lambda _h: E1.point(1.0),
         )
-        out = build_recovery_vanishing(QUAD, lambda _h: 1.0 / _h, cfg, h)
+        out = build_recovery(QUAD, cfg, h, eps=lambda _h: 1.0 / _h)
         eps = 1.0 / h
         ride = [p for p in out.diagnostics["pieces"] if p.label.startswith("ride")]
         total = sum(p.contribution for p in ride)
@@ -239,7 +237,7 @@ def test_vanishing_mode_schedule_error_on_impossible_cap():
         slope_cap=1e-9,  # unreachable on the ride grid
     )
     with pytest.raises(ScheduleError, match="refine the grid"):
-        build_recovery_vanishing(inverse_square(1.0), lambda h: 0.5, cfg, 2)
+        build_recovery(inverse_square(1.0), cfg, 2, eps=lambda h: 0.5)
 
 
 def test_vanishing_recovery_inverse_square_succeeds():
@@ -255,7 +253,7 @@ def test_vanishing_recovery_inverse_square_succeeds():
             x0_seq=lambda _h, e=eps: HL.point(math.sqrt(e)),
             x1_seq=lambda _h: HL.point(1.0),
         )
-        out = build_recovery_vanishing(f, lambda _h, e=eps: e, cfg, h)
+        out = build_recovery(f, cfg, h, eps=lambda _h, e=eps: e)
         assert distance(HL, out.curve.start, HL.point(math.sqrt(eps))) <= 1e-9
         entry = [p for p in out.diagnostics["pieces"] if p.label in ("entry", "exit")]
         costs[eps] = {
@@ -307,7 +305,7 @@ def test_diagonal_select_quadratic_grids():
         row_a, row_d = [], []
         for h in hs:
             cfg = cfg_for(gamma, lambda _h: E1.point(1.0 / _h), lambda _h: E1.point(1.0), tau=tau)
-            out = build_recovery_resolvent(QUAD, cfg, h)
+            out = build_recovery(QUAD, cfg, h)
             row_a.append(action(out.curve, QUAD, E1.point(1.0 / h), E1.point(1.0)).total)
             row_d.append(uniform_distance(out.curve, gamma))
         actions.append(row_a)
@@ -338,7 +336,7 @@ def test_diagonal_select_ramp_family_inconclusive():
                 x1_seq=lambda _h: hl.point(1.0),
                 tau_schedule=lambda _h, t=tau: t,
             )
-            out = build_recovery_resolvent(f_h, cfg, h)
+            out = build_recovery(f_h, cfg, h)
             row_a.append(action(out.curve, f_h, hl.point(0.0), hl.point(1.0)).total)
             row_d.append(uniform_distance(out.curve, gamma_hl))
         actions.append(row_a)
