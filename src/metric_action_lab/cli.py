@@ -31,8 +31,8 @@ from . import __version__
 from .curves import action, curve_from_csv, curve_to_csv
 from .flow import check_contraction, check_energy_identity, check_evi, flow, slack
 from .functionals import (
+    FunctionalFamily,
     SupFormula,
-    best_slope_method,
     build_functional,
     check_lambda_convexity,
     descending_slope,
@@ -43,6 +43,7 @@ from .functionals import (
 from .harness import (
     ExperimentConfig,
     Verdict,
+    as_coords,
     emit_report,
     experiment_recovery,
     liminf_probe,
@@ -52,12 +53,14 @@ from .harness import (
     run_positive,
     space_from_config,
 )
+from .laws import parse_law
 from .proximal import (
     check_bound_chain,
     check_resolvent_identity,
     check_resolvent_lipschitz,
     check_tau_continuity,
     resolvent,
+    resolvent_convergence_probe,
 )
 from .spaces import (
     check_cat0,
@@ -142,7 +145,7 @@ def _prox_rows(seed: int, n_samples: int = 20) -> list:
                     worst["lipschitz"], check_resolvent_lipschitz(f, sp, tau, x, y)
                 )
                 nu = tau * float(rng.uniform(0.2, 0.8))
-                s_x = descending_slope(f, sp, x, best_slope_method(f))
+                s_x = descending_slope(f, sp, x)
                 if math.isfinite(s_x):
                     worst["tau_continuity"] = max(
                         worst["tau_continuity"], check_tau_continuity(f, sp, nu, tau, x)
@@ -159,13 +162,9 @@ def _prox_rows(seed: int, n_samples: int = 20) -> list:
                     bar = max(bar, 1e-4)
                 rows.append((sname, fname, check, f"n={n_samples}", val, val <= bar))
         # member resolvents must approach the limit resolvent
-        from metric_action_lab.functionals import FunctionalFamily
-
         base = _catalogue_for(sname, sp)[1][1]
         fam = FunctionalFamily(member=lambda h: base.scaled(1.0 + 1.0 / h), limit=base)
         x = random_point(sp, rng)
-        from metric_action_lab.proximal import resolvent_convergence_probe
-
         dists = resolvent_convergence_probe(fam, sp, 0.2, x, [2, 16, 128, 1024])
         ok = dists[-1] <= 1e-3 and all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
         rows.append((sname, "quadratic_family", "resolvent_convergence", "h<=1024", dists[-1], ok))
@@ -245,21 +244,25 @@ def cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
+def _space_and_functional(cfg: dict) -> tuple:
+    """The space and the catalogue functional a ``flow``/``action`` config names."""
+    sp = space_from_config(cfg["space"])
+    return sp, build_functional(sp, cfg["functional"]["name"], cfg["functional"].get("params", {}))
+
+
 def cmd_flow(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
-    sp = space_from_config(cfg["space"])
-    f = build_functional(sp, cfg["functional"]["name"], cfg["functional"].get("params", {}))
-    x = sp.point(*(cfg["x"] if isinstance(cfg["x"], list) else [cfg["x"]]))
+    sp, f = _space_and_functional(cfg)
+    x = sp.point(*as_coords(cfg["x"]))
     traj = flow(f, sp, x, float(cfg.get("T", 1.0)), int(cfg.get("n_steps", 1000)))
     speeds = traj.speeds(sp)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ncol = len(x.coords)
     lines = ["t," + ",".join(f"coord_{i}" for i in range(ncol)) + ",f_value,speed,slope"]
-    method = best_slope_method(f)
     for k, t in enumerate(traj.times):
         sp_k = speeds[k] if k < len(speeds) else speeds[-1]
-        sl = descending_slope(f, sp, traj.points[k], method)
+        sl = descending_slope(f, sp, traj.points[k])
         coords = ",".join(format(c, ".12g") for c in traj.points[k].coords)
         lines.append(
             f"{format(t, '.12g')},{coords},{format(traj.f_values[k], '.12g')},"
@@ -273,11 +276,10 @@ def cmd_flow(args) -> int:
 
 def cmd_action(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
-    sp = space_from_config(cfg["space"])
-    f = build_functional(sp, cfg["functional"]["name"], cfg["functional"].get("params", {}))
+    sp, f = _space_and_functional(cfg)
     curve = curve_from_csv(Path(cfg["curve_csv"]).read_text(), sp)
-    x0 = sp.point(*(cfg["x0"] if isinstance(cfg["x0"], list) else [cfg["x0"]]))
-    x1 = sp.point(*(cfg["x1"] if isinstance(cfg["x1"], list) else [cfg["x1"]]))
+    x0 = sp.point(*as_coords(cfg["x0"]))
+    x1 = sp.point(*as_coords(cfg["x1"]))
     av = action(curve, f, x0, x1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -350,8 +352,6 @@ def cmd_gamma(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     gamma = resolve_base_curve(cfg)
     probe_cfg = cfg.raw.get("liminf", {})
-    from .laws import parse_law
-
     tl = parse_law(probe_cfg.get("tau_law", "1/(h*h)"))
     curves = {
         h: gamma.mapped(lambda p, _h=h: resolvent(cfg.family.member(_h), cfg.space, tl(_h), p).point)

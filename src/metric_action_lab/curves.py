@@ -7,7 +7,7 @@ per node.  The discretized action of a curve under a functional ``f`` is
   + trapezoid of slope(f)^2 over the nodes    (potential term)
 
 and it is infinite when the endpoints miss their prescribed anchors beyond
-``endpoint_tol`` or when any node with positive quadrature weight has
+``ENDPOINT_TOL`` or when any node with positive quadrature weight has
 infinite slope.  A node at which ``f`` itself is infinite forces an infinite
 value even when the endpoint weights are configured to zero, because such a
 curve leaves the effective domain.
@@ -20,24 +20,21 @@ piecewise potentials in the catalogue.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConcatenationError, DomainError, InitializationError
-from .functionals import (
-    INF,
-    FunctionalSpec,
-    best_slope_method,
-    descending_slope,
-)
-from .proximal import golden_section
+from .functionals import INF, FunctionalSpec, descending_slope, slope_squared
+from .proximal import grid_golden, numeric_grad, per_edge_golden
 from .spaces import Point, SpaceHandle, SpaceKind, distance, geodesic_point
 
 ENDPOINT_TOL = 1e-9
+GAIN_TOL = 1e-10        # a sweep that gains less than this ends the search
 
 
 @dataclass
@@ -87,7 +84,6 @@ class ActionValue:
     kinetic: float
     potential: float
     endpoint_ok: bool
-    detail: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -105,15 +101,19 @@ def geodesic_curve(space: SpaceHandle, x0: Point, x1: Point, n_intervals: int) -
     return SampledCurve(times, pts, space)
 
 
+def interval_lengths(space: SpaceHandle, points: Sequence[Point]) -> np.ndarray:
+    """Distances d(p_k, p_{k+1}) between consecutive points."""
+    return np.array([distance(space, points[k], points[k + 1]) for k in range(len(points) - 1)])
+
+
 def metric_speed(c: SampledCurve) -> np.ndarray:
     """Per-interval speeds d(p_k, p_{k+1}) / dt_k."""
-    d = [distance(c.space, c.points[k], c.points[k + 1]) for k in range(len(c.points) - 1)]
-    return np.array(d) / np.diff(c.times)
+    return interval_lengths(c.space, c.points) / np.diff(c.times)
 
 
-def _node_weights(times: np.ndarray, include_endpoints: bool) -> np.ndarray:
-    dts = np.diff(times)
-    w = np.zeros(len(times))
+def node_weights(dts: np.ndarray, include_endpoints: bool = True) -> np.ndarray:
+    """Trapezoid weights of the nodes of a grid with interval lengths ``dts``."""
+    w = np.zeros(len(dts) + 1)
     w[:-1] += dts / 2.0
     w[1:] += dts / 2.0
     if not include_endpoints:
@@ -127,19 +127,16 @@ def action(
     f: FunctionalSpec,
     x0: Point,
     x1: Point,
-    slope_method=None,
     include_endpoint_slopes: bool = True,
-    endpoint_tol: float = ENDPOINT_TOL,
 ) -> ActionValue:
     """Discretized action of ``c`` under ``f`` with prescribed endpoints."""
     endpoint_ok = (
-        distance(c.space, c.start, x0) <= endpoint_tol
-        and distance(c.space, c.end, x1) <= endpoint_tol
+        distance(c.space, c.start, x0) <= ENDPOINT_TOL
+        and distance(c.space, c.end, x1) <= ENDPOINT_TOL
     )
     speeds = metric_speed(c)
     kinetic = float(np.sum(speeds**2 * np.diff(c.times)))
-    method = slope_method if slope_method is not None else best_slope_method(f)
-    weights = _node_weights(c.times, include_endpoint_slopes)
+    weights = node_weights(np.diff(c.times), include_endpoint_slopes)
     potential = 0.0
     for k, p in enumerate(c.points):
         if not f.in_domain(p):
@@ -147,7 +144,7 @@ def action(
             break
         if weights[k] == 0.0:
             continue
-        s = descending_slope(f, c.space, p, method)
+        s = descending_slope(f, c.space, p)
         if not math.isfinite(s):
             potential = INF
             break
@@ -242,11 +239,7 @@ def _update_node_1d(space, local, p: Point, p_prev: Point, p_next: Point, span: 
     if space.kind is SpaceKind.HALF_LINE:
         lo = max(lo, 0.0)
     mk = lambda v: Point(space.kind, (v,))
-    grid = np.linspace(lo, hi, 17)
-    vals = [local(mk(v)) for v in grid]
-    j = int(np.argmin(vals))
-    a, b = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
-    v, value, _ = golden_section(lambda u: local(mk(u)), a, b)
+    v, value, _, _ = grid_golden(lambda u: local(mk(u)), lo, hi)
     return mk(v), value
 
 
@@ -259,16 +252,9 @@ def _update_node_vector(space, local, p: Point, span: float):
         return space.project(tuple(c))
 
     for _ in range(12):
-        g = np.zeros(len(coords))
-        for i in range(len(coords)):
-            eps = 1e-6 * max(abs(coords[i]), 1.0)
-            cp, cm = coords.copy(), coords.copy()
-            cp[i] += eps
-            cm[i] -= eps
-            vp, vm = local(at(cp)), local(at(cm))
-            if not (math.isfinite(vp) and math.isfinite(vm)):
-                return p, val
-            g[i] = (vp - vm) / (2 * eps)
+        g = numeric_grad(lambda c: local(at(c)), coords)
+        if g is None:
+            return p, val
         gn = float(np.linalg.norm(g))
         if gn < 1e-13:
             break
@@ -286,13 +272,11 @@ def _update_node_vector(space, local, p: Point, span: float):
     return at(coords), val
 
 
-def _update_node_tripod(space, local, p: Point, span: float):
+def _update_node_tripod(space, local, p: Point):
     best, best_val = p, local(p)
-    for e, length in enumerate(space.edge_lengths):
-        g1 = lambda s: local(Point(space.kind, (float(e), s)))
-        s, v, _ = golden_section(g1, 0.0, length, tol=1e-10)
+    for q, v, _ in per_edge_golden(local, space, 1e-10):
         if v < best_val:
-            best, best_val = Point(space.kind, (float(e), s)), v
+            best, best_val = q, v
     return best, best_val
 
 
@@ -310,8 +294,6 @@ def minimize_action(
     N: int,
     init: Optional[SampledCurve] = None,
     max_iter: int = 400,
-    slope_method=None,
-    value_tol: float = 1e-10,
 ) -> tuple:
     """Search for a low-action curve joining ``x0`` to ``x1``.
 
@@ -320,14 +302,9 @@ def minimize_action(
     coarse grid first, refining by geodesic midpoint insertion until the
     requested resolution is reached.  Returns ``(curve, ActionValue, info)``.
     """
-    method = slope_method if slope_method is not None else best_slope_method(f)
-
-    def g(p: Point) -> float:
-        s = descending_slope(f, space, p, method)
-        return s * s if math.isfinite(s) else INF
-
+    g = functools.partial(slope_squared, f, space)
     if init is not None:
-        if not math.isfinite(action(init, f, x0, x1, slope_method=method).total):
+        if not math.isfinite(action(init, f, x0, x1).total):
             raise InitializationError("initial curve has infinite action")
         levels = [N]
         cur = resample_curve(init, N)
@@ -336,7 +313,7 @@ def minimize_action(
         while levels[0] > 8:
             levels.insert(0, (levels[0] + 1) // 2)
         cur = geodesic_curve(space, x0, x1, levels[0])
-        if not math.isfinite(action(cur, f, x0, x1, slope_method=method).total):
+        if not math.isfinite(action(cur, f, x0, x1).total):
             raise InitializationError("geodesic initialization has infinite action")
 
     span0 = max(distance(space, x0, x1), 1.0)
@@ -346,7 +323,8 @@ def minimize_action(
         if len(cur.points) - 1 != n_level:
             cur = resample_curve(cur, n_level)
         level_sweeps = max_iter if n_level >= N else 80
-        prev_total = action(cur, f, x0, x1, slope_method=method).total
+        span = max(0.5 * span0 / n_level, 1e-4)
+        prev_total = action(cur, f, x0, x1).total
         for sweep in range(level_sweeps):
             sweeps_done += 1
             moved = 0.0
@@ -357,25 +335,24 @@ def minimize_action(
                 dt1 = times[i + 1] - times[i]
                 w = 0.5 * (dt0 + dt1)
                 local = _local_objective(space, g, pts[i - 1], pts[i + 1], dt0, dt1, w)
-                span = max(0.5 * span0 / n_level, 1e-4)
                 if space.kind is SpaceKind.HALF_LINE or (
                     space.kind is SpaceKind.EUCLIDEAN and space.dim == 1
                 ):
                     newp, newv = _update_node_1d(space, local, pts[i], pts[i - 1], pts[i + 1], 4 * span)
                 elif space.kind is SpaceKind.TRIPOD:
-                    newp, newv = _update_node_tripod(space, local, pts[i], span)
+                    newp, newv = _update_node_tripod(space, local, pts[i])
                 else:
                     newp, newv = _update_node_vector(space, local, pts[i], span)
                 if newv <= local(pts[i]):
                     moved = max(moved, distance(space, pts[i], newp))
                     pts[i] = newp
-            total = action(cur, f, x0, x1, slope_method=method).total
+            total = action(cur, f, x0, x1).total
             last_gain = prev_total - total
             prev_total = total
-            if moved < 1e-9 or (sweep > 3 and last_gain < value_tol):
+            if moved < 1e-9 or (sweep > 3 and last_gain < GAIN_TOL):
                 break
 
-    final = action(cur, f, x0, x1, slope_method=method)
+    final = action(cur, f, x0, x1)
     info = {"sweeps": sweeps_done, "last_gain": last_gain, "n_intervals": len(cur.points) - 1}
     return cur, final, info
 

@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
+from .curves import interval_lengths
 from .errors import DomainError, FlowError, MetricActionError
-from .functionals import FunctionalSpec, best_slope_method, descending_slope, evaluate, lam_neg
+from .functionals import FunctionalSpec, descending_slope, evaluate, lam_neg
 from .proximal import resolvent, tau_upper_limit
 from .spaces import Point, SpaceHandle, distance
 
@@ -31,7 +32,6 @@ def slack(dt: float, lipschitz: float = DEFAULT_LIPSCHITZ) -> float:
 class FlowTrajectory:
     times: np.ndarray
     points: list
-    step: float
     f_values: np.ndarray
 
     @property
@@ -39,11 +39,7 @@ class FlowTrajectory:
         return self.points[-1]
 
     def speeds(self, space: SpaceHandle) -> np.ndarray:
-        d = [
-            distance(space, self.points[k], self.points[k + 1])
-            for k in range(len(self.points) - 1)
-        ]
-        return np.array(d) / np.diff(self.times)
+        return interval_lengths(space, self.points) / np.diff(self.times)
 
 
 def flow(
@@ -68,12 +64,11 @@ def flow_times(f: FunctionalSpec, space: SpaceHandle, x: Point, times) -> FlowTr
         try:
             res = resolvent(f, space, dt, pts[-1])
         except MetricActionError as exc:
-            partial = FlowTrajectory(times[: k + 1], pts, float(dt), np.array(vals))
+            partial = FlowTrajectory(times[: k + 1], pts, np.array(vals))
             raise FlowError(f"resolvent failed at step {k}: {exc}", partial=partial) from exc
         pts.append(res.point)
         vals.append(evaluate(f, res.point))
-    step = float(times[1] - times[0]) if len(times) > 1 else 0.0
-    return FlowTrajectory(times, pts, step, np.array(vals))
+    return FlowTrajectory(times, pts, np.array(vals))
 
 
 def check_evi(
@@ -127,7 +122,7 @@ class EnergyReport:
 
 
 def check_energy_identity(
-    traj: FlowTrajectory, f: FunctionalSpec, space: SpaceHandle, method=None
+    traj: FlowTrajectory, f: FunctionalSpec, space: SpaceHandle
 ) -> EnergyReport:
     """Compare the value drop with the integral of the squared speed.
 
@@ -140,10 +135,9 @@ def check_energy_identity(
     kinetic = float(np.sum(speeds**2 * dts))
     drop = float(traj.f_values[0] - traj.f_values[-1])
     rel = abs(drop - kinetic) / max(1.0, abs(drop))
-    method = method if method is not None else best_slope_method(f)
     gap = 0.0
     for k in range(len(speeds)):
-        s = descending_slope(f, space, traj.points[k + 1], method)
+        s = descending_slope(f, space, traj.points[k + 1])
         if math.isfinite(s):
             gap = max(gap, abs(speeds[k] - s))
     return EnergyReport(rel, drop, kinetic, gap)
@@ -155,17 +149,15 @@ def check_slope_bounds_along_flow(
     x: Point,
     t: float,
     n_steps: int = 1000,
-    method=None,
 ) -> tuple:
     """Two-sided chain linking slope decay, displacement rate, and the
     initial slope; returns (lower_residual, upper_residual)."""
     if t <= 0:
         raise DomainError("need t > 0")
-    method = method if method is not None else best_slope_method(f)
     traj = flow(f, space, x, t, n_steps)
     u = traj.end
-    s_u = descending_slope(f, space, u, method)
-    s_x = descending_slope(f, space, x, method)
+    s_u = descending_slope(f, space, u)
+    s_x = descending_slope(f, space, x)
     rate = distance(space, u, x) / t
     lt = f.lam * t
     factor = 1.0 if abs(lt) < 1e-12 else math.expm1(lt) / lt
@@ -175,13 +167,12 @@ def check_slope_bounds_along_flow(
 
 
 def slope_decay_profile(
-    f: FunctionalSpec, space: SpaceHandle, x: Point, T: float, n_steps: int, method=None
+    f: FunctionalSpec, space: SpaceHandle, x: Point, T: float, n_steps: int
 ) -> np.ndarray:
     """Samples of exp(lam t) * slope(x_t); nonincreasing up to O(dt)."""
-    method = method if method is not None else best_slope_method(f)
     traj = flow(f, space, x, T, n_steps)
     out = []
     for k, t in enumerate(traj.times):
-        s = descending_slope(f, space, traj.points[k], method)
+        s = descending_slope(f, space, traj.points[k])
         out.append(math.exp(f.lam * t) * s)
     return np.array(out)

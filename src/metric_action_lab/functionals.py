@@ -136,6 +136,11 @@ class SupFormula:
     polish: bool = True
 
 
+# built once: the minimizers take the default path once per node evaluation
+_CLOSED_FORM = ClosedForm()
+_SUP_FORMULA = SupFormula()
+
+
 def _shell_radii(radius: float, n_shells: int) -> list:
     # log-spaced so the smallest shell resolves local derivative behaviour
     return [radius * 10.0 ** (-6.0 * (1.0 - i / (n_shells - 1))) for i in range(n_shells)]
@@ -282,13 +287,16 @@ def descending_slope(
     """Descending slope of ``f`` at ``x``.
 
     ``ClosedForm`` uses the supplied derivative expression; ``SupFormula``
-    estimates the variational supremum from shell samples.  Returns ``inf``
-    outside the effective domain and 0 where no sampled point descends.
+    estimates the variational supremum from shell samples.  Without a
+    ``method`` the closed form is used when ``f`` has one and the sup
+    formula otherwise; this is the slope policy of the whole lab.  Returns
+    ``inf`` outside the effective domain and 0 where no sampled point
+    descends.
     """
     if not f.in_domain(x):
         return INF
     if method is None:
-        method = ClosedForm() if f.closed_form_slope is not None else SupFormula()
+        method = _CLOSED_FORM if f.closed_form_slope is not None else _SUP_FORMULA
     if isinstance(method, ClosedForm):
         if f.closed_form_slope is None:
             raise ConfigError(f"functional {f.id!r} has no closed-form slope")
@@ -311,14 +319,19 @@ def descending_slope(
     return best
 
 
-def slope_method_label(method) -> str:
+def slope_squared(f: FunctionalSpec, space: SpaceHandle, x: Point) -> float:
+    """Squared default descending slope; ``inf`` where the slope is infinite."""
+    s = descending_slope(f, space, x)
+    return s * s if math.isfinite(s) else INF
+
+
+def slope_method_label(f: FunctionalSpec, method=None) -> str:
+    """Label of the method ``descending_slope(f, space, x, method)`` uses."""
+    if method is None and f.closed_form_slope is None:
+        method = _SUP_FORMULA
     if isinstance(method, SupFormula):
         return f"sup_formula(r={method.radius:g},n={method.n_samples})"
     return "closed_form"
-
-
-def best_slope_method(f: FunctionalSpec) -> ClosedForm | SupFormula:
-    return ClosedForm() if f.closed_form_slope is not None else SupFormula()
 
 
 # --------------------------------------------------------------------------

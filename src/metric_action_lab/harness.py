@@ -38,7 +38,6 @@ from .errors import ConfigError, MetricActionError
 from .functionals import (
     FunctionalFamily,
     SupFormula,
-    best_slope_method,
     build_functional,
     descending_slope,
     inverse_square,
@@ -127,8 +126,7 @@ def family_from_config(space: SpaceHandle, fam: dict) -> FunctionalFamily:
 
 
 def endpoint_law(space: SpaceHandle, law_spec) -> Callable[[int], Point]:
-    laws = law_spec if isinstance(law_spec, (list, tuple)) else [law_spec]
-    fns = [parse_law(l) for l in laws]
+    fns = [parse_law(l) for l in as_coords(law_spec)]
     return lambda h: space.point(*[fn(h) for fn in fns])
 
 
@@ -155,8 +153,8 @@ class ExperimentConfig:
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         space = space_from_config(obj["space"])
         family = family_from_config(space, obj["family"])
-        x0 = space.point(*_as_coords(obj["x0"]))
-        x1 = space.point(*_as_coords(obj["x1"]))
+        x0 = space.point(*as_coords(obj["x0"]))
+        x1 = space.point(*as_coords(obj["x1"]))
         disc = dict(obj.get("discretization", {}))
         tol = dict(obj.get("tolerances", {}))
         mode = RecoveryMode(obj.get("mode", "resolvent"))
@@ -196,7 +194,8 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _as_coords(v):
+def as_coords(v):
+    """Coordinates of a config point: a list as is, a scalar as one value."""
     return v if isinstance(v, (list, tuple)) else [v]
 
 
@@ -249,15 +248,19 @@ POSITIVE_COLUMNS = [
 
 
 def run_positive(cfg: ExperimentConfig) -> ExperimentReport:
-    """Build recovery curves per index and compare against the target."""
+    """Build recovery curves per index and compare against the target.
+
+    A library error at one index, a law that fails at that ``h`` included,
+    gives that row an ``error`` entry and infinite gaps; the other rows run.
+    """
     gamma = resolve_base_curve(cfg)
     target = action(gamma, cfg.family.limit, cfg.x0, cfg.x1).total
 
     def one(h):
-        f_h = cfg.family.member(h)
-        x0h, x1h = cfg.x0_seq(h), cfg.x1_seq(h)
         row = {"h": h, "theta_target": target}
         try:
+            f_h = cfg.family.member(h)
+            x0h, x1h = cfg.x0_seq(h), cfg.x1_seq(h)
             out = experiment_recovery(cfg, gamma, h)
             theta_h = action(out.curve, f_h, x0h, x1h).total
             row.update(
@@ -265,8 +268,8 @@ def run_positive(cfg: ExperimentConfig) -> ExperimentReport:
                 theta_h=theta_h,
                 gap=theta_h - target,
                 d_inf=uniform_distance(out.curve, gamma),
-                slope_x0=descending_slope(f_h, cfg.space, x0h, best_slope_method(f_h)),
-                slope_x1=descending_slope(f_h, cfg.space, x1h, best_slope_method(f_h)),
+                slope_x0=descending_slope(f_h, cfg.space, x0h),
+                slope_x1=descending_slope(f_h, cfg.space, x1h),
                 endpoint_gap=max(
                     space_distance(cfg.space, out.curve.start, x0h),
                     space_distance(cfg.space, out.curve.end, x1h),

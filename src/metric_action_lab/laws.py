@@ -3,7 +3,12 @@
 Config files express sequences like endpoint laws or scale factors as
 strings over the alphabet {h, numbers, + - * /, parentheses, sqrt, pow,
 exp}.  No names outside the whitelist resolve, so configs stay data, not
-code.
+code.  ``sqrt`` and ``exp`` take one argument and ``pow`` two.
+
+A malformed law, a wrong arity included, raises ``ConfigError`` when it is
+parsed.  A law that fails at some ``h`` (division by zero, a math domain
+error, an overflow, a non-finite value) raises ``DomainError`` naming the
+law, ``h`` and the cause when it is evaluated there.
 """
 
 from __future__ import annotations
@@ -12,13 +17,14 @@ import math
 import re
 from typing import Callable
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_]+)|(?P<op>[()+\-*/,]))"
 )
 
-_FUNCTIONS = {"sqrt": math.sqrt, "exp": math.exp, "pow": math.pow}
+# name -> (function, number of arguments)
+_FUNCTIONS = {"sqrt": (math.sqrt, 1), "exp": (math.exp, 1), "pow": (math.pow, 2)}
 
 
 def _tokenize(text: str) -> list:
@@ -95,13 +101,15 @@ class _Parser:
             if value == "h":
                 return lambda h: float(h)
             if value in _FUNCTIONS:
-                fn = _FUNCTIONS[value]
+                fn, arity = _FUNCTIONS[value]
                 self.take("op", "(")
                 args = [self.expr()]
                 while self.peek() == ("op", ","):
                     self.take()
                     args.append(self.expr())
                 self.take("op", ")")
+                if len(args) != arity:
+                    raise ConfigError(f"{value} takes {arity} argument(s), got {len(args)}")
                 return lambda h, fn=fn, args=tuple(args): fn(*(a(h) for a in args))
             raise ConfigError(f"unknown name {value!r} in law")
         if (kind, value) == ("op", "("):
@@ -115,8 +123,23 @@ class _Parser:
 def parse_law(text) -> Callable[[int], float]:
     """Compile a law string into ``h -> float``; numbers pass through."""
     if isinstance(text, (int, float)):
+        if not math.isfinite(text):
+            raise ConfigError(f"law {text!r} is not finite")
         return lambda h, v=float(text): v
     parser = _Parser(_tokenize(str(text)))
-    fn = parser.expr()
+    try:
+        fn = parser.expr()
+    except RecursionError:
+        raise ConfigError(f"law {text!r} is nested too deeply") from None
     parser.take("end")
-    return fn
+
+    def law(h) -> float:
+        try:
+            v = fn(h)
+        except (ArithmeticError, ValueError, RecursionError) as exc:
+            raise DomainError(f"law {text!r} fails at h={h}: {exc}") from None
+        if not math.isfinite(v):
+            raise DomainError(f"law {text!r} fails at h={h}: non-finite value {v}")
+        return v
+
+    return law

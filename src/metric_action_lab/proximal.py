@@ -32,15 +32,16 @@ from .functionals import (
     INF,
     FunctionalFamily,
     FunctionalSpec,
-    best_slope_method,
     descending_slope,
     evaluate,
     lam_neg,
+    slope_method_label,
 )
 from .spaces import Point, SpaceHandle, SpaceKind, distance, geodesic_point
 
 VALUE_TOL = 1e-10
 POINT_TOL = 1e-8
+MAX_ITER = 4000         # proximal-gradient iterations before the fallback
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -96,6 +97,34 @@ def golden_section(g: Callable[[float], float], lo: float, hi: float, tol: float
     return x, v, n + 2
 
 
+def grid_golden(g: Callable[[float], float], lo: float, hi: float):
+    """Minimize a scalar function on [lo, hi] that need not be unimodal.
+
+    Scans a 17-point grid, then runs golden section between the grid
+    neighbours of the best grid point.  Returns (argmin, min, evals, best
+    grid point).
+    """
+    grid = np.linspace(lo, hi, 17)
+    vals = [g(v) for v in grid]
+    j = int(np.argmin(vals))
+    a, b = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
+    x, v, n = golden_section(g, a, b)
+    return x, v, n + len(grid), grid[j]
+
+
+def per_edge_golden(g: Callable[[Point], float], space: SpaceHandle, tol: float):
+    """Golden-section minimum of ``g`` along every tripod edge.
+
+    Returns one (point, value, evals) triple per edge, in edge order.
+    """
+    out = []
+    for e, length in enumerate(space.edge_lengths):
+        on_edge = lambda s: g(Point(SpaceKind.TRIPOD, (float(e), s)))
+        s, v, n = golden_section(on_edge, 0.0, length, tol)
+        out.append((Point(SpaceKind.TRIPOD, (float(e), s)), v, n))
+    return out
+
+
 def expand_bracket(g: Callable[[float], float], x0: float, lo_bound: float, step: float = 1.0):
     """Find [lo, hi] containing the minimizer of a convex scalar function."""
     lo = max(lo_bound, x0 - step)
@@ -133,28 +162,21 @@ def _solve_half_line(obj, x: Point):
     return Point(SpaceKind.HALF_LINE, (v,)), val, n
 
 
-def _solve_tripod(obj, space: SpaceHandle, x: Point):
-    best = None
-    second = INF
-    evals = 0
-    for e, length in enumerate(space.edge_lengths):
-        g = lambda s: obj(Point(SpaceKind.TRIPOD, (float(e), s)))
-        s, val, n = golden_section(g, 0.0, length)
-        evals += n
-        if best is None or val < best[1] - 0.0:
-            if best is not None:
-                second = min(second, best[1])
-            best = (Point(SpaceKind.TRIPOD, (float(e), s)), val)
-        else:
-            second = min(second, val)
-    tie = second - best[1] < 1e-12
-    return best[0], best[1], evals, tie
+def _solve_tripod(obj, space: SpaceHandle):
+    edges = per_edge_golden(obj, space, 1e-11)
+    values = [v for _, v, _ in edges]
+    k = min(range(len(values)), key=values.__getitem__)  # first edge wins ties
+    second = min(values[:k] + values[k + 1:], default=INF)
+    tie = second - values[k] < 1e-12
+    return edges[k][0], values[k], sum(n for _, _, n in edges), tie
 
 
-def _numeric_grad(fn, coords, rel=1e-6):
+def numeric_grad(fn, coords):
+    """Central-difference gradient of ``fn`` at ``coords``; ``None`` when a
+    probe value is not finite."""
     g = np.zeros(len(coords))
     for i in range(len(coords)):
-        eps = rel * max(abs(coords[i]), 1.0)
+        eps = 1e-6 * max(abs(coords[i]), 1.0)
         cp, cm = list(coords), list(coords)
         cp[i] += eps
         cm[i] -= eps
@@ -165,7 +187,7 @@ def _numeric_grad(fn, coords, rel=1e-6):
     return g
 
 
-def _solve_vector(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point, max_iter: int):
+def _solve_vector(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
     """Proximal-gradient with backtracking; coordinate descent fallback."""
     xv = np.array(x.coords)
 
@@ -193,10 +215,10 @@ def _solve_vector(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point, m
         out = (z + w * xv) / (1.0 + w)
         return np.array(space.project(tuple(out)).coords)
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if not smooth:
             break
-        g = _numeric_grad(fval, y)
+        g = numeric_grad(fval, y)
         if g is None:
             smooth = False
             break
@@ -235,18 +257,12 @@ def _coordinate_descent(full, y, val, sweeps: int = 60):
                 c[i] = v
                 return full(c)
 
-            lo, hi = y[i] - span[i], y[i] + span[i]
-            grid = np.linspace(lo, hi, 17)
-            vals = [g1(v) for v in grid]
-            j = int(np.argmin(vals))
-            a = grid[max(j - 1, 0)]
-            b = grid[min(j + 1, len(grid) - 1)]
-            vstar, vval, k = golden_section(g1, a, b)
-            n += k + 17
+            vstar, vval, k, best = grid_golden(g1, y[i] - span[i], y[i] + span[i])
+            n += k
             if vval < val:
                 moved = max(moved, abs(vstar - y[i]))
                 y[i], val = vstar, vval
-            span[i] = max(4 * abs(vstar - grid[j]) + 1e-6, span[i] * 0.5)
+            span[i] = max(4 * abs(vstar - best) + 1e-6, span[i] * 0.5)
         if moved < 0.2 * POINT_TOL:
             break
     return y, val, n
@@ -257,7 +273,6 @@ def resolvent(
     space: SpaceHandle,
     tau: float,
     x: Point,
-    max_iter: int = 4000,
 ) -> ResolventResult:
     """Minimize ``f(.) + d(., x)^2 / (2 tau)``.
 
@@ -275,10 +290,10 @@ def resolvent(
         u, val, n = _solve_half_line(obj, x)
         method = "golden_section"
     elif space.kind is SpaceKind.TRIPOD:
-        u, val, n, tie = _solve_tripod(obj, space, x)
+        u, val, n, tie = _solve_tripod(obj, space)
         method = "per_edge_golden"
     else:
-        u, val, n = _solve_vector(f, space, tau, x, max_iter)
+        u, val, n = _solve_vector(f, space, tau, x)
         method = "proximal_gradient"
     # optimality probe: nearby perturbations must not beat the reported value
     gap = 0.0
@@ -335,16 +350,13 @@ def check_bound_chain(
     x: Point,
     method=None,
 ) -> ChainReport:
-    method = method if method is not None else best_slope_method(f)
     res = resolvent(f, space, tau, x)
     u = res.point
     s_u = descending_slope(f, space, u, method)
     s_x = descending_slope(f, space, x, method)
     ratio = distance(space, u, x) / tau
     upper = INF if not math.isfinite(s_x) else ratio - s_x / (1.0 + f.lam * tau)
-    from .functionals import slope_method_label
-
-    return ChainReport(s_u - ratio, upper, s_u, ratio, s_x, slope_method_label(method))
+    return ChainReport(s_u - ratio, upper, s_u, ratio, s_x, slope_method_label(f, method))
 
 
 def check_resolvent_lipschitz(
@@ -359,13 +371,13 @@ def check_resolvent_lipschitz(
 
 
 def check_tau_continuity(
-    f: FunctionalSpec, space: SpaceHandle, nu: float, mu: float, x: Point, method=None
+    f: FunctionalSpec, space: SpaceHandle, nu: float, mu: float, x: Point
 ) -> float:
     """Step-continuity residual for 0 < nu < mu within the admissible range."""
     if not 0.0 < nu < mu:
         raise DomainError("need 0 < nu < mu")
     _require_tau(mu, f.lam)
-    s_x = descending_slope(f, space, x, method if method is not None else best_slope_method(f))
+    s_x = descending_slope(f, space, x)
     jn = resolvent(f, space, nu, x).point
     jm = resolvent(f, space, mu, x).point
     bound = (mu - nu) * s_x / ((1.0 + f.lam * mu) * math.sqrt(1.0 - 2.0 * lam_neg(f.lam) * nu))

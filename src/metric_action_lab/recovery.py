@@ -26,6 +26,7 @@ exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,9 +35,17 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError, ScheduleError
-from .curves import Piece, SampledCurve, concatenate_rescale, geodesic_curve
+from .curves import (
+    ENDPOINT_TOL,
+    Piece,
+    SampledCurve,
+    concatenate_rescale,
+    geodesic_curve,
+    interval_lengths,
+    node_weights,
+)
 from .flow import flow_times
-from .functionals import FunctionalSpec, best_slope_method, descending_slope, lam_neg
+from .functionals import FunctionalSpec, descending_slope, lam_neg, slope_squared
 from .proximal import resolvent
 from .spaces import Point, SpaceHandle, distance
 
@@ -65,7 +74,6 @@ def default_tau_schedule(h: int, d0: float, d1: float, lam: float) -> float:
 DELTA_S = 1e-2          # arclength step for repair geodesics
 N_PHI_MIN = 8           # nodes on entry/exit pieces
 DT_MIN = 1e-3           # finest time step on entry/exit pieces
-ENDPOINT_TOL = 1e-9     # distances below this count as zero
 
 
 @dataclass
@@ -108,13 +116,9 @@ def _piece_integrals(curve: SampledCurve, duration: float, g: Callable[[Point], 
     if duration <= 0:
         return 0.0, 0.0
     dts = np.diff(curve.times) * duration
-    d = [distance(curve.space, curve.points[k], curve.points[k + 1]) for k in range(len(curve.points) - 1)]
-    kinetic = float(np.sum(np.array(d) ** 2 / dts))
+    kinetic = float(np.sum(interval_lengths(curve.space, curve.points) ** 2 / dts))
     gv = np.array([g(p) for p in curve.points])
-    w = np.zeros(len(gv))
-    w[:-1] += dts / 2.0
-    w[1:] += dts / 2.0
-    potential = float(np.sum(w * gv))
+    potential = float(np.sum(node_weights(dts) * gv))
     return kinetic, potential
 
 
@@ -147,9 +151,8 @@ def _build_core(
             return flow_times(f_h, space, p, phi_t * tau).end
         return resolvent(f_h, space, tau, p).point
 
-    method = best_slope_method(f_h)
     for name, pt in (("start", x0h), ("end", x1h)):
-        s = descending_slope(f_h, space, pt, method)
+        s = descending_slope(f_h, space, pt)
         if not math.isfinite(s):
             raise PreconditionError(
                 f"{name} endpoint has infinite slope; this construction needs "
@@ -193,13 +196,8 @@ def _build_core(
     return pieces
 
 
-def _assemble(pieces, f_h, space, tau, extra_diag) -> RecoveryOutput:
-    method = best_slope_method(f_h)
-
-    def g(p: Point) -> float:
-        s = descending_slope(f_h, space, p, method)
-        return s * s if math.isfinite(s) else math.inf
-
+def _assemble(pieces, f_h, space, tau) -> RecoveryOutput:
+    g = functools.partial(slope_squared, f_h, space)
     kept = []
     for p in pieces:
         if p.label != "middle" and _is_trivial(p.curve, g, ENDPOINT_TOL):
@@ -213,13 +211,7 @@ def _assemble(pieces, f_h, space, tau, extra_diag) -> RecoveryOutput:
         diags.append(
             PieceDiagnostics(p.label, p.duration, K, P, total_duration * K + P / total_duration)
         )
-    diagnostics = {
-        "tau": tau,
-        "total_duration": total_duration,
-        "pieces": diags,
-    }
-    diagnostics.update(extra_diag)
-    return RecoveryOutput(curve, kept, tau, diagnostics)
+    return RecoveryOutput(curve, kept, tau, {"pieces": diags})
 
 
 def _resolve_tau(cfg: RecoveryConfig, f_h: FunctionalSpec, h: int, d0: float, d1: float) -> float:
@@ -232,9 +224,8 @@ def _resolve_tau(cfg: RecoveryConfig, f_h: FunctionalSpec, h: int, d0: float, d1
 
 def estimated_entry_constant(f_h, space, x0h, x1h, tau, use_flow: bool) -> float:
     """Constant C with entry-piece action <= C tau, from measured slopes."""
-    method = best_slope_method(f_h)
-    s0 = descending_slope(f_h, space, x0h, method)
-    s1 = descending_slope(f_h, space, x1h, method)
+    s0 = descending_slope(f_h, space, x0h)
+    s1 = descending_slope(f_h, space, x1h)
     s = max(s0, s1)
     lam = f_h.lam
     if use_flow:
@@ -248,9 +239,8 @@ def _vanishing_endpoint_ride(f, space, anchor, eps_h, slope_cap):
     """Flow of the unscaled functional until the scaled slope is tame."""
     times = np.concatenate(([0.0], np.geomspace(eps_h * 1e-6, eps_h * 0.999, 48)))
     traj = flow_times(f, space, anchor, times)
-    method = best_slope_method(f)
     for k in range(1, len(times)):
-        s = descending_slope(f, space, traj.points[k], method)
+        s = descending_slope(f, space, traj.points[k])
         if eps_h * s <= slope_cap:
             sub_times = times[: k + 1]
             norm = sub_times / sub_times[-1]
@@ -294,11 +284,7 @@ def build_recovery(
     if vanishing:
         ride_out = Piece(ride1.reversed_time(), t1, "ride_out")
         pieces = [Piece(ride0, t0, "ride_in")] + pieces + [ride_out]
-        extra = {"mode": "vanishing", "eps": eps_h, "t_switch": (t0, t1)}
-    else:
-        C = estimated_entry_constant(f_h, space, x0h, x1h, tau, use_flow)
-        extra = {"entry_constant": C, "mode": cfg.mode.value}
-    return _assemble(pieces, f_h, space, tau, extra)
+    return _assemble(pieces, f_h, space, tau)
 
 
 # --------------------------------------------------------------------------

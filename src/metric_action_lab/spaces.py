@@ -33,8 +33,6 @@ from typing import Sequence
 
 from .errors import DomainError, SpaceMismatchError
 
-DEFAULT_TOL = 1e-9
-
 
 class SpaceKind(str, Enum):
     EUCLIDEAN = "euclidean"

@@ -24,9 +24,14 @@ def test_cli_validate_prox(tmp_path, capsys):
     assert {"bound_chain", "lipschitz", "tau_continuity", "resolvent_identity", "optimality"} <= names
 
 
-def test_cli_validate_flow(tmp_path):
-    rc = main(["validate", "flow", "--out", str(tmp_path)])
+@pytest.mark.parametrize("what", ["spaces", "functionals", "flow"])
+def test_cli_validate(tmp_path, what):
+    rc = main(["validate", what, "--out", str(tmp_path)])
     assert rc == 0
+    out = (tmp_path / f"validate_{what}.csv").read_text().splitlines()
+    assert out[0] == "space,functional,check,params,residual,pass"
+    assert len(out) > 1
+    assert all(line.endswith(",true") for line in out[1:])
 
 
 def test_cli_flow_trajectory(tmp_path):

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metric_action_lab import euclidean, half_line
 from metric_action_lab.curves import action, geodesic_curve
-from metric_action_lab.errors import ConfigError
+from metric_action_lab.errors import ConfigError, DomainError
 from metric_action_lab.functionals import FunctionalFamily, quadratic, ramp, zero_functional
 from metric_action_lab.harness import (
     ExperimentConfig,
@@ -50,6 +52,68 @@ def test_parse_law_rejects_garbage():
         parse_law("sin(h)")
     with pytest.raises(ConfigError):
         parse_law("h h")
+    with pytest.raises(ConfigError):
+        parse_law(math.inf)
+
+
+@pytest.mark.parametrize("law", ["pow(2)", "pow(2, h, 3)", "sqrt(1,2)", "exp(h, h)"])
+def test_parse_law_checks_arity_at_parse_time(law):
+    with pytest.raises(ConfigError, match="argument"):
+        parse_law(law)
+
+
+@pytest.mark.parametrize(
+    "law, h, cause",
+    [
+        ("1/(h-8)", 8, "division by zero"),
+        ("sqrt(0-h)", 1, "math domain error"),
+        ("pow(10,h*100)", 8, "range"),
+        ("1e308*10*h", 1, "non-finite"),
+        ("exp(h) - exp(h)", 1000, "range"),
+    ],
+)
+def test_parse_law_failure_is_domain_error(law, h, cause):
+    fn = parse_law(law)
+    with pytest.raises(DomainError) as info:
+        fn(h)
+    msg = str(info.value)
+    assert repr(law) in msg and f"h={h}" in msg and cause in msg
+
+
+_LAW_ATOMS = ["h", "0", "1", "2", "8", "0.5", "1e308", "1e-300"]
+_LAW_TOKENS = _LAW_ATOMS + ["+", "-", "*", "/", "(", ")", ",", "sqrt", "pow", "exp", " "]
+
+# well-formed laws, so that evaluation is exercised, plus token soup
+_law_strings = st.one_of(
+    st.recursive(
+        st.sampled_from(_LAW_ATOMS),
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map("".join),
+            inner.map("-{}".format),
+            inner.map("({})".format),
+            inner.map("sqrt({})".format),
+            inner.map("exp({})".format),
+            st.tuples(inner, inner).map(lambda ab: f"pow({ab[0]}, {ab[1]})"),
+        ),
+        max_leaves=8,
+    ),
+    st.lists(st.sampled_from(_LAW_TOKENS), max_size=24).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_law_strings, st.lists(st.integers(min_value=0, max_value=2000), min_size=1, max_size=4))
+def test_parse_law_raises_only_documented_errors(text, hs):
+    try:
+        fn = parse_law(text)
+    except ConfigError:
+        return
+    for h in hs:
+        try:
+            v = fn(h)
+        except DomainError:
+            continue
+        assert isinstance(v, float) and math.isfinite(v)
 
 
 # --------------------------------------------------------------------------
@@ -151,6 +215,28 @@ def test_positive_zero_family_exact():
     for row in rep.rows:
         assert row["theta_h"] == pytest.approx(row["theta_target"], abs=1e-12)
         assert row["d_inf"] <= 1e-12
+
+
+def test_positive_law_failure_gives_error_row():
+    # x0_law leaves the half-line at h=1 only: that row records the error
+    # and the other rows still run
+    cfg = ExperimentConfig.from_dict(
+        {
+            "space": {"kind": "half_line"},
+            "family": {"name": "quadratic", "params": {"center": 0.0, "lam": 1.0}},
+            "x0": 0.5,
+            "x1": 1.0,
+            "x0_law": "0.5 - 1/h",
+            "h_list": [1, 8, 16],
+        }
+    )
+    rows = run_positive(cfg).rows
+    assert [r["h"] for r in rows] == [1, 8, 16]
+    assert "half-line" in rows[0]["error"]
+    assert rows[0]["theta_h"] == math.inf and rows[0]["pass"] is False
+    for row in rows[1:]:
+        assert "error" not in row
+        assert math.isfinite(row["theta_h"])
 
 
 def test_positive_quadratic_flow_mode():
