@@ -14,21 +14,24 @@ Subcommands:
   experiments.
 
 Every subcommand takes ``--config PATH`` and ``--out DIR``.  The exit code
-is 0 only if all asserted invariants pass.
+is 0 when all asserted invariants pass, 1 when one fails, and 2 when the
+command line, the config or a law is invalid; a library error prints one
+``metric-action-lab: <message>`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .curves import action, curve_from_csv, curve_to_csv
+from .curves import action, curve_from_csv, curve_to_csv, format_table
+from .errors import MetricActionError
 from .flow import check_contraction, check_energy_identity, check_evi, flow, slack
 from .functionals import (
     FunctionalFamily,
@@ -47,11 +50,13 @@ from .harness import (
     emit_report,
     experiment_recovery,
     liminf_probe,
+    load_config,
     resolve_base_curve,
     run_example1,
     run_example2,
     run_positive,
     space_from_config,
+    write_json,
 )
 from .laws import parse_law
 from .proximal import (
@@ -231,15 +236,9 @@ def cmd_validate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"validate_{which}.csv"
-    lines = ["space,functional,check,params,residual,pass"]
-    ok = True
-    for space_name, functional, check, params, residual, passed in rows:
-        ok = ok and passed
-        lines.append(
-            f"{space_name},{functional},{check},{params},"
-            f"{format(residual, '.12g')},{'true' if passed else 'false'}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    header = ["space", "functional", "check", "params", "residual", "pass"]
+    path.write_text(format_table(header, rows))
+    ok = all(row[-1] for row in rows)
     print(f"wrote {path} ({len(rows)} checks, {'all pass' if ok else 'FAILURES'})")
     return 0 if ok else 1
 
@@ -251,31 +250,27 @@ def _space_and_functional(cfg: dict) -> tuple:
 
 
 def cmd_flow(args) -> int:
-    cfg = json.loads(Path(args.config).read_text())
+    cfg = load_config(args.config)
     sp, f = _space_and_functional(cfg)
     x = sp.point(*as_coords(cfg["x"]))
     traj = flow(f, sp, x, float(cfg.get("T", 1.0)), int(cfg.get("n_steps", 1000)))
     speeds = traj.speeds(sp)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ncol = len(x.coords)
-    lines = ["t," + ",".join(f"coord_{i}" for i in range(ncol)) + ",f_value,speed,slope"]
-    for k, t in enumerate(traj.times):
-        sp_k = speeds[k] if k < len(speeds) else speeds[-1]
-        sl = descending_slope(f, sp, traj.points[k])
-        coords = ",".join(format(c, ".12g") for c in traj.points[k].coords)
-        lines.append(
-            f"{format(t, '.12g')},{coords},{format(traj.f_values[k], '.12g')},"
-            f"{format(float(sp_k), '.12g')},{format(sl, '.12g')}"
-        )
+    header = ["t"] + [f"coord_{i}" for i in range(len(x.coords))] + ["f_value", "speed", "slope"]
+    rows = (
+        [t, *p.coords, traj.f_values[k], speeds[min(k, len(speeds) - 1)],
+         descending_slope(f, sp, p)]
+        for k, (t, p) in enumerate(zip(traj.times, traj.points))
+    )
     path = out / "trajectory.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(format_table(header, rows))
     print(f"wrote {path}")
     return 0
 
 
 def cmd_action(args) -> int:
-    cfg = json.loads(Path(args.config).read_text())
+    cfg = load_config(args.config)
     sp, f = _space_and_functional(cfg)
     curve = curve_from_csv(Path(cfg["curve_csv"]).read_text(), sp)
     x0 = sp.point(*as_coords(cfg["x0"]))
@@ -284,13 +279,7 @@ def cmd_action(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "action.json"
-    payload = {
-        "total": av.total if math.isfinite(av.total) else "inf",
-        "kinetic": av.kinetic,
-        "potential": av.potential if math.isfinite(av.potential) else "inf",
-        "endpoint_ok": av.endpoint_ok,
-    }
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(path, asdict(av))
     print(f"wrote {path}")
     return 0
 
@@ -306,13 +295,9 @@ def cmd_recovery(args) -> int:
         (out / f"recovery_h{h}.csv").write_text(curve_to_csv(res.curve))
         summary["h"][str(h)] = {
             "tau": res.tau,
-            "pieces": [
-                {"label": p.label, "duration": p.duration, "kinetic": p.kinetic,
-                 "potential": p.potential, "contribution": p.contribution}
-                for p in res.diagnostics["pieces"]
-            ],
+            "pieces": [asdict(p) for p in res.diagnostics["pieces"]],
         }
-    (out / "recovery_summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_json(out / "recovery_summary.json", summary)
     print(f"wrote {out}/recovery_summary.json and {len(cfg.h_list)} curve files")
     return 0
 
@@ -321,7 +306,7 @@ def cmd_gamma(args) -> int:
     sub = args.experiment
     out = Path(args.out)
     if sub in ("example1", "example2"):
-        cfg = json.loads(Path(args.config).read_text())
+        cfg = load_config(args.config)
         disc = cfg.get("discretization", {})
         tolerances = cfg.get("tolerances", {})
         if sub == "example1":
@@ -403,7 +388,11 @@ def main(argv=None) -> int:
     gm.set_defaults(fn=cmd_gamma)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except MetricActionError as exc:
+        print(f"metric-action-lab: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -358,23 +358,36 @@ def minimize_action(
 
 
 # --------------------------------------------------------------------------
-# CSV wire format: columns t, coord_0..coord_k (tripod: t, edge, offset)
+# CSV wire format: columns t, coord_0..coord_k (tripod: t, edge, offset);
+# every table the lab writes goes through format_table
 # --------------------------------------------------------------------------
 
 
+def format_cell(v) -> str:
+    """A table cell: booleans (numpy's included) as ``true``/``false``,
+    floats to 12 significant digits (``inf``, ``nan`` if non-finite), the
+    rest through ``str``."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format(v, ".12g")
+    return str(v)
+
+
+def format_table(header: Sequence[str], rows) -> str:
+    """Comma-separated lines of ``header`` and ``rows``, newline-terminated."""
+    lines = [",".join(header)] + [",".join(format_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def curve_to_csv(c: SampledCurve) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
     if c.space.kind is SpaceKind.TRIPOD:
-        w.writerow(["t", "edge", "offset"])
-        for t, p in zip(c.times, c.points):
-            w.writerow([f"{t:.12g}", int(p.coords[0]), f"{p.coords[1]:.12g}"])
+        header = ["t", "edge", "offset"]
+        rows = ([t, int(p.coords[0]), p.coords[1]] for t, p in zip(c.times, c.points))
     else:
-        ncol = len(c.points[0].coords)
-        w.writerow(["t"] + [f"coord_{i}" for i in range(ncol)])
-        for t, p in zip(c.times, c.points):
-            w.writerow([f"{t:.12g}"] + [f"{v:.12g}" for v in p.coords])
-    return buf.getvalue()
+        header = ["t"] + [f"coord_{i}" for i in range(len(c.points[0].coords))]
+        rows = ([t, *p.coords] for t, p in zip(c.times, c.points))
+    return format_table(header, rows)
 
 
 def curve_from_csv(text: str, space: SpaceHandle) -> SampledCurve:

@@ -45,26 +45,19 @@ _DIRECTION_SEED = 20240517
 class FunctionalSpec:
     """A semi-convex functional on one space.
 
-    ``evaluate`` returns ``math.inf`` outside the effective domain.  ``lam``
-    is the geodesic convexity modulus (negative allowed).  ``scale`` records
-    the multiplicative factor accumulated through :meth:`scaled`.
+    ``evaluate`` returns ``math.inf`` outside the effective domain, and
+    that is the only record of the domain.  ``lam`` is the geodesic
+    convexity modulus (negative allowed).
     """
 
     id: str
     evaluate: Callable[[Point], float]
     lam: float
-    domain_indicator: Optional[Callable[[Point], bool]] = None
     closed_form_slope: Optional[Callable[[Point], float]] = None
     closed_form_prox: Optional[Callable[[float, Point], Point]] = None
-    scale: float = 1.0
 
     def in_domain(self, x: Point) -> bool:
-        if self.domain_indicator is not None:
-            return bool(self.domain_indicator(x))
         return math.isfinite(self.evaluate(x))
-
-    def __call__(self, x: Point) -> float:
-        return self.evaluate(x)
 
     def scaled(self, c: float) -> "FunctionalSpec":
         """The functional ``c * f`` for ``c > 0``.
@@ -82,10 +75,8 @@ class FunctionalSpec:
             id=f"{self.id}*{c:g}",
             evaluate=lambda x: c * base_eval(x),
             lam=c * self.lam,
-            domain_indicator=self.domain_indicator,
             closed_form_slope=(None if base_slope is None else (lambda x: c * base_slope(x))),
             closed_form_prox=(None if base_prox is None else (lambda tau, x: base_prox(c * tau, x))),
-            scale=c * self.scale,
         )
 
 
@@ -99,7 +90,6 @@ class FunctionalFamily:
 
     member: Callable[[int], FunctionalSpec]
     limit: FunctionalSpec
-    description: str = ""
     base: Optional[FunctionalSpec] = None
 
 
@@ -114,8 +104,6 @@ def lam_pos(lam: float) -> float:
 
 def evaluate(f: FunctionalSpec, x: Point) -> float:
     """Extended-real evaluation; ``inf`` exactly off the effective domain."""
-    if f.domain_indicator is not None and not f.domain_indicator(x):
-        return INF
     return f.evaluate(x)
 
 
@@ -293,17 +281,19 @@ def descending_slope(
     ``inf`` outside the effective domain and 0 where no sampled point
     descends.
     """
-    if not f.in_domain(x):
-        return INF
     if method is None:
         method = _CLOSED_FORM if f.closed_form_slope is not None else _SUP_FORMULA
     if isinstance(method, ClosedForm):
+        if not f.in_domain(x):
+            return INF
         if f.closed_form_slope is None:
             raise ConfigError(f"functional {f.id!r} has no closed-form slope")
         return f.closed_form_slope(x)
+    fx = evaluate(f, x)
+    if not math.isfinite(fx):
+        return INF
     if method.n_samples <= 0:
         raise ConfigError("SupFormula needs n_samples > 0")
-    fx = evaluate(f, x)
     best, best_y = 0.0, None
     for y in _sup_candidates(space, x, method.radius, method.n_samples):
         v = _sup_expr(f, space, x, fx, y)
@@ -385,7 +375,6 @@ def moreau_penalized(f: FunctionalSpec, y: Point, tau: float, space: SpaceHandle
         id=f"{f.id}+pen",
         evaluate=lambda x: base(x) + distance(space, x, y) ** 2 / (2 * tau),
         lam=f.lam + 1.0 / tau,
-        domain_indicator=f.domain_indicator,
     )
 
 
@@ -528,9 +517,7 @@ def inverse_square(eps: float = 1.0) -> FunctionalSpec:
         id=f"inverse_square(eps={eps:g})",
         evaluate=ev,
         lam=0.0,
-        domain_indicator=lambda x: x.coords[0] > 0.0,
         closed_form_slope=slope,
-        scale=eps,
     )
 
 

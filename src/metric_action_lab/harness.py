@@ -9,9 +9,10 @@ violation when such a certificate beats the target by the configured
 margin.
 
 Reports serialize to a CSV table (one row per index) plus a JSON summary.
-Identical configurations produce byte-identical files.  Per-index work
-items run in order in the calling thread; ``METRIC_ACTION_LAB_THREADS`` is
-accepted and ignored, because the work is pure Python and holds the GIL.
+Identical configurations produce byte-identical files.  ``load_config``
+reads every JSON config and ``write_json`` writes every JSON file.  Per-index
+work items run in order in the calling thread; ``METRIC_ACTION_LAB_THREADS``
+is accepted and ignored, because the work is pure Python and holds the GIL.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ from .curves import (
     SampledCurve,
     action,
     curve_from_csv,
+    format_table,
     geodesic_curve,
     minimize_action,
     uniform_distance,
 )
-from .errors import ConfigError, MetricActionError
+from .errors import ConfigError, DomainError, MetricActionError
 from .functionals import (
     FunctionalFamily,
     SupFormula,
@@ -99,14 +101,12 @@ def family_from_config(space: SpaceHandle, fam: dict) -> FunctionalFamily:
         return FunctionalFamily(
             member=lambda h: ramp(float(h)),
             limit=zero_functional(space),
-            description="ramp family",
         )
     if name == "example1":
         eps = parse_law(fam.get("eps_law", "1/h"))
         return FunctionalFamily(
             member=lambda h: inverse_square(eps(h)),
             limit=zero_functional(space),
-            description="scaled inverse-square family",
             base=inverse_square(1.0),
         )
     base = build_functional(space, name, params)
@@ -122,7 +122,7 @@ def family_from_config(space: SpaceHandle, fam: dict) -> FunctionalFamily:
         limit = base.scaled(float(fam["scale_limit"]))
     else:
         limit = base
-    return FunctionalFamily(member=member, limit=limit, description=name, base=base)
+    return FunctionalFamily(member=member, limit=limit, base=base)
 
 
 def endpoint_law(space: SpaceHandle, law_spec) -> Callable[[int], Point]:
@@ -158,16 +158,15 @@ class ExperimentConfig:
         disc = dict(obj.get("discretization", {}))
         tol = dict(obj.get("tolerances", {}))
         mode = RecoveryMode(obj.get("mode", "resolvent"))
-        if mode is RecoveryMode.VANISHING and obj.get("eps_law"):
+        eps_law = parse_law(obj["eps_law"]) if obj.get("eps_law") else None
+        if mode is RecoveryMode.VANISHING:
             # members are eps(h) * base with a vanishing scale, limit is zero
             base = family.base
-            if base is None:
-                raise ConfigError("vanishing mode needs a scalable base functional")
-            eps = parse_law(obj["eps_law"])
+            if base is None or eps_law is None:
+                raise ConfigError("vanishing mode needs a scalable base functional and eps_law")
             family = FunctionalFamily(
-                member=lambda h: base.scaled(eps(h)),
+                member=lambda h: base.scaled(eps_law(h)),
                 limit=zero_functional(space),
-                description=f"vanishing {family.description}",
                 base=base,
             )
         return cls(
@@ -180,7 +179,7 @@ class ExperimentConfig:
             h_list=list(obj["h_list"]),
             mode=mode,
             base_curve_spec=dict(obj.get("base_curve", {"type": "geodesic"})),
-            eps_law=parse_law(obj["eps_law"]) if obj.get("eps_law") else None,
+            eps_law=eps_law,
             n_intervals=int(disc.get("N", 64)),
             margin=float(tol.get("margin", 0.05)),
             d_inf_tol=float(tol.get("d_inf_tol", 0.02)),
@@ -191,7 +190,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(load_config(path))
+
+
+def load_config(path) -> dict:
+    """The JSON object in the config file at ``path``.
+
+    Raises ``ConfigError`` when the file cannot be read, is not JSON, or
+    holds something other than an object.
+    """
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return obj
 
 
 def as_coords(v):
@@ -224,8 +238,6 @@ def experiment_recovery(cfg: ExperimentConfig, gamma: SampledCurve, h: int) -> R
     )
     if cfg.mode is not RecoveryMode.VANISHING:
         return build_recovery(cfg.family.member(h), rcfg, h)
-    if cfg.family.base is None or cfg.eps_law is None:
-        raise ConfigError("vanishing mode needs a base functional and eps_law")
     return build_recovery(cfg.family.base, rcfg, h, eps=cfg.eps_law)
 
 
@@ -370,7 +382,9 @@ def run_example1(
 
     The moving start point sits where the scaled slope blows up; every
     admissible curve pays a certified toll crossing away from it, so the
-    infimum exceeds the target action of the straight limit curve.
+    infimum exceeds the target action of the straight limit curve.  An
+    ``eps`` that fails or is not positive at one ``h`` gives that row an
+    ``error`` entry, ``nan`` values and no pass; the other rows run.
     """
     space = half_line()
     law = parse_law(eps_law)
@@ -378,8 +392,10 @@ def run_example1(
     straight = geodesic_curve(space, space.point(0.0), space.point(1.0), 256)
     target = action(straight, zero, space.point(0.0), space.point(1.0)).total
 
-    def one(h):
+    def certificate(h):
         eps = law(h)
+        if eps <= 0:
+            raise DomainError(f"eps_law {eps_law!r} gives eps={eps} <= 0 at h={h}")
         seps = math.sqrt(eps)
         f_h = inverse_square(eps)
 
@@ -397,7 +413,6 @@ def run_example1(
             f_h, space, x0h, SupFormula(radius=max(1.0, seps), n_samples=512)
         )
         return {
-            "h": h,
             "eps": eps,
             "x0h": seps,
             "certified_lower_bound": certified,
@@ -406,8 +421,15 @@ def run_example1(
             "kinetic_part": kinetic,
             "slope_x0_closed": s_closed,
             "slope_x0_sup": s_sup,
-            "theta_target": target,
         }
+
+    def one(h):
+        row = {"h": h, "theta_target": target}
+        try:
+            row.update(certificate(h))
+        except MetricActionError as exc:
+            row.update(dict.fromkeys(EXAMPLE1_COLUMNS[1:-2], math.nan), error=str(exc))
+        return row
 
     rows = parallel_map(one, list(h_list))
     verdict, witness = _certified_verdict(rows, "certified_lower_bound", target, margin)
@@ -564,26 +586,19 @@ def liminf_probe(
 # --------------------------------------------------------------------------
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return str(v)
-
-
 def _jsonable(v):
     if isinstance(v, float) and not math.isfinite(v):
         return "inf" if v > 0 else ("-inf" if v < 0 else "nan")
-    if isinstance(v, float) and math.isnan(v):
-        return "nan"
-    if isinstance(v, Verdict):
-        return v.value
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     return v
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as sorted, indented JSON with non-finite numbers as strings."""
+    Path(path).write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
 
 
 def emit_report(report: ExperimentReport, out_dir, stem: str) -> tuple:
@@ -592,17 +607,15 @@ def emit_report(report: ExperimentReport, out_dir, stem: str) -> tuple:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{stem}.csv"
     json_path = out / f"{stem}.json"
-    lines = [",".join(report.columns)]
-    for row in report.rows:
-        lines.append(",".join(_fmt(row.get(c, "")) for c in report.columns))
-    csv_path.write_text("\n".join(lines) + "\n")
+    cells = ([row.get(c, "") for c in report.columns] for row in report.rows)
+    csv_path.write_text(format_table(report.columns, cells))
     summary = {
         "schema": 1,
         "verdict": report.verdict.value,
-        "witness": _jsonable(report.witness),
-        "meta": _jsonable(report.meta),
-        "rows": [_jsonable({c: row.get(c) for c in report.columns}) for row in report.rows],
+        "witness": report.witness,
+        "meta": report.meta,
+        "rows": [{c: row.get(c) for c in report.columns} for row in report.rows],
         "versions": {"metric_action_lab": __version__},
     }
-    json_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_json(json_path, summary)
     return csv_path, json_path

@@ -3,7 +3,8 @@
 Config files express sequences like endpoint laws or scale factors as
 strings over the alphabet {h, numbers, + - * /, parentheses, sqrt, pow,
 exp}.  No names outside the whitelist resolve, so configs stay data, not
-code.  ``sqrt`` and ``exp`` take one argument and ``pow`` two.
+code.  ``sqrt`` and ``exp`` take one argument and ``pow`` two.  Whitespace
+between tokens and around the law is ignored.
 
 A malformed law, a wrong arity included, raises ``ConfigError`` when it is
 parsed.  A law that fails at some ``h`` (division by zero, a math domain
@@ -28,8 +29,8 @@ _FUNCTIONS = {"sqrt": (math.sqrt, 1), "exp": (math.exp, 1), "pow": (math.pow, 2)
 
 
 def _tokenize(text: str) -> list:
-    out, pos = [], 0
-    while pos < len(text):
+    out, pos, end = [], 0, len(text.rstrip())
+    while pos < end:
         m = _TOKEN.match(text, pos)
         if m is None:
             raise ConfigError(f"bad character in law {text!r} at offset {pos}")

@@ -187,7 +187,7 @@ def numeric_grad(fn, coords):
     return g
 
 
-def _solve_vector(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
+def _solve_vector(obj, f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
     """Proximal-gradient with backtracking; coordinate descent fallback."""
     xv = np.array(x.coords)
 
@@ -197,11 +197,7 @@ def _solve_vector(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
     scale2 = space.grid_size if space.kind is SpaceKind.QUANTILE_1D else 1.0
 
     def full(coords) -> float:
-        p = space.project(tuple(coords))
-        fy = evaluate(f, p)
-        if not math.isfinite(fy):
-            return INF
-        return fy + distance(space, p, x) ** 2 / (2.0 * tau)
+        return obj(space.project(tuple(coords)))
 
     y = xv.copy()
     step = tau
@@ -293,7 +289,7 @@ def resolvent(
         u, val, n, tie = _solve_tripod(obj, space)
         method = "per_edge_golden"
     else:
-        u, val, n = _solve_vector(f, space, tau, x)
+        u, val, n = _solve_vector(obj, f, space, tau, x)
         method = "proximal_gradient"
     # optimality probe: nearby perturbations must not beat the reported value
     gap = 0.0

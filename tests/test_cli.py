@@ -5,7 +5,6 @@ import pytest
 
 from metric_action_lab.cli import main
 from metric_action_lab.curves import curve_to_csv, geodesic_curve
-from metric_action_lab.errors import ConfigError
 from metric_action_lab.spaces import half_line
 
 
@@ -130,8 +129,7 @@ def test_cli_recovery_outputs(tmp_path):
     assert "middle" in labels
 
 
-def test_cli_recovery_vanishing_without_eps_law(tmp_path):
-    # the same config gives a ConfigError row under `gamma positive`
+def test_cli_recovery_vanishing_without_eps_law(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "cfg.json",
         {
@@ -144,8 +142,28 @@ def test_cli_recovery_vanishing_without_eps_law(tmp_path):
             "base_curve": {"type": "geodesic", "N": 16},
         },
     )
-    with pytest.raises(ConfigError, match="eps_law"):
-        main(["recovery", "--config", cfg, "--out", str(tmp_path)])
+    rc = main(["recovery", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "eps_law" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["gamma", "positive"], ""),
+        (["gamma", "example2"], '{"h_list": [4,'),
+        (["flow"], "[1, 2]"),
+    ],
+    ids=["empty", "broken_json", "not_an_object"],
+)
+def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, command, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    rc = main(command + ["--config", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("metric-action-lab: ") and str(path) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_gamma_liminf(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metric_action_lab import distance, euclidean, half_line
+from metric_action_lab import distance, euclidean, half_line, quantile_1d
 from metric_action_lab.curves import (
     Piece,
     SampledCurve,
@@ -14,6 +14,7 @@ from metric_action_lab.curves import (
     concatenate_rescale,
     curve_from_csv,
     curve_to_csv,
+    geodesic_curve,
     metric_speed,
     minimize_action,
     resample_curve,
@@ -303,6 +304,28 @@ def test_minimize_action_quadratic_matches_shooting_oracle():
         abs(curve.at(float(t)).coords[0] - w) for t, w in zip(ts[::200], traj[::200])
     )
     assert worst <= 2e-3
+
+
+@pytest.mark.parametrize(
+    "space, u0, u1, unit",
+    [
+        (euclidean(2), (0.0, 1.0), (1.0, 0.5), 1.0),
+        (quantile_1d(3), (-0.2, 0.0, 0.1), (0.8, 1.0, 1.2), 1.0 / math.sqrt(3.0)),
+    ],
+    ids=["euclidean2", "quantile3"],
+)
+def test_minimize_action_vector_quadratic_closed_form(space, u0, u1, unit):
+    # the vector node update must move nodes off the geodesic; the exact
+    # minimum of |g'|^2 + lam^2 |g|^2 between a and b (coordinates scaled
+    # by the space's metric) is lam [(|a|^2 + |b|^2) cosh lam - 2 a.b] / sinh lam
+    n, lam = 8, 1.0
+    f = quadratic(space, space.point(*[0.0] * len(u0)), lam)
+    x0, x1 = space.point(*u0), space.point(*u1)
+    _, val, _ = minimize_action(f, space, x0, x1, n)
+    a, b = unit * np.array(u0), unit * np.array(u1)
+    exact = lam * ((a @ a + b @ b) * math.cosh(lam) - 2.0 * (a @ b)) / math.sinh(lam)
+    assert val.total == pytest.approx(exact, rel=1.0 / n**2)
+    assert val.total < action(geodesic_curve(space, x0, x1, n), f, x0, x1).total
 
 
 def test_minimize_action_never_beats_certificate():

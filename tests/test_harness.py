@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metric_action_lab import euclidean, half_line
-from metric_action_lab.curves import action, geodesic_curve
+from metric_action_lab.curves import action, curve_to_csv, geodesic_curve
 from metric_action_lab.errors import ConfigError, DomainError
 from metric_action_lab.functionals import FunctionalFamily, quadratic, ramp, zero_functional
 from metric_action_lab.harness import (
@@ -19,6 +19,7 @@ from metric_action_lab.harness import (
     family_from_config,
     liminf_probe,
     parallel_map,
+    resolve_base_curve,
     run_example1,
     run_example2,
     run_positive,
@@ -43,6 +44,9 @@ def test_parse_law_arithmetic():
     assert parse_law("exp(0) + 2*h - h/2")(2) == pytest.approx(4.0)
     assert parse_law("-(h - 1)")(3) == -2.0
     assert parse_law(0.25)(99) == 0.25
+    assert parse_law("h ")(3) == 3.0
+    assert parse_law("1/h ")(4) == 0.25
+    assert parse_law("\th\n")(5) == 5.0
 
 
 def test_parse_law_rejects_garbage():
@@ -137,6 +141,15 @@ def test_family_from_config_scaled():
     assert fam.limit.lam == pytest.approx(1.0)
 
 
+def test_family_from_config_limit_keys():
+    quad = {"name": "quadratic", "params": {"center": 0.0, "lam": 1.0}, "scale_law": "1 + 1/h"}
+    scaled = family_from_config(E1, dict(quad, scale_limit=3.0)).limit
+    assert scaled.lam == pytest.approx(3.0)
+    assert scaled.evaluate(E1.point(1.0)) == pytest.approx(1.5)
+    named = family_from_config(E1, dict(quad, limit={"name": "zero"})).limit
+    assert named.id == "zero" and named.evaluate(E1.point(1.0)) == 0.0
+
+
 def test_experiment_config_from_dict():
     cfg = ExperimentConfig.from_dict(
         {
@@ -153,6 +166,18 @@ def test_experiment_config_from_dict():
     assert cfg.x0_seq(4).coords == (0.25,)
     assert cfg.x1_seq(4).coords == (1.0,)
     assert cfg.seed == 7
+
+
+@pytest.mark.parametrize(
+    "family, extra",
+    [({"name": "example1"}, {}), ({"name": "example2"}, {"eps_law": "1/h"})],
+    ids=["no_eps_law", "no_base"],
+)
+def test_experiment_config_vanishing_needs_base_and_eps_law(family, extra):
+    obj = {"space": {"kind": "half_line"}, "family": family, "x0": 1.0, "x1": 2.0,
+           "h_list": [2, 4], "mode": "vanishing", **extra}
+    with pytest.raises(ConfigError, match="eps_law"):
+        ExperimentConfig.from_dict(obj)
 
 
 # --------------------------------------------------------------------------
@@ -239,6 +264,25 @@ def test_positive_law_failure_gives_error_row():
         assert math.isfinite(row["theta_h"])
 
 
+def test_positive_csv_base_curve(tmp_path):
+    gamma = geodesic_curve(E1, E1.point(0.0), E1.point(1.0), 16)
+    (tmp_path / "gamma.csv").write_text(curve_to_csv(gamma))
+    cfg = ExperimentConfig.from_dict(
+        {
+            "space": {"kind": "euclidean", "dim": 1},
+            "family": {"name": "zero"},
+            "x0": 0.0,
+            "x1": 1.0,
+            "h_list": [2, 4, 8],
+            "base_curve": {"type": "csv", "path": str(tmp_path / "gamma.csv")},
+        }
+    )
+    base = resolve_base_curve(cfg)
+    assert base.times == pytest.approx(gamma.times)
+    assert [p.coords for p in base.points] == pytest.approx([p.coords for p in gamma.points])
+    assert run_positive(cfg).verdict is Verdict.CONSISTENT
+
+
 def test_positive_quadratic_flow_mode():
     cfg = quadratic_positive_config()
     cfg.mode = __import__("metric_action_lab").RecoveryMode.FLOW
@@ -296,6 +340,23 @@ def test_example1_report_bounds_and_slopes():
         assert row["slope_x0_sup"] == pytest.approx(2.0 / seps, rel=1e-2)
     assert rep.rows[0]["certified_lower_bound"] >= 0.5 + 0.8**2 - 0.05  # eps = 1e-2
     assert rep.witness is not None
+
+
+def test_example1_failing_eps_gives_error_rows(tmp_path):
+    # eps = 1/(h-8) is negative at h=4 and undefined at h=8; those rows
+    # record the error, h=16 still runs and the verdict stays inconclusive
+    rep = run_example1([4, 8, 16], n_certificate=64, eps_law="1/(h-8)")
+    assert [r["h"] for r in rep.rows] == [4, 8, 16]
+    bad_eps, bad_law, good = rep.rows
+    assert "eps=-0.25" in bad_eps["error"] and "h=4" in bad_eps["error"]
+    assert "h=8" in bad_law["error"] and "division by zero" in bad_law["error"]
+    for row in (bad_eps, bad_law):
+        assert math.isnan(row["certified_lower_bound"]) and math.isnan(row["eps"])
+        assert row["pass"] is False
+    assert "error" not in good and good["certified_lower_bound"] > good["theta_target"]
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    _, json_path = emit_report(rep, tmp_path, "ex1")
+    assert json.loads(json_path.read_text())["rows"][0]["eps"] == "nan"
 
 
 def test_example1_bound_limit_value():

@@ -19,6 +19,7 @@ from metric_action_lab.functionals import (
     SupFormula,
     evaluate,
     inverse_square,
+    linear_half_line,
     quadratic,
     ramp,
     strip_closed_forms,
@@ -86,6 +87,21 @@ def test_resolvent_ramp_kink_region():
     assert res.point.coords[0] == pytest.approx(0.25, rel=1e-12)
     num = resolvent(strip_closed_forms(f), HL, 0.01, HL.point(0.22))
     assert num.point.coords[0] == pytest.approx(0.25, abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "f, x, expect",
+    [
+        (linear_half_line(10.0), 10.0, 6.0),
+        (quadratic(HL, HL.point(10.0), 1.0), 0.0, 10.0 * 0.4 / 1.4),
+    ],
+    ids=["widen_down", "widen_up"],
+)
+def test_resolvent_half_line_widens_bracket(f, x, expect):
+    # the minimizer lies several unit steps below (above) x, so the bracket
+    # must widen before golden section; expect is the closed-form prox
+    res = resolvent(strip_closed_forms(f), HL, 0.4, HL.point(x))
+    assert res.point.coords[0] == pytest.approx(expect, abs=1e-6)
 
 
 def test_resolvent_tau_domain():
