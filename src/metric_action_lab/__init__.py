@@ -19,8 +19,6 @@ from .spaces import (  # noqa: F401
     geodesic_point,
     half_line,
     isotonic_repair,
-    point_from_json,
-    point_to_json,
     quantile_1d,
     random_point,
     tripod,

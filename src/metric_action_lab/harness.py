@@ -178,7 +178,7 @@ class ExperimentConfig:
             x1_seq=endpoint_law(space, obj.get("x1_law", obj["x1"])),
             h_list=list(obj["h_list"]),
             mode=mode,
-            base_curve_spec=dict(obj.get("base_curve", {"type": "geodesic"})),
+            base_curve_spec=obj.get("base_curve", {"type": "geodesic"}),
             eps_law=eps_law,
             n_intervals=int(disc.get("N", 64)),
             margin=float(tol.get("margin", 0.05)),
@@ -193,14 +193,22 @@ class ExperimentConfig:
         return cls.from_dict(load_config(path))
 
 
+class _ConfigObject(dict):
+    """A JSON object of a config file: a missing required key is a ``ConfigError``."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"config is missing required key {key!r}")
+
+
 def load_config(path) -> dict:
     """The JSON object in the config file at ``path``.
 
     Raises ``ConfigError`` when the file cannot be read, is not JSON, or
-    holds something other than an object.
+    holds something other than an object.  Indexing any object of the
+    config, nested ones included, by a missing key raises ``ConfigError``.
     """
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(), object_hook=_ConfigObject)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(obj, dict):
@@ -602,7 +610,10 @@ def write_json(path, obj) -> None:
 
 
 def emit_report(report: ExperimentReport, out_dir, stem: str) -> tuple:
-    """Write ``stem.csv`` and ``stem.json``; byte-stable for fixed config."""
+    """Write ``stem.csv`` and ``stem.json``; byte-stable for fixed config.
+
+    A JSON summary row also carries the row's ``error``, if it has one.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{stem}.csv"
@@ -614,8 +625,12 @@ def emit_report(report: ExperimentReport, out_dir, stem: str) -> tuple:
         "verdict": report.verdict.value,
         "witness": report.witness,
         "meta": report.meta,
-        "rows": [{c: row.get(c) for c in report.columns} for row in report.rows],
+        "rows": [],
         "versions": {"metric_action_lab": __version__},
     }
+    for row in report.rows:
+        summary["rows"].append({c: row.get(c) for c in report.columns})
+        if "error" in row:
+            summary["rows"][-1]["error"] = row["error"]
     write_json(json_path, summary)
     return csv_path, json_path

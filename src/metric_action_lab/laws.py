@@ -2,9 +2,12 @@
 
 Config files express sequences like endpoint laws or scale factors as
 strings over the alphabet {h, numbers, + - * /, parentheses, sqrt, pow,
-exp}.  No names outside the whitelist resolve, so configs stay data, not
-code.  ``sqrt`` and ``exp`` take one argument and ``pow`` two.  Whitespace
-between tokens and around the law is ignored.
+exp}.  Python's own parser reads the law and a whitelist over its syntax
+tree admits only those forms, so configs stay data, not code.  Numbers are
+ASCII decimals such as ``2``, ``0.5``, ``1.`` or ``1e-3`` (no sign, no
+leading zeros on integers, no underscores); ``sqrt`` and ``exp`` take one
+positional argument and ``pow`` two.  Whitespace between tokens and around
+the law is ignored; comments are not allowed.
 
 A malformed law, a wrong arity included, raises ``ConfigError`` when it is
 parsed.  A law that fails at some ``h`` (division by zero, a math domain
@@ -14,111 +17,57 @@ law, ``h`` and the cause when it is evaluated there.
 
 from __future__ import annotations
 
+import ast
 import math
 import re
+import warnings
 from typing import Callable
 
 from .errors import ConfigError, DomainError
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z_]+)|(?P<op>[()+\-*/,]))"
-)
+_NUMERAL = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?")
 
 # name -> (function, number of arguments)
 _FUNCTIONS = {"sqrt": (math.sqrt, 1), "exp": (math.exp, 1), "pow": (math.pow, 2)}
 
-
-def _tokenize(text: str) -> list:
-    out, pos, end = [], 0, len(text.rstrip())
-    while pos < end:
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ConfigError(f"bad character in law {text!r} at offset {pos}")
-        pos = m.end()
-        if m.lastgroup == "num":
-            out.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            out.append(("name", m.group("name")))
-        else:
-            out.append(("op", m.group("op")))
-    out.append(("end", ""))
-    return out
+# operator -> builder of the closure that applies it to two compiled operands
+_BINARY = {
+    ast.Add: lambda a, b: lambda h: a(h) + b(h),
+    ast.Sub: lambda a, b: lambda h: a(h) - b(h),
+    ast.Mult: lambda a, b: lambda h: a(h) * b(h),
+    ast.Div: lambda a, b: lambda h: a(h) / b(h),
+}
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
+def _compile(node: ast.AST, src: str) -> Callable[[int], float]:
+    """``h -> float`` for a whitelisted node of ``src``; ``ConfigError`` otherwise.
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind=None, value=None):
-        tok = self.tokens[self.i]
-        if kind is not None and tok[0] != kind:
-            raise ConfigError(f"expected {kind}, found {tok}")
-        if value is not None and tok[1] != value:
-            raise ConfigError(f"expected {value!r}, found {tok}")
-        self.i += 1
-        return tok
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            node = (lambda a, b, o: (lambda h: a(h) + b(h) if o == "+" else a(h) - b(h)))(
-                node, rhs, op
-            )
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take()[1]
-            rhs = self.unary()
-            node = (lambda a, b, o: (lambda h: a(h) * b(h) if o == "*" else a(h) / b(h)))(
-                node, rhs, op
-            )
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            inner = self.unary()
-            return lambda h: -inner(h)
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.unary()
-        return self.atom()
-
-    def atom(self):
-        kind, value = self.peek()
-        if kind == "num":
-            self.take()
-            return lambda h, v=value: v
-        if kind == "name":
-            self.take()
-            if value == "h":
-                return lambda h: float(h)
-            if value in _FUNCTIONS:
-                fn, arity = _FUNCTIONS[value]
-                self.take("op", "(")
-                args = [self.expr()]
-                while self.peek() == ("op", ","):
-                    self.take()
-                    args.append(self.expr())
-                self.take("op", ")")
-                if len(args) != arity:
-                    raise ConfigError(f"{value} takes {arity} argument(s), got {len(args)}")
-                return lambda h, fn=fn, args=tuple(args): fn(*(a(h) for a in args))
-            raise ConfigError(f"unknown name {value!r} in law")
-        if (kind, value) == ("op", "("):
-            self.take()
-            inner = self.expr()
-            self.take("op", ")")
-            return inner
-        raise ConfigError(f"unexpected token {self.peek()} in law")
+    Numbers are ``float`` of their source text and ``h`` is ``float(h)``, so
+    every operation is an IEEE operation on exactly those floats.
+    """
+    if isinstance(node, ast.Constant):
+        text = src[node.col_offset : node.end_col_offset]
+        if _NUMERAL.fullmatch(text):
+            value = float(text)
+            return lambda h: value
+    elif isinstance(node, ast.Name) and node.id == "h":
+        return lambda h: float(h)
+    elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_compile(node.left, src), _compile(node.right, src))
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        inner = _compile(node.operand, src)
+        return inner if isinstance(node.op, ast.UAdd) else lambda h: -inner(h)
+    elif (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in _FUNCTIONS
+        and not node.keywords
+    ):
+        fn, arity = _FUNCTIONS[node.func.id]
+        if len(node.args) != arity:
+            raise ConfigError(f"{node.func.id} takes {arity} argument(s), got {len(node.args)}")
+        args = [_compile(arg, src) for arg in node.args]
+        return lambda h: fn(*(arg(h) for arg in args))
+    raise ConfigError(f"{src[node.col_offset : node.end_col_offset]!r} is not in the law grammar")
 
 
 def parse_law(text) -> Callable[[int], float]:
@@ -127,12 +76,21 @@ def parse_law(text) -> Callable[[int], float]:
         if not math.isfinite(text):
             raise ConfigError(f"law {text!r} is not finite")
         return lambda h, v=float(text): v
-    parser = _Parser(_tokenize(str(text)))
+    # eval mode rejects a leading space and an inner newline
+    src = " ".join(str(text).split())
     try:
-        fn = parser.expr()
-    except RecursionError:
-        raise ConfigError(f"law {text!r} is nested too deeply") from None
-    parser.take("end")
+        # the syntax tree keeps no comment and no trailing comma of a call,
+        # and Python reads some non-ASCII names as ASCII ones (a fullwidth h as h)
+        if not src.isascii() or "#" in src or ",)" in src.replace(" ", ""):
+            raise ConfigError("only ASCII laws without comments or trailing commas parse")
+        with warnings.catch_warnings():
+            # a parser warning becomes a SyntaxError instead of stderr noise
+            warnings.simplefilter("error")
+            tree = ast.parse(src, mode="eval")
+        fn = _compile(tree.body, src)
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        # ConfigError is a ValueError too; MemoryError is a parser stack overflow
+        raise ConfigError(f"law {text!r} does not parse: {exc or 'nested too deeply'}") from None
 
     def law(h) -> float:
         try:

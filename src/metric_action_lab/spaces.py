@@ -25,7 +25,6 @@ threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -237,15 +236,6 @@ def check_cat0(
         residuals.append(lhs - rhs)
     worst = max(range(len(t_grid)), key=lambda i: residuals[i])
     return Cat0Report(residuals[worst], t_grid[worst], tuple(residuals))
-
-
-def point_to_json(p: Point) -> str:
-    return json.dumps({"space": p.space_kind.value, "coords": list(p.coords)})
-
-
-def point_from_json(text: str) -> Point:
-    obj = json.loads(text)
-    return Point(SpaceKind(obj["space"]), tuple(float(c) for c in obj["coords"]))
 
 
 def random_point(space: SpaceHandle, rng, scale: float = 1.0) -> Point:

@@ -166,6 +166,58 @@ def test_cli_bad_config_exits_2_with_one_line(tmp_path, capsys, command, text):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+_HALF_LINE_X0_LAW = {
+    "space": {"kind": "half_line"},
+    "family": {"name": "quadratic", "params": {"center": 0.0, "lam": 1.0}},
+    "x0": 0.5,
+    "x1": 1.0,
+    "x0_law": "0.5 - 1/h",
+    "h_list": [1, 8, 16],
+}
+
+
+@pytest.mark.parametrize(
+    "experiment, cfg, causes",
+    [
+        (
+            "example1",
+            {"h_list": [4, 8, 16], "eps_law": "1/(h-8)"},
+            {4: "gives eps=-0.25 <= 0 at h=4", 8: "fails at h=8: float division by zero"},
+        ),
+        ("positive", _HALF_LINE_X0_LAW, {1: "half-line points are single nonnegative reals"}),
+    ],
+    ids=["example1", "positive"],
+)
+def test_cli_report_json_rows_carry_errors(tmp_path, experiment, cfg, causes):
+    path = write_json(tmp_path / "cfg.json", cfg)
+    rc = main(["gamma", experiment, "--config", path, "--out", str(tmp_path)])
+    assert rc in (0, 1)
+    rows = json.loads((tmp_path / f"gamma_{experiment}.json").read_text())["rows"]
+    errors = {row["h"]: row["error"] for row in rows if "error" in row}
+    assert errors.keys() == causes.keys()
+    for h, cause in causes.items():
+        assert cause in errors[h]
+    header = (tmp_path / f"gamma_{experiment}.csv").read_text().splitlines()[0]
+    assert "error" not in header.split(",")
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        (["gamma", "positive"], {"h_list": [2]}, "space"),
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "space": {}}, "kind"),
+        (["flow"], {"space": {"kind": "euclidean", "dim": 1}, "functional": {"name": "zero"}}, "x"),
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "base_curve": {"type": "csv"}}, "path"),
+    ],
+    ids=["space", "kind", "x", "path"],
+)
+def test_cli_missing_key_exits_2_with_one_line(tmp_path, capsys, command, cfg, key):
+    path = write_json(tmp_path / "cfg.json", cfg)
+    rc = main(command + ["--config", path, "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"metric-action-lab: config is missing required key '{key}'\n"
+
+
 def test_cli_gamma_liminf(tmp_path):
     cfg = write_json(
         tmp_path / "cfg.json",

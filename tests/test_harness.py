@@ -1,5 +1,7 @@
 import json
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +49,15 @@ def test_parse_law_arithmetic():
     assert parse_law("h ")(3) == 3.0
     assert parse_law("1/h ")(4) == 0.25
     assert parse_law("\th\n")(5) == 5.0
+    # the laws of the benchmark and the tests, bit for bit as Python computes them
+    assert parse_law("1 - pow(2, -h)")(5) == 1.0 - math.pow(2.0, -5.0)
+    assert parse_law("0.4 + 1/h")(3) == 0.4 + 1.0 / 3.0
+    assert parse_law("1/(h*h)")(7) == 1.0 / (7.0 * 7.0)
+    assert parse_law("1 + 1/(h*h)")(7) == 1.0 + 1.0 / (7.0 * 7.0)
+    assert parse_law("0.5 - 1/h")(3) == 0.5 - 1.0 / 3.0
+    assert parse_law("sqrt(1/h)/h")(3) == math.sqrt(1.0 / 3.0) / 3.0
+    assert parse_law("pow(4, -h)")(3) == math.pow(4.0, -3.0)
+    assert parse_law("1.e-1 * 2E2")(1) == 0.1 * 200.0
 
 
 def test_parse_law_rejects_garbage():
@@ -58,6 +69,39 @@ def test_parse_law_rejects_garbage():
         parse_law("h h")
     with pytest.raises(ConfigError):
         parse_law(math.inf)
+    # Python syntax outside the law grammar; \uff48 is a fullwidth h, which Python reads as h
+    for law in [
+        "h**2", "h//2", "h%2", "1 if h else 2", "h[0]", "8(h)", "(h)(2)", "True",
+        "sqrt(h=1)", "sqrt(*[h])", "lambda: h", "h # note", ".5", "1_0", "0x10", "1j",
+        "'h'", "sqrt(h,)", "pow(2, h, )", "\uff48",
+    ]:
+        with pytest.raises(ConfigError):
+            parse_law(law)
+
+
+@pytest.mark.parametrize(
+    "law", ["-" * 100000 + "h", "(" * 1000 + "h" + ")" * 1000, "sqrt(" * 1000 + "h" + ")" * 1000]
+)
+def test_parse_law_deep_nesting_is_config_error(law):
+    start = time.perf_counter()
+    with pytest.raises(ConfigError):
+        parse_law(law)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_parse_law_parses_without_warnings(capsys):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigError):
+            parse_law("1if h else 2")
+    assert seen == [] and capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("law", ["022", "h + 022", "\u0663"])
+def test_parse_law_rejects_leading_zeros_and_non_ascii_digits(law):
+    # the integer 022 and the Arabic-Indic digit three are not numerals
+    with pytest.raises(ConfigError):
+        parse_law(law)
 
 
 @pytest.mark.parametrize("law", ["pow(2)", "pow(2, h, 3)", "sqrt(1,2)", "exp(h, h)"])

@@ -12,8 +12,6 @@ from metric_action_lab import (
     geodesic_point,
     half_line,
     isotonic_repair,
-    point_from_json,
-    point_to_json,
     quantile_1d,
     random_point,
     tripod,
@@ -143,13 +141,6 @@ def test_quantile_monotonicity_enforced():
         sp.point(2.0, 1.0, 3.0)
     p = sp.project((2.0, 1.0, 3.0))
     assert p.coords == pytest.approx((1.5, 1.5, 3.0))
-
-
-def test_point_json_roundtrip(any_space, rng):
-    p = random_point(any_space, rng)
-    q = point_from_json(point_to_json(p))
-    assert q.space_kind is p.space_kind
-    assert q.coords == pytest.approx(p.coords)
 
 
 def test_tripod_point_validation():
