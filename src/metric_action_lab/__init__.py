@@ -30,7 +30,6 @@ from .functionals import (  # noqa: F401
     SupFormula,
     build_functional,
     check_lambda_convexity,
-    check_quadratic_lower_bound,
     descending_slope,
     evaluate,
     inverse_square,
@@ -77,7 +76,6 @@ from .recovery import (  # noqa: F401
     RecoveryOutput,
     build_recovery,
     default_tau_schedule,
-    diagonal_select,
 )
 from .harness import (  # noqa: F401
     ExperimentConfig,

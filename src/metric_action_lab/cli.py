@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .curves import action, curve_from_csv, curve_to_csv, format_table
+from .curves import action, curve_to_csv, format_table
 from .errors import MetricActionError
 from .flow import check_contraction, check_energy_identity, check_evi, flow, slack
 from .functionals import (
@@ -51,6 +51,7 @@ from .harness import (
     experiment_recovery,
     liminf_probe,
     load_config,
+    load_curve,
     resolve_base_curve,
     run_example1,
     run_example2,
@@ -96,7 +97,7 @@ def _space_rows(seed: int) -> list:
         for _ in range(200):
             a, b, c = (random_point(sp, rng) for _ in range(3))
             tri = max(tri, distance(sp, a, c) - distance(sp, a, b) - distance(sp, b, c))
-            cat = max(cat, check_cat0(sp, a, b, c).max_residual)
+            cat = max(cat, check_cat0(sp, a, b, c))
             t = float(rng.uniform())
             m = geodesic_point(sp, b, c, t)
             d = distance(sp, b, c)
@@ -186,10 +187,8 @@ def _functional_rows(seed: int) -> list:
                 a, b = random_point(sp, rng), random_point(sp, rng)
                 if f.in_domain(a) and f.in_domain(b):
                     pairs.append((a, b))
-            rep = check_lambda_convexity(f, sp, pairs)
-            rows.append(
-                (sname, fname, "lambda_convexity", "n=30", rep.residual, rep.residual <= 1e-9)
-            )
+            r = check_lambda_convexity(f, sp, pairs)
+            rows.append((sname, fname, "lambda_convexity", "n=30", r, r <= 1e-9))
             if f.closed_form_slope is not None:
                 gap = 0.0
                 for _ in range(10):
@@ -272,7 +271,7 @@ def cmd_flow(args) -> int:
 def cmd_action(args) -> int:
     cfg = load_config(args.config)
     sp, f = _space_and_functional(cfg)
-    curve = curve_from_csv(Path(cfg["curve_csv"]).read_text(), sp)
+    curve = load_curve(cfg["curve_csv"], sp)
     x0 = sp.point(*as_coords(cfg["x0"]))
     x1 = sp.point(*as_coords(cfg["x1"]))
     av = action(curve, f, x0, x1)

@@ -7,10 +7,8 @@ per node.  The discretized action of a curve under a functional ``f`` is
   + trapezoid of slope(f)^2 over the nodes    (potential term)
 
 and it is infinite when the endpoints miss their prescribed anchors beyond
-``ENDPOINT_TOL`` or when any node with positive quadrature weight has
-infinite slope.  A node at which ``f`` itself is infinite forces an infinite
-value even when the endpoint weights are configured to zero, because such a
-curve leaves the effective domain.
+``ENDPOINT_TOL`` or when any node has infinite slope, which every node
+outside the effective domain of ``f`` has.
 
 ``minimize_action`` runs coarse-to-fine sweeps of node-wise minimization
 with a bracketing grid plus golden-section refinement, which copes with the
@@ -111,24 +109,15 @@ def metric_speed(c: SampledCurve) -> np.ndarray:
     return interval_lengths(c.space, c.points) / np.diff(c.times)
 
 
-def node_weights(dts: np.ndarray, include_endpoints: bool = True) -> np.ndarray:
+def node_weights(dts: np.ndarray) -> np.ndarray:
     """Trapezoid weights of the nodes of a grid with interval lengths ``dts``."""
     w = np.zeros(len(dts) + 1)
     w[:-1] += dts / 2.0
     w[1:] += dts / 2.0
-    if not include_endpoints:
-        w[0] = 0.0
-        w[-1] = 0.0
     return w
 
 
-def action(
-    c: SampledCurve,
-    f: FunctionalSpec,
-    x0: Point,
-    x1: Point,
-    include_endpoint_slopes: bool = True,
-) -> ActionValue:
+def action(c: SampledCurve, f: FunctionalSpec, x0: Point, x1: Point) -> ActionValue:
     """Discretized action of ``c`` under ``f`` with prescribed endpoints."""
     endpoint_ok = (
         distance(c.space, c.start, x0) <= ENDPOINT_TOL
@@ -136,14 +125,9 @@ def action(
     )
     speeds = metric_speed(c)
     kinetic = float(np.sum(speeds**2 * np.diff(c.times)))
-    weights = node_weights(np.diff(c.times), include_endpoint_slopes)
+    weights = node_weights(np.diff(c.times))
     potential = 0.0
     for k, p in enumerate(c.points):
-        if not f.in_domain(p):
-            potential = INF
-            break
-        if weights[k] == 0.0:
-            continue
         s = descending_slope(f, c.space, p)
         if not math.isfinite(s):
             potential = INF

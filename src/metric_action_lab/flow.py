@@ -164,15 +164,3 @@ def check_slope_bounds_along_flow(
     lower = factor * s_u - rate
     upper = rate - math.exp(lam_neg(f.lam) * t) * s_x if math.isfinite(s_x) else -math.inf
     return lower, upper
-
-
-def slope_decay_profile(
-    f: FunctionalSpec, space: SpaceHandle, x: Point, T: float, n_steps: int
-) -> np.ndarray:
-    """Samples of exp(lam t) * slope(x_t); nonincreasing up to O(dt)."""
-    traj = flow(f, space, x, T, n_steps)
-    out = []
-    for k, t in enumerate(traj.times):
-        s = descending_slope(f, space, traj.points[k])
-        out.append(math.exp(f.lam * t) * s)
-    return np.array(out)

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, PreconditionError
+from .errors import ConfigError, DomainError
 from .spaces import (
     Point,
     SpaceHandle,
@@ -46,8 +46,10 @@ class FunctionalSpec:
     """A semi-convex functional on one space.
 
     ``evaluate`` returns ``math.inf`` outside the effective domain, and
-    that is the only record of the domain.  ``lam`` is the geodesic
-    convexity modulus (negative allowed).
+    that is the only record of the domain.  A ``closed_form_slope`` returns
+    ``math.inf`` wherever ``evaluate`` does (the descending slope is
+    infinite off the domain), so slopes need no separate domain check.
+    ``lam`` is the geodesic convexity modulus (negative allowed).
     """
 
     id: str
@@ -64,7 +66,8 @@ class FunctionalSpec:
 
         Scaling multiplies the convexity modulus, the slope, and rescales
         the proximal parameter: prox of ``c f`` at step ``tau`` equals prox
-        of ``f`` at step ``c tau``.
+        of ``f`` at step ``c tau``.  The slope contract survives, since
+        ``c * inf = inf``.
         """
         if c <= 0:
             raise DomainError("scale factor must be positive")
@@ -98,10 +101,6 @@ def lam_neg(lam: float) -> float:
     return max(-lam, 0.0)
 
 
-def lam_pos(lam: float) -> float:
-    return max(lam, 0.0)
-
-
 def evaluate(f: FunctionalSpec, x: Point) -> float:
     """Extended-real evaluation; ``inf`` exactly off the effective domain."""
     return f.evaluate(x)
@@ -121,7 +120,6 @@ class ClosedForm:
 class SupFormula:
     radius: float = 4.0
     n_samples: int = 256
-    polish: bool = True
 
 
 # built once: the minimizers take the default path once per node evaluation
@@ -274,18 +272,16 @@ def descending_slope(
 ) -> float:
     """Descending slope of ``f`` at ``x``.
 
-    ``ClosedForm`` uses the supplied derivative expression; ``SupFormula``
-    estimates the variational supremum from shell samples.  Without a
-    ``method`` the closed form is used when ``f`` has one and the sup
-    formula otherwise; this is the slope policy of the whole lab.  Returns
-    ``inf`` outside the effective domain and 0 where no sampled point
-    descends.
+    ``ClosedForm`` uses the supplied derivative expression, which returns
+    ``inf`` off the domain itself; ``SupFormula`` estimates the variational
+    supremum from shell samples.  Without a ``method`` the closed form is
+    used when ``f`` has one and the sup formula otherwise; this is the slope
+    policy of the whole lab.  Returns ``inf`` outside the effective domain
+    and 0 where no sampled point descends.
     """
     if method is None:
         method = _CLOSED_FORM if f.closed_form_slope is not None else _SUP_FORMULA
     if isinstance(method, ClosedForm):
-        if not f.in_domain(x):
-            return INF
         if f.closed_form_slope is None:
             raise ConfigError(f"functional {f.id!r} has no closed-form slope")
         return f.closed_form_slope(x)
@@ -299,10 +295,9 @@ def descending_slope(
         v = _sup_expr(f, space, x, fx, y)
         if v > best:
             best, best_y = v, y
-    if method.polish and best_y is not None:
-        if space.kind in (SpaceKind.EUCLIDEAN, SpaceKind.QUANTILE_1D) and (
+    if best_y is not None:
+        if space.kind is SpaceKind.QUANTILE_1D or (
             space.kind is SpaceKind.EUCLIDEAN and space.dim > 1
-            or space.kind is SpaceKind.QUANTILE_1D
         ):
             best = max(best, _polish_vector(f, space, x, fx, best_y, method.radius))
         best = max(best, _polish_ray(f, space, x, fx, best_y))
@@ -315,24 +310,9 @@ def slope_squared(f: FunctionalSpec, space: SpaceHandle, x: Point) -> float:
     return s * s if math.isfinite(s) else INF
 
 
-def slope_method_label(f: FunctionalSpec, method=None) -> str:
-    """Label of the method ``descending_slope(f, space, x, method)`` uses."""
-    if method is None and f.closed_form_slope is None:
-        method = _SUP_FORMULA
-    if isinstance(method, SupFormula):
-        return f"sup_formula(r={method.radius:g},n={method.n_samples})"
-    return "closed_form"
-
-
 # --------------------------------------------------------------------------
-# convexity and lower-bound validators
+# convexity validator
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    residual: float
-    detail: dict
 
 
 def check_lambda_convexity(
@@ -340,17 +320,17 @@ def check_lambda_convexity(
     space: SpaceHandle,
     pairs: Sequence[tuple],
     t_grid: Sequence[float] = (0.25, 0.5, 0.75),
-) -> ResidualReport:
+) -> float:
     """Max violation of geodesic semi-convexity over endpoint pairs.
 
     For each pair (x0, x1) with finite values, the residual at ``t`` is
 
         f(x_t) - [(1-t) f(x0) + t f(x1) - (lam/2) t (1-t) d(x0,x1)^2]
 
-    and an honestly ``lam``-convex functional keeps it nonpositive.
+    and an honestly ``lam``-convex functional keeps it nonpositive.  Without
+    a pair of finite values the residual is 0.
     """
     worst = -INF
-    where = None
     for x0, x1 in pairs:
         f0, f1 = evaluate(f, x0), evaluate(f, x1)
         if not (math.isfinite(f0) and math.isfinite(f1)):
@@ -360,98 +340,8 @@ def check_lambda_convexity(
             xt = geodesic_point(space, x0, x1, t)
             ft = evaluate(f, xt)
             rhs = (1 - t) * f0 + t * f1 - 0.5 * f.lam * t * (1 - t) * d2
-            r = ft - rhs
-            if r > worst:
-                worst, where = r, (x0, x1, t)
-    if where is None:
-        return ResidualReport(0.0, {"n_pairs": 0})
-    return ResidualReport(worst, {"worst_pair": where})
-
-
-def moreau_penalized(f: FunctionalSpec, y: Point, tau: float, space: SpaceHandle) -> FunctionalSpec:
-    """The functional ``f + d(., y)^2 / (2 tau)`` with its improved modulus."""
-    base = f.evaluate
-    return FunctionalSpec(
-        id=f"{f.id}+pen",
-        evaluate=lambda x: base(x) + distance(space, x, y) ** 2 / (2 * tau),
-        lam=f.lam + 1.0 / tau,
-    )
-
-
-def check_quadratic_lower_bound(
-    f: FunctionalSpec,
-    space: SpaceHandle,
-    xbar: Point,
-    samples: Sequence[Point],
-    rng=None,
-    n_ball: int = 1000,
-) -> ResidualReport:
-    """Check the global quadratic minorant induced by semi-convexity.
-
-    ``m`` is estimated by sampling the closed unit ball around ``xbar``
-    (the center is always included, so the estimate can only exceed the true
-    infimum, which makes the check conservative).  The residual is
-
-        min over samples of  f(y) - [(lam/2) d^2 + (m - f(xbar) - lam^+/2) d + m]
-
-    and must be >= -tolerance.
-    """
-    fxbar = evaluate(f, xbar)
-    if not math.isfinite(fxbar):
-        raise PreconditionError("center lies outside the effective domain")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    m = fxbar
-    for _ in range(n_ball):
-        y = unit_ball_point(space, xbar, rng)
-        fy = evaluate(f, y)
-        if math.isfinite(fy):
-            m = min(m, fy)
-    worst = INF
-    where = None
-    for y in samples:
-        fy = evaluate(f, y)
-        if not math.isfinite(fy):
-            continue
-        d = distance(space, y, xbar)
-        rhs = 0.5 * f.lam * d * d + (m - fxbar - 0.5 * lam_pos(f.lam)) * d + m
-        r = fy - rhs
-        if r < worst:
-            worst, where = r, y
-    if where is None:
-        return ResidualReport(0.0, {"m": m, "n_samples": 0})
-    return ResidualReport(worst, {"m": m, "worst_sample": where})
-
-
-def unit_ball_point(space: SpaceHandle, center: Point, rng) -> Point:
-    """Uniform-ish draw from the closed unit ball around ``center``.
-
-    Projections used for half-line and quantile constraints are
-    nonexpansive, so the result never leaves the ball.
-    """
-    k = space.kind
-    if k is SpaceKind.EUCLIDEAN:
-        u = rng.normal(size=space.dim)
-        u /= max(np.linalg.norm(u), 1e-300)
-        r = rng.uniform() ** (1.0 / space.dim)
-        return space.project(tuple(np.array(center.coords) + r * u))
-    if k is SpaceKind.HALF_LINE:
-        return space.project((center.coords[0] + rng.uniform(-1.0, 1.0),))
-    if k is SpaceKind.QUANTILE_1D:
-        u = rng.normal(size=space.grid_size)
-        u /= max(np.linalg.norm(u), 1e-300)
-        r = rng.uniform() * math.sqrt(space.grid_size)
-        return space.project(tuple(np.array(center.coords) + r * u))
-    # tripod: walk a random arc distance toward a random branch
-    e, off = int(center.coords[0]), center.coords[1]
-    r = rng.uniform()
-    if rng.uniform() < 0.5:
-        return space.project((e, off + r))
-    if r <= off:
-        return Point(k, (float(e), off - r))
-    e2 = int(rng.integers(len(space.edge_lengths)))
-    if e2 == e:
-        return Point(k, (float(e), max(off - r, 0.0)))
-    return space.project((e2, r - off))
+            worst = max(worst, ft - rhs)
+    return 0.0 if worst == -INF else worst
 
 
 # --------------------------------------------------------------------------
@@ -505,13 +395,17 @@ def inverse_square(eps: float = 1.0) -> FunctionalSpec:
     """``eps / x^2`` on the half-line, infinite at the origin (catalogue
     name ``example1``)."""
 
+    # a power that underflows to 0.0 counts as the singularity: a tiny v
+    # gives inf instead of a ZeroDivisionError
     def ev(x):
         v = x.coords[0]
-        return INF if v <= 0.0 else eps / (v * v)
+        v2 = v * v
+        return INF if v <= 0.0 or v2 == 0.0 else eps / v2
 
     def slope(x):
         v = x.coords[0]
-        return INF if v <= 0.0 else 2.0 * eps / (v * v * v)
+        v3 = v * v * v
+        return INF if v <= 0.0 or v3 == 0.0 else 2.0 * eps / v3
 
     return FunctionalSpec(
         id=f"inverse_square(eps={eps:g})",

@@ -10,9 +10,10 @@ margin.
 
 Reports serialize to a CSV table (one row per index) plus a JSON summary.
 Identical configurations produce byte-identical files.  ``load_config``
-reads every JSON config and ``write_json`` writes every JSON file.  Per-index
-work items run in order in the calling thread; ``METRIC_ACTION_LAB_THREADS``
-is accepted and ignored, because the work is pure Python and holds the GIL.
+reads every JSON config, ``load_curve`` every curve file, and ``write_json``
+writes every JSON file.  Per-index work items run in order in the calling
+thread; ``METRIC_ACTION_LAB_THREADS`` is accepted and ignored, because the
+work is pure Python and holds the GIL.
 """
 
 from __future__ import annotations
@@ -216,6 +217,17 @@ def load_config(path) -> dict:
     return obj
 
 
+def load_curve(path, space: SpaceHandle) -> SampledCurve:
+    """The curve in the CSV file at ``path``, on ``space``.
+
+    Raises ``ConfigError`` when the file cannot be read or parsed.
+    """
+    try:
+        return curve_from_csv(Path(path).read_text(), space)
+    except (OSError, ValueError, IndexError) as exc:
+        raise ConfigError(f"cannot read curve {path}: {exc}") from None
+
+
 def as_coords(v):
     """Coordinates of a config point: a list as is, a scalar as one value."""
     return v if isinstance(v, (list, tuple)) else [v]
@@ -231,7 +243,7 @@ def resolve_base_curve(cfg: ExperimentConfig) -> SampledCurve:
         curve, _, _ = minimize_action(cfg.family.limit, cfg.space, cfg.x0, cfg.x1, n)
         return curve
     if kind == "csv":
-        return curve_from_csv(Path(spec["path"]).read_text(), cfg.space)
+        return load_curve(spec["path"], cfg.space)
     raise ConfigError(f"unknown base curve type {kind!r}")
 
 

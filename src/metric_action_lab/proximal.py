@@ -9,7 +9,7 @@ method converges to the unique minimizer.  Solvers by space:
 
 * half-line: golden-section on an automatically expanded bracket;
 * tripod: golden-section on every edge, then compare edge minima
-  (first edge wins exact ties, and near-ties are flagged);
+  (first edge wins exact ties);
 * Euclidean and quantile vectors: proximal-gradient with backtracking on
   the smooth part, falling back to cyclic coordinate descent on a refining
   grid when the functional is not smooth enough to difference.
@@ -35,7 +35,6 @@ from .functionals import (
     descending_slope,
     evaluate,
     lam_neg,
-    slope_method_label,
 )
 from .spaces import Point, SpaceHandle, SpaceKind, distance, geodesic_point
 
@@ -54,7 +53,6 @@ class ResolventResult:
     iterations: int
     residual: float
     method: str = ""
-    tie_flag: bool = False
 
 
 def tau_upper_limit(lam: float) -> float:
@@ -164,11 +162,8 @@ def _solve_half_line(obj, x: Point):
 
 def _solve_tripod(obj, space: SpaceHandle):
     edges = per_edge_golden(obj, space, 1e-11)
-    values = [v for _, v, _ in edges]
-    k = min(range(len(values)), key=values.__getitem__)  # first edge wins ties
-    second = min(values[:k] + values[k + 1:], default=INF)
-    tie = second - values[k] < 1e-12
-    return edges[k][0], values[k], sum(n for _, _, n in edges), tie
+    u, val, _ = min(edges, key=lambda e: e[1])  # first edge wins ties
+    return u, val, sum(n for _, _, n in edges)
 
 
 def numeric_grad(fn, coords):
@@ -281,12 +276,11 @@ def resolvent(
     if f.closed_form_prox is not None:
         u = f.closed_form_prox(tau, x)
         return ResolventResult(u, obj(u), tau, 0, 0.0, method="closed_form")
-    tie = False
     if space.kind is SpaceKind.HALF_LINE:
         u, val, n = _solve_half_line(obj, x)
         method = "golden_section"
     elif space.kind is SpaceKind.TRIPOD:
-        u, val, n, tie = _solve_tripod(obj, space)
+        u, val, n = _solve_tripod(obj, space)
         method = "per_edge_golden"
     else:
         u, val, n = _solve_vector(obj, f, space, tau, x)
@@ -299,9 +293,9 @@ def resolvent(
     if gap > 1e-7:
         raise ConvergenceError(
             f"resolvent probe found improvement {gap:.2e}",
-            best=ResolventResult(u, val, tau, n, gap, method=method, tie_flag=tie),
+            best=ResolventResult(u, val, tau, n, gap, method=method),
         )
-    return ResolventResult(u, val, tau, n, gap, method=method, tie_flag=tie)
+    return ResolventResult(u, val, tau, n, gap, method=method)
 
 
 def _probe_points(space: SpaceHandle, u: Point, delta: float):
@@ -336,7 +330,6 @@ class ChainReport:
     slope_u: float
     ratio: float
     slope_x: float
-    method: str
 
 
 def check_bound_chain(
@@ -352,7 +345,7 @@ def check_bound_chain(
     s_x = descending_slope(f, space, x, method)
     ratio = distance(space, u, x) / tau
     upper = INF if not math.isfinite(s_x) else ratio - s_x / (1.0 + f.lam * tau)
-    return ChainReport(s_u - ratio, upper, s_u, ratio, s_x, slope_method_label(f, method))
+    return ChainReport(s_u - ratio, upper, s_u, ratio, s_x)
 
 
 def check_resolvent_lipschitz(

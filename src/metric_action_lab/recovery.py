@@ -30,7 +30,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -285,70 +285,3 @@ def build_recovery(
         ride_out = Piece(ride1.reversed_time(), t1, "ride_out")
         pieces = [Piece(ride0, t0, "ride_in")] + pieces + [ride_out]
     return _assemble(pieces, f_h, space, tau)
-
-
-# --------------------------------------------------------------------------
-# diagonal selection
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class DiagonalSelection:
-    assignment: dict
-    thresholds: list
-    conclusive: bool
-    levels_used: int
-    constant: float
-
-
-def diagonal_select(
-    action_grid: Sequence[Sequence[float]],
-    dinf_grid: Sequence[Sequence[float]],
-    taus: Sequence[float],
-    h_list: Sequence[int],
-    target: float,
-    eps_list: Optional[Sequence[float]] = None,
-    C: float = 5.0,
-) -> DiagonalSelection:
-    """Nondecreasing level assignment h -> n realizing both closeness bounds.
-
-    Level ``n`` is usable past threshold ``H_n`` when every grid index
-    ``h > H_n`` satisfies the inflated action bound
-    ``(1 + C tau_n)^C * target + C tau_n`` and ``d_inf < eps_n``.  Stops at
-    the last achievable level; ``conclusive`` records whether every level of
-    ``eps_list`` was reached (an exhausted grid is reported, not an error).
-    """
-    if eps_list is None:
-        eps_list = [1.0 / (n + 1) for n in range(len(taus))]
-    thresholds = []
-    for n, (tau_n, eps_n) in enumerate(zip(taus, eps_list)):
-        bound = (1.0 + C * tau_n) ** C * target + C * tau_n
-        ok_from = None
-        for j in range(len(h_list)):
-            if all(
-                action_grid[n][k] <= bound and dinf_grid[n][k] < eps_n
-                for k in range(j, len(h_list))
-            ):
-                ok_from = j
-                break
-        if ok_from is None:
-            break
-        H_n = h_list[ok_from] - 1
-        if thresholds:
-            H_n = max(H_n, thresholds[-1] + 1)  # strictly increasing thresholds
-        thresholds.append(H_n)
-    assignment = {}
-    for h in h_list:
-        level = -1
-        for n, H_n in enumerate(thresholds):
-            if h > H_n:
-                level = n
-        if level >= 0:
-            assignment[h] = level
-    return DiagonalSelection(
-        assignment=assignment,
-        thresholds=thresholds,
-        conclusive=len(thresholds) == len(taus),
-        levels_used=len(thresholds),
-        constant=C,
-    )

@@ -26,7 +26,7 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -200,22 +200,13 @@ def geodesic_point(space: SpaceHandle, p: Point, q: Point, t: float) -> Point:
     return Point(k, (eq, s - op))
 
 
-@dataclass(frozen=True)
-class Cat0Report:
-    """Result of a comparison-inequality check."""
-
-    max_residual: float
-    worst_t: float
-    residuals: tuple = field(default=())
-
-
 def check_cat0(
     space: SpaceHandle,
     y: Point,
     x0: Point,
     x1: Point,
     t_grid: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-) -> Cat0Report:
+) -> float:
     """Residual of the quadrilateral comparison inequality.
 
     Returns the max over ``t_grid`` of
@@ -234,8 +225,7 @@ def check_cat0(
         lhs = distance(space, y, xt) ** 2
         rhs = (1 - t) * d0**2 + t * d1**2 - t * (1 - t) * d01**2
         residuals.append(lhs - rhs)
-    worst = max(range(len(t_grid)), key=lambda i: residuals[i])
-    return Cat0Report(residuals[worst], t_grid[worst], tuple(residuals))
+    return max(residuals)
 
 
 def random_point(space: SpaceHandle, rng, scale: float = 1.0) -> Point:

@@ -218,6 +218,28 @@ def test_cli_missing_key_exits_2_with_one_line(tmp_path, capsys, command, cfg, k
     assert capsys.readouterr().err == f"metric-action-lab: config is missing required key '{key}'\n"
 
 
+@pytest.mark.parametrize(
+    "command, make_cfg",
+    [
+        (["gamma", "positive"], lambda p: {**_HALF_LINE_X0_LAW, "base_curve": {"type": "csv", "path": p}}),
+        (["action"], lambda p: {"space": {"kind": "half_line"}, "functional": {"name": "zero"},
+                                "curve_csv": p, "x0": 0.0, "x1": 1.0}),
+    ],
+    ids=["base_curve", "curve_csv"],
+)
+@pytest.mark.parametrize("text", [None, ""], ids=["missing", "empty"])
+def test_cli_unreadable_curve_file_exits_2_with_one_line(tmp_path, capsys, command, make_cfg, text):
+    curve = tmp_path / "curve.csv"
+    if text is not None:
+        curve.write_text(text)
+    path = write_json(tmp_path / "cfg.json", make_cfg(str(curve)))
+    rc = main(command + ["--config", path, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"metric-action-lab: cannot read curve {curve}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_gamma_liminf(tmp_path):
     cfg = write_json(
         tmp_path / "cfg.json",

@@ -13,9 +13,9 @@ from metric_action_lab.flow import (
     flow,
     flow_times,
     slack,
-    slope_decay_profile,
 )
 from metric_action_lab.functionals import (
+    descending_slope,
     inverse_square,
     linear_half_line,
     quadratic,
@@ -196,7 +196,11 @@ def test_slope_bounds_catalogue_within_slack():
 
 
 def test_slope_decay_profile_monotone():
-    prof = slope_decay_profile(QUAD, E1, E1.point(1.0), 1.0, 1000)
-    assert np.max(np.diff(prof)) <= slack(1e-3)
-    prof2 = slope_decay_profile(inverse_square(0.5), HL, HL.point(1.0), 0.5, 500)
-    assert np.max(np.diff(prof2)) <= slack(1e-3)
+    # exp(lam t) * slope(x_t) is nonincreasing along the flow up to O(dt)
+    for f, sp, x, T, n in (
+        (QUAD, E1, E1.point(1.0), 1.0, 1000),
+        (inverse_square(0.5), HL, HL.point(1.0), 0.5, 500),
+    ):
+        traj = flow(f, sp, x, T, n)
+        prof = [math.exp(f.lam * t) * descending_slope(f, sp, p) for t, p in zip(traj.times, traj.points)]
+        assert np.max(np.diff(prof)) <= slack(1e-3)

@@ -354,7 +354,8 @@ def test_quantile_resolvent_projected(rng):
 
 def test_tripod_tie_flag():
     sp = tripod()
-    # symmetric potential: minimide sits at the branch point, edges tie
+    # potential centred at the branch point: edges 0 and 2 tie there, and
+    # the minimizer on edge 1 beats both
     f = strip_closed_forms(quadratic(sp, sp.point(0, 0.0), 1.0))
     res = resolvent(f, sp, 0.3, sp.point(1, 0.5))
     assert res.point.coords[1] == pytest.approx(0.5 / 1.3, abs=1e-7)

@@ -18,7 +18,6 @@ from metric_action_lab.recovery import (
     RecoveryMode,
     build_recovery,
     default_tau_schedule,
-    diagonal_select,
     estimated_entry_constant,
     tau_cap,
 )
@@ -278,69 +277,3 @@ def test_default_tau_schedule_properties():
     # cap kicks in for negative moduli
     assert default_tau_schedule(1, 10.0, 10.0, -1.0) == tau_cap(-1.0)
     assert tau_cap(-1.0) == pytest.approx(0.125)
-
-
-def test_diagonal_select_trivial_family_advances():
-    taus = [0.5, 0.25, 0.125, 0.0625]
-    hs = [1, 2, 3, 4, 5, 6]
-    actions = [[1.0] * len(hs) for _ in taus]
-    dinfs = [[0.0] * len(hs) for _ in taus]
-    sel = diagonal_select(actions, dinfs, taus, hs, target=1.0)
-    assert sel.conclusive
-    assert sel.levels_used == len(taus)
-    levels = [sel.assignment[h] for h in hs]
-    assert levels == sorted(levels)
-    assert levels[-1] == len(taus) - 1
-    # strictly increasing thresholds force the level to advance with h
-    assert len(set(levels)) == len(taus)
-
-
-def test_diagonal_select_quadratic_grids():
-    gamma = unit_line(32)
-    theta = action(gamma, QUAD, gamma.start, gamma.end).total
-    taus = [1.0 / (n + 2) for n in range(4)]
-    hs = [4, 8, 16, 32, 64]
-    actions, dinfs = [], []
-    for tau in taus:
-        row_a, row_d = [], []
-        for h in hs:
-            cfg = cfg_for(gamma, lambda _h: E1.point(1.0 / _h), lambda _h: E1.point(1.0), tau=tau)
-            out = build_recovery(QUAD, cfg, h)
-            row_a.append(action(out.curve, QUAD, E1.point(1.0 / h), E1.point(1.0)).total)
-            row_d.append(uniform_distance(out.curve, gamma))
-        actions.append(row_a)
-        dinfs.append(row_d)
-    sel = diagonal_select(actions, dinfs, taus, hs, target=theta, C=5.0)
-    assert sel.conclusive
-    assert sel.assignment[hs[-1]] == len(taus) - 1
-
-
-def test_diagonal_select_ramp_family_inconclusive():
-    gamma = unit_line(64)
-    zero = zero_functional(E1)
-    theta = action(gamma, zero, gamma.start, gamma.end).total  # 1
-    hs = [4, 8, 16, 32]
-    n_levels = 20
-    taus = [0.4 / (n + 1) for n in range(n_levels)]
-    hl = half_line()
-    gamma_hl = geodesic_curve(hl, hl.point(0.0), hl.point(1.0), 64)
-    actions, dinfs = [], []
-    for tau in taus:
-        row_a, row_d = [], []
-        for h in hs:
-            f_h = ramp(float(h))
-            cfg = RecoveryConfig(
-                mode=RecoveryMode.RESOLVENT,
-                base_curve=gamma_hl,
-                x0_seq=lambda _h: hl.point(0.0),
-                x1_seq=lambda _h: hl.point(1.0),
-                tau_schedule=lambda _h, t=tau: t,
-            )
-            out = build_recovery(f_h, cfg, h)
-            row_a.append(action(out.curve, f_h, hl.point(0.0), hl.point(1.0)).total)
-            row_d.append(uniform_distance(out.curve, gamma_hl))
-        actions.append(row_a)
-        dinfs.append(row_d)
-    sel = diagonal_select(actions, dinfs, taus, hs, target=theta, C=5.0)
-    assert not sel.conclusive
-    assert sel.levels_used < n_levels
