@@ -76,6 +76,7 @@ from .recovery import (  # noqa: F401
     RecoveryOutput,
     build_recovery,
     default_tau_schedule,
+    piece_diagnostics,
 )
 from .harness import (  # noqa: F401
     ExperimentConfig,

@@ -46,7 +46,6 @@ from .functionals import (
 from .harness import (
     ExperimentConfig,
     Verdict,
-    as_coords,
     emit_report,
     experiment_recovery,
     liminf_probe,
@@ -59,7 +58,7 @@ from .harness import (
     space_from_config,
     write_json,
 )
-from .laws import parse_law
+from .laws import config_h_list, config_number, config_object, config_point, parse_law
 from .proximal import (
     check_bound_chain,
     check_resolvent_identity,
@@ -68,6 +67,7 @@ from .proximal import (
     resolvent,
     resolvent_convergence_probe,
 )
+from .recovery import piece_diagnostics
 from .spaces import (
     check_cat0,
     distance,
@@ -245,14 +245,16 @@ def cmd_validate(args) -> int:
 def _space_and_functional(cfg: dict) -> tuple:
     """The space and the catalogue functional a ``flow``/``action`` config names."""
     sp = space_from_config(cfg["space"])
-    return sp, build_functional(sp, cfg["functional"]["name"], cfg["functional"].get("params", {}))
+    fn = config_object(cfg["functional"], "functional")
+    return sp, build_functional(sp, fn["name"], fn.get("params", {}))
 
 
 def cmd_flow(args) -> int:
     cfg = load_config(args.config)
     sp, f = _space_and_functional(cfg)
-    x = sp.point(*as_coords(cfg["x"]))
-    traj = flow(f, sp, x, float(cfg.get("T", 1.0)), int(cfg.get("n_steps", 1000)))
+    x = config_point(sp, cfg["x"], "x")
+    T = config_number(cfg.get("T", 1.0), "T")
+    traj = flow(f, sp, x, T, config_number(cfg.get("n_steps", 1000), "n_steps", int))
     speeds = traj.speeds(sp)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -272,8 +274,8 @@ def cmd_action(args) -> int:
     cfg = load_config(args.config)
     sp, f = _space_and_functional(cfg)
     curve = load_curve(cfg["curve_csv"], sp)
-    x0 = sp.point(*as_coords(cfg["x0"]))
-    x1 = sp.point(*as_coords(cfg["x1"]))
+    x0 = config_point(sp, cfg["x0"], "x0")
+    x1 = config_point(sp, cfg["x1"], "x1")
     av = action(curve, f, x0, x1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -294,7 +296,7 @@ def cmd_recovery(args) -> int:
         (out / f"recovery_h{h}.csv").write_text(curve_to_csv(res.curve))
         summary["h"][str(h)] = {
             "tau": res.tau,
-            "pieces": [asdict(p) for p in res.diagnostics["pieces"]],
+            "pieces": [asdict(p) for p in piece_diagnostics(res)],
         }
     write_json(out / "recovery_summary.json", summary)
     print(f"wrote {out}/recovery_summary.json and {len(cfg.h_list)} curve files")
@@ -306,21 +308,24 @@ def cmd_gamma(args) -> int:
     out = Path(args.out)
     if sub in ("example1", "example2"):
         cfg = load_config(args.config)
-        disc = cfg.get("discretization", {})
-        tolerances = cfg.get("tolerances", {})
+        h_list = config_h_list(cfg["h_list"])
+        disc = config_object(cfg.get("discretization", {}), "discretization")
+        n_certificate = config_number(disc.get("n_certificate", 1024), "n_certificate", int)
+        tolerances = config_object(cfg.get("tolerances", {}), "tolerances")
+        margin = config_number(tolerances.get("margin", 0.05), "margin")
         if sub == "example1":
             report = run_example1(
-                cfg["h_list"],
-                n_certificate=int(disc.get("n_certificate", 1024)),
+                h_list,
+                n_certificate=n_certificate,
                 eps_law=cfg.get("eps_law", "1/h"),
-                margin=float(tolerances.get("margin", 0.05)),
+                margin=margin,
             )
         else:
             report = run_example2(
-                cfg["h_list"],
-                n_certificate=int(disc.get("n_certificate", 1024)),
-                n_search=int(disc.get("N", 64)),
-                margin=float(tolerances.get("margin", 0.05)),
+                h_list,
+                n_certificate=n_certificate,
+                n_search=config_number(disc.get("N", 64), "N", int),
+                margin=margin,
                 with_optimizer=bool(cfg.get("with_optimizer", True)),
             )
         emit_report(report, out, f"gamma_{sub}")
@@ -335,19 +340,16 @@ def cmd_gamma(args) -> int:
     # liminf probe: member resolvents of the base curve as the test sequence
     cfg = ExperimentConfig.from_json(args.config)
     gamma = resolve_base_curve(cfg)
-    probe_cfg = cfg.raw.get("liminf", {})
+    probe_cfg = config_object(cfg.raw.get("liminf", {}), "liminf")
+    tail_from = probe_cfg.get("tail_from", int(max(cfg.h_list, default=0)))
+    tail_from = config_number(tail_from, "tail_from", int)
+    slack = config_number(probe_cfg.get("slack", 0.01), "slack")
     tl = parse_law(probe_cfg.get("tau_law", "1/(h*h)"))
     curves = {
         h: gamma.mapped(lambda p, _h=h: resolvent(cfg.family.member(_h), cfg.space, tl(_h), p).point)
         for h in cfg.h_list
     }
-    report = liminf_probe(
-        cfg.family,
-        curves,
-        gamma,
-        tail_from=int(probe_cfg.get("tail_from", max(cfg.h_list))),
-        slack=float(probe_cfg.get("slack", 0.01)),
-    )
+    report = liminf_probe(cfg.family, curves, gamma, tail_from=tail_from, slack=slack)
     emit_report(report, out, "gamma_liminf")
     print(f"verdict: {report.verdict.value}")
     return 0 if report.verdict is Verdict.CONSISTENT else 1

@@ -26,6 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .laws import config_number, config_object
 from .spaces import (
     Point,
     SpaceHandle,
@@ -465,29 +466,32 @@ def build_functional(space: SpaceHandle, name: str, params: dict | None = None) 
     Names: ``zero``, ``quadratic`` (params ``center``, ``lam``), ``example1``
     (param ``eps``), ``example2`` (param ``h``), ``linear`` (param ``c``).
     """
-    params = dict(params or {})
+    params = config_object({} if params is None else params, "params")
     if name == "zero":
         return zero_functional(space)
     if name == "quadratic":
         center = params.get("center", 0.0)
-        if not isinstance(center, (list, tuple)):
+        if space.kind is SpaceKind.TRIPOD:
+            if not (isinstance(center, (list, tuple)) and len(center) == 2):
+                raise ConfigError(f"a tripod quadratic needs center [edge, offset], got {center!r}")
+        elif not isinstance(center, (list, tuple)):
             center = [center] * (space.dim if space.kind is SpaceKind.EUCLIDEAN else 1)
+        center = [config_number(c, "center") for c in center]
         if space.kind is SpaceKind.QUANTILE_1D and len(center) != space.grid_size:
-            center = [center[0]] * space.grid_size
-        cpt = space.point(*center) if space.kind is not SpaceKind.TRIPOD else space.point(center[0], center[1])
-        return quadratic(space, cpt, float(params.get("lam", 1.0)))
+            center = center[:1] * space.grid_size
+        return quadratic(space, space.point(*center), config_number(params.get("lam", 1.0), "lam"))
     if name == "example1":
         if space.kind is not SpaceKind.HALF_LINE:
             raise ConfigError("example1 lives on the half-line")
-        return inverse_square(float(params.get("eps", 1.0)))
+        return inverse_square(config_number(params.get("eps", 1.0), "eps"))
     if name == "example2":
         if space.kind is not SpaceKind.HALF_LINE:
             raise ConfigError("example2 lives on the half-line")
-        return ramp(float(params.get("h", 1.0)))
+        return ramp(config_number(params.get("h", 1.0), "h"))
     if name == "linear":
         if space.kind is not SpaceKind.HALF_LINE:
             raise ConfigError("linear lives on the half-line")
-        return linear_half_line(float(params.get("c", 1.0)))
+        return linear_half_line(config_number(params.get("c", 1.0), "c"))
     raise ConfigError(f"unknown catalogue functional {name!r}")
 
 

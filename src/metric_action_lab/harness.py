@@ -47,7 +47,15 @@ from .functionals import (
     ramp,
     zero_functional,
 )
-from .laws import parse_law
+from .laws import (
+    ConfigObject,
+    as_coords,
+    config_h_list,
+    config_number,
+    config_object,
+    config_point,
+    parse_law,
+)
 from .recovery import RecoveryConfig, RecoveryMode, RecoveryOutput, build_recovery
 from .spaces import Point, SpaceHandle, euclidean, half_line, quantile_1d, tripod
 from .spaces import distance as space_distance
@@ -83,21 +91,24 @@ def parallel_map(fn: Callable, items: Sequence) -> list:
 
 
 def space_from_config(spec: dict) -> SpaceHandle:
+    spec = config_object(spec, "space")
     kind = spec["kind"]
     if kind == "euclidean":
-        return euclidean(int(spec.get("dim", 1)))
+        return euclidean(config_number(spec.get("dim", 1), "dim", int))
     if kind == "half_line":
         return half_line()
     if kind == "tripod":
-        return tripod(tuple(spec.get("edge_lengths", (1.0, 1.0, 1.0))))
+        lengths = as_coords(spec.get("edge_lengths", [1.0, 1.0, 1.0]))
+        return tripod([config_number(l, "edge_lengths") for l in lengths])
     if kind == "quantile_1d":
-        return quantile_1d(int(spec["grid_size"]))
+        return quantile_1d(config_number(spec["grid_size"], "grid_size", int))
     raise ConfigError(f"unknown space kind {kind!r}")
 
 
 def family_from_config(space: SpaceHandle, fam: dict) -> FunctionalFamily:
+    fam = config_object(fam, "family")
     name = fam["name"]
-    params = dict(fam.get("params", {}))
+    params = fam.get("params", {})
     if name == "example2":
         return FunctionalFamily(
             member=lambda h: ramp(float(h)),
@@ -117,10 +128,10 @@ def family_from_config(space: SpaceHandle, fam: dict) -> FunctionalFamily:
     else:
         member = lambda h: base
     if fam.get("limit") is not None:
-        lim_spec = fam["limit"]
+        lim_spec = config_object(fam["limit"], "limit")
         limit = build_functional(space, lim_spec["name"], lim_spec.get("params", {}))
     elif fam.get("scale_limit") is not None:
-        limit = base.scaled(float(fam["scale_limit"]))
+        limit = base.scaled(config_number(fam["scale_limit"], "scale_limit"))
     else:
         limit = base
     return FunctionalFamily(member=member, limit=limit, base=base)
@@ -152,13 +163,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        obj = ConfigObject(obj)
         space = space_from_config(obj["space"])
         family = family_from_config(space, obj["family"])
-        x0 = space.point(*as_coords(obj["x0"]))
-        x1 = space.point(*as_coords(obj["x1"]))
-        disc = dict(obj.get("discretization", {}))
-        tol = dict(obj.get("tolerances", {}))
-        mode = RecoveryMode(obj.get("mode", "resolvent"))
+        x0 = config_point(space, obj["x0"], "x0")
+        x1 = config_point(space, obj["x1"], "x1")
+        disc = config_object(obj.get("discretization", {}), "discretization")
+        tol = config_object(obj.get("tolerances", {}), "tolerances")
+        try:
+            mode = RecoveryMode(obj.get("mode", "resolvent"))
+        except ValueError:
+            raise ConfigError(
+                f"config key 'mode' must be resolvent, flow or vanishing, got {obj['mode']!r}"
+            ) from None
         eps_law = parse_law(obj["eps_law"]) if obj.get("eps_law") else None
         if mode is RecoveryMode.VANISHING:
             # members are eps(h) * base with a vanishing scale, limit is zero
@@ -177,28 +194,21 @@ class ExperimentConfig:
             x1=x1,
             x0_seq=endpoint_law(space, obj.get("x0_law", obj["x0"])),
             x1_seq=endpoint_law(space, obj.get("x1_law", obj["x1"])),
-            h_list=list(obj["h_list"]),
+            h_list=config_h_list(obj["h_list"]),
             mode=mode,
-            base_curve_spec=obj.get("base_curve", {"type": "geodesic"}),
+            base_curve_spec=config_object(obj.get("base_curve", {"type": "geodesic"}), "base_curve"),
             eps_law=eps_law,
-            n_intervals=int(disc.get("N", 64)),
-            margin=float(tol.get("margin", 0.05)),
-            d_inf_tol=float(tol.get("d_inf_tol", 0.02)),
-            slope_cap=float(tol.get("slope_cap", 10.0)),
-            seed=int(obj.get("seed", 0)),
+            n_intervals=config_number(disc.get("N", 64), "N", int),
+            margin=config_number(tol.get("margin", 0.05), "margin"),
+            d_inf_tol=config_number(tol.get("d_inf_tol", 0.02), "d_inf_tol"),
+            slope_cap=config_number(tol.get("slope_cap", 10.0), "slope_cap"),
+            seed=config_number(obj.get("seed", 0), "seed", int),
             raw=obj,
         )
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         return cls.from_dict(load_config(path))
-
-
-class _ConfigObject(dict):
-    """A JSON object of a config file: a missing required key is a ``ConfigError``."""
-
-    def __missing__(self, key):
-        raise ConfigError(f"config is missing required key {key!r}")
 
 
 def load_config(path) -> dict:
@@ -209,7 +219,7 @@ def load_config(path) -> dict:
     config, nested ones included, by a missing key raises ``ConfigError``.
     """
     try:
-        obj = json.loads(Path(path).read_text(), object_hook=_ConfigObject)
+        obj = json.loads(Path(path).read_text(), object_hook=ConfigObject)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(obj, dict):
@@ -224,19 +234,14 @@ def load_curve(path, space: SpaceHandle) -> SampledCurve:
     """
     try:
         return curve_from_csv(Path(path).read_text(), space)
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"cannot read curve {path}: {exc}") from None
-
-
-def as_coords(v):
-    """Coordinates of a config point: a list as is, a scalar as one value."""
-    return v if isinstance(v, (list, tuple)) else [v]
 
 
 def resolve_base_curve(cfg: ExperimentConfig) -> SampledCurve:
     spec = cfg.base_curve_spec
     kind = spec.get("type", "geodesic")
-    n = int(spec.get("N", cfg.n_intervals))
+    n = config_number(spec.get("N", cfg.n_intervals), "N", int)
     if kind == "geodesic":
         return geodesic_curve(cfg.space, cfg.x0, cfg.x1, n)
     if kind == "minimize_action":

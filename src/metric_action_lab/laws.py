@@ -13,12 +13,17 @@ A malformed law, a wrong arity included, raises ``ConfigError`` when it is
 parsed.  A law that fails at some ``h`` (division by zero, a math domain
 error, an overflow, a non-finite value) raises ``DomainError`` naming the
 law, ``h`` and the cause when it is evaluated there.
+
+The ``config_*`` readers check the other values of a config file where
+they are read: a value of the wrong JSON type raises ``ConfigError`` naming
+its key.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+import numbers
 import re
 import warnings
 from typing import Callable
@@ -102,3 +107,50 @@ def parse_law(text) -> Callable[[int], float]:
         return v
 
     return law
+
+
+class ConfigObject(dict):
+    """A JSON object of a config file: a missing required key is a ``ConfigError``."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"config is missing required key {key!r}")
+
+
+def config_object(value, key: str) -> ConfigObject:
+    """The config value under ``key``, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {key!r} must be a JSON object, got {value!r}")
+    return ConfigObject(value)
+
+
+def config_number(value, key: str, kind=float):
+    """``kind(value)`` for the config value under ``key``.
+
+    Raises ``ConfigError`` unless ``value`` is a number, and an integer when
+    ``kind`` is ``int``; a boolean is neither.
+    """
+    wanted = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, wanted):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+    return kind(value)
+
+
+def as_coords(v):
+    """Coordinates of a config point: a list as is, a scalar as one value."""
+    return v if isinstance(v, (list, tuple)) else [v]
+
+
+def config_point(space, value, key: str):
+    """The point of ``space`` under ``key``: a number or a list of numbers."""
+    return space.point(*[config_number(c, key) for c in as_coords(value)])
+
+
+def config_h_list(value) -> list:
+    """The indices under ``h_list``, which must be a list of positive numbers."""
+    if not isinstance(value, list) or not all(
+        isinstance(h, numbers.Real) and not isinstance(h, bool) and 0 < h < math.inf
+        for h in value
+    ):
+        raise ConfigError(f"config key 'h_list' must be a list of positive numbers, got {value!r}")
+    return list(value)

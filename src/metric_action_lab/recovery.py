@@ -21,14 +21,15 @@ the reached points, and finally prepends/appends those flow segments.
 
 Repair pieces that are spatially constant with zero slope contribute
 nothing and are dropped, so the zero functional reproduces the base curve
-exactly.
+exactly.  The builder computes nothing else; ``piece_diagnostics`` integrates
+the kinetic and potential energy of each kept piece on request.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -47,7 +48,7 @@ from .curves import (
 from .flow import flow_times
 from .functionals import FunctionalSpec, descending_slope, lam_neg, slope_squared
 from .proximal import resolvent
-from .spaces import Point, SpaceHandle, distance
+from .spaces import Point, distance
 
 
 class RecoveryMode(str, Enum):
@@ -82,7 +83,7 @@ class RecoveryConfig:
     base_curve: SampledCurve
     x0_seq: Callable[[int], Point]
     x1_seq: Callable[[int], Point]
-    tau_schedule: Optional[Callable[[int], float]] = None
+    tau: Optional[float] = None     # step; ``default_tau_schedule`` when None
     slope_cap: float = 10.0         # vanishing mode switch threshold
 
 
@@ -100,7 +101,7 @@ class RecoveryOutput:
     curve: SampledCurve
     pieces: list
     tau: float
-    diagnostics: dict = field(default_factory=dict)
+    functional: FunctionalSpec      # the member functional the pieces were built for
 
 
 def _phi_times(tau: float) -> np.ndarray:
@@ -111,15 +112,23 @@ def _phi_times(tau: float) -> np.ndarray:
     return np.concatenate(([0.0], body))
 
 
-def _piece_integrals(curve: SampledCurve, duration: float, g: Callable[[Point], float]):
-    """Kinetic and potential integrals in the piece's own duration time."""
-    if duration <= 0:
-        return 0.0, 0.0
-    dts = np.diff(curve.times) * duration
-    kinetic = float(np.sum(interval_lengths(curve.space, curve.points) ** 2 / dts))
-    gv = np.array([g(p) for p in curve.points])
-    potential = float(np.sum(node_weights(dts) * gv))
-    return kinetic, potential
+def piece_diagnostics(out: RecoveryOutput) -> list:
+    """Kinetic and potential integral of each piece in its own time, and its
+    contribution to the action of ``out.curve``, as ``PieceDiagnostics``."""
+    space = out.curve.space
+    g = functools.partial(slope_squared, out.functional, space)
+    total_duration = sum(p.duration for p in out.pieces)
+    diags = []
+    for p in out.pieces:
+        kinetic = potential = 0.0
+        if p.duration > 0:
+            dts = np.diff(p.curve.times) * p.duration
+            kinetic = float(np.sum(interval_lengths(space, p.curve.points) ** 2 / dts))
+            gv = np.array([g(x) for x in p.curve.points])
+            potential = float(np.sum(node_weights(dts) * gv))
+        contribution = total_duration * kinetic + potential / total_duration
+        diags.append(PieceDiagnostics(p.label, p.duration, kinetic, potential, contribution))
+    return diags
 
 
 def _is_trivial(piece: SampledCurve, g: Callable[[Point], float], tol: float) -> bool:
@@ -128,98 +137,6 @@ def _is_trivial(piece: SampledCurve, g: Callable[[Point], float], tol: float) ->
         if distance(piece.space, anchor, p) > tol or g(p) > 1e-12:
             return False
     return True
-
-
-def _build_core(
-    f_h: FunctionalSpec,
-    space: SpaceHandle,
-    gamma: SampledCurve,
-    x0h: Point,
-    x1h: Point,
-    x0: Point,
-    x1: Point,
-    tau: float,
-    use_flow: bool,
-) -> tuple:
-    """The shared five-piece assembly; returns the ordered piece list."""
-    phi_t = _phi_times(tau)
-
-    # the flow map reuses the entry-piece grid so that junction points are
-    # produced by the identical discrete computation on both sides
-    def regularize(p: Point) -> Point:
-        if use_flow:
-            return flow_times(f_h, space, p, phi_t * tau).end
-        return resolvent(f_h, space, tau, p).point
-
-    for name, pt in (("start", x0h), ("end", x1h)):
-        s = descending_slope(f_h, space, pt)
-        if not math.isfinite(s):
-            raise PreconditionError(
-                f"{name} endpoint has infinite slope; this construction needs "
-                "bounded endpoint slopes (use the vanishing mode instead)"
-            )
-
-    def entry_piece(anchor: Point) -> SampledCurve:
-        if use_flow:
-            traj = flow_times(f_h, space, anchor, phi_t * tau)
-            pts = traj.points
-        else:
-            pts = [anchor] + [
-                resolvent(f_h, space, float(s * tau), anchor).point for s in phi_t[1:]
-            ]
-        return SampledCurve(phi_t, pts, space)
-
-    def repair_piece(a: Point, b: Point) -> Optional[SampledCurve]:
-        d = distance(space, a, b)
-        if d <= ENDPOINT_TOL:
-            return None
-        n = max(2, int(math.ceil(d / DELTA_S)))
-        base = geodesic_curve(space, a, b, n)
-        return base.mapped(regularize)
-
-    d0 = distance(space, x0h, x0)
-    d1 = distance(space, x1h, x1)
-
-    phi0 = entry_piece(x0h)
-    psi0 = repair_piece(x0h, x0)
-    mid = gamma.mapped(regularize)
-    psi1 = repair_piece(x1h, x1)
-    phi1 = entry_piece(x1h).reversed_time()
-
-    pieces = [Piece(phi0, tau, "entry")]
-    if psi0 is not None:
-        pieces.append(Piece(psi0, d0, "repair_start"))
-    pieces.append(Piece(mid, 1.0, "middle"))
-    if psi1 is not None:
-        pieces.append(Piece(psi1.reversed_time(), d1, "repair_end"))
-    pieces.append(Piece(phi1, tau, "exit"))
-    return pieces
-
-
-def _assemble(pieces, f_h, space, tau) -> RecoveryOutput:
-    g = functools.partial(slope_squared, f_h, space)
-    kept = []
-    for p in pieces:
-        if p.label != "middle" and _is_trivial(p.curve, g, ENDPOINT_TOL):
-            continue
-        kept.append(p)
-    total_duration = sum(p.duration for p in kept)
-    curve = concatenate_rescale(kept, endpoint_tol=1e-8)
-    diags = []
-    for p in kept:
-        K, P = _piece_integrals(p.curve, p.duration, g)
-        diags.append(
-            PieceDiagnostics(p.label, p.duration, K, P, total_duration * K + P / total_duration)
-        )
-    return RecoveryOutput(curve, kept, tau, {"pieces": diags})
-
-
-def _resolve_tau(cfg: RecoveryConfig, f_h: FunctionalSpec, h: int, d0: float, d1: float) -> float:
-    if cfg.tau_schedule is not None:
-        tau = cfg.tau_schedule(h)
-    else:
-        tau = default_tau_schedule(h, d0, d1, f_h.lam)
-    return min(tau, tau_cap(f_h.lam))
 
 
 def estimated_entry_constant(f_h, space, x0h, x1h, tau, use_flow: bool) -> float:
@@ -279,9 +196,48 @@ def build_recovery(
         x0h, x1h = ride0.end, ride1.end
     use_flow = cfg.mode is not RecoveryMode.RESOLVENT
     d0, d1 = distance(space, x0h, x0), distance(space, x1h, x1)
-    tau = _resolve_tau(cfg, f_h, h, d0, d1)
-    pieces = _build_core(f_h, space, cfg.base_curve, x0h, x1h, x0, x1, tau, use_flow)
+    tau = default_tau_schedule(h, d0, d1, f_h.lam) if cfg.tau is None else cfg.tau
+    tau = min(tau, tau_cap(f_h.lam))
+    phi_t = _phi_times(tau)
+
+    for name, pt in (("start", x0h), ("end", x1h)):
+        if not math.isfinite(descending_slope(f_h, space, pt)):
+            raise PreconditionError(
+                f"{name} endpoint has infinite slope; this construction needs "
+                "bounded endpoint slopes (use the vanishing mode instead)"
+            )
+
+    # the flow map reuses the entry-piece grid so that junction points are
+    # produced by the identical discrete computation on both sides
+    def regularize(p: Point) -> Point:
+        if use_flow:
+            return flow_times(f_h, space, p, phi_t * tau).end
+        return resolvent(f_h, space, tau, p).point
+
+    def entry_piece(anchor: Point) -> SampledCurve:
+        if use_flow:
+            pts = flow_times(f_h, space, anchor, phi_t * tau).points
+        else:
+            pts = [anchor] + [
+                resolvent(f_h, space, float(s * tau), anchor).point for s in phi_t[1:]
+            ]
+        return SampledCurve(phi_t, pts, space)
+
+    def repair_piece(a: Point, b: Point, d: float) -> SampledCurve:
+        n = max(2, int(math.ceil(d / DELTA_S)))
+        return geodesic_curve(space, a, b, n).mapped(regularize)
+
+    pieces = [Piece(entry_piece(x0h), tau, "entry")]
+    if d0 > ENDPOINT_TOL:
+        pieces.append(Piece(repair_piece(x0h, x0, d0), d0, "repair_start"))
+    pieces.append(Piece(cfg.base_curve.mapped(regularize), 1.0, "middle"))
+    if d1 > ENDPOINT_TOL:
+        pieces.append(Piece(repair_piece(x1h, x1, d1).reversed_time(), d1, "repair_end"))
+    pieces.append(Piece(entry_piece(x1h).reversed_time(), tau, "exit"))
     if vanishing:
         ride_out = Piece(ride1.reversed_time(), t1, "ride_out")
         pieces = [Piece(ride0, t0, "ride_in")] + pieces + [ride_out]
-    return _assemble(pieces, f_h, space, tau)
+
+    g = functools.partial(slope_squared, f_h, space)
+    kept = [p for p in pieces if p.label == "middle" or not _is_trivial(p.curve, g, ENDPOINT_TOL)]
+    return RecoveryOutput(concatenate_rescale(kept, endpoint_tol=1e-8), kept, tau, f_h)

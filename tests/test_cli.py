@@ -219,6 +219,29 @@ def test_cli_missing_key_exits_2_with_one_line(tmp_path, capsys, command, cfg, k
 
 
 @pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "h_list": 5}, "h_list"),
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "space": {"kind": "euclidean", "dim": "two"}},
+         "dim"),
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "tolerances": {"margin": "big"}}, "margin"),
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "family": "quadratic"}, "family"),
+        (["gamma", "example2"], {"h_list": [0]}, "h_list"),
+        (["flow"], {"space": {"kind": "tripod"}, "functional": {"name": "quadratic"}, "x": [0, 0.5]},
+         "center"),
+    ],
+    ids=["h_list_int", "dim_string", "margin_string", "family_string", "h_list_zero", "tripod_center"],
+)
+def test_cli_wrong_type_exits_2_with_one_line(tmp_path, capsys, command, cfg, key):
+    path = write_json(tmp_path / "cfg.json", cfg)
+    rc = main(command + ["--config", path, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("metric-action-lab: ") and key in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "command, make_cfg",
     [
         (["gamma", "positive"], lambda p: {**_HALF_LINE_X0_LAW, "base_curve": {"type": "csv", "path": p}}),

@@ -1,7 +1,9 @@
+import copy
 import json
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +224,77 @@ def test_experiment_config_vanishing_needs_base_and_eps_law(family, extra):
            "h_list": [2, 4], "mode": "vanishing", **extra}
     with pytest.raises(ConfigError, match="eps_law"):
         ExperimentConfig.from_dict(obj)
+
+
+def test_readme_experiment_config_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Experiment config (JSON)", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = ExperimentConfig.from_dict(json.loads(block))
+    assert cfg.h_list == [8, 16, 32, 64] and cfg.n_intervals == 64
+
+
+_VALID_CONFIG = {
+    "space": {"kind": "euclidean", "dim": 1},
+    "family": {"name": "quadratic", "params": {"center": 0.0, "lam": 1.0},
+               "scale_law": "1 + 1/h", "limit": None, "scale_limit": 1.0},
+    "x0": 0.0,
+    "x1": [1.0],
+    "x0_law": "1/h",
+    "x1_law": ["1"],
+    "h_list": [8, 16],
+    "mode": "resolvent",
+    "eps_law": "1/h",
+    "base_curve": {"type": "geodesic", "N": 8},
+    "discretization": {"N": 8},
+    "tolerances": {"margin": 0.05, "d_inf_tol": 0.02, "slope_cap": 10.0},
+    "seed": 0,
+}
+
+
+def _value_paths(value, path=()):
+    """Every key path of a JSON value, nested keys and list indices included."""
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for k, v in items:
+        yield path + (k,)
+        yield from _value_paths(v, path + (k,))
+
+
+# integers stay small, so that no replaced value builds a huge space or grid
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-3, max_value=64)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+    | st.sampled_from(["euclidean", "half_line", "tripod", "quantile_1d", "quadratic", "zero",
+                       "example1", "example2", "linear", "flow", "vanishing", "1/h"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["kind", "dim", "grid_size", "edge_lengths", "name", "params", "center",
+                         "lam", "eps", "h", "c", "type", "N"]) | st.text(max_size=4),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_value_paths(_VALID_CONFIG))), _json_values)
+def test_experiment_config_raises_only_documented_errors(path, value):
+    obj = copy.deepcopy(_VALID_CONFIG)
+    parent = obj
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = value
+    try:
+        ExperimentConfig.from_dict(obj)
+    except (ConfigError, DomainError):
+        pass
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from metric_action_lab.recovery import (
     build_recovery,
     default_tau_schedule,
     estimated_entry_constant,
+    piece_diagnostics,
     tau_cap,
 )
 
@@ -37,12 +39,12 @@ def cfg_for(gamma, x0_fn, x1_fn, mode=RecoveryMode.RESOLVENT, tau=None):
         base_curve=gamma,
         x0_seq=x0_fn,
         x1_seq=x1_fn,
-        tau_schedule=(None if tau is None else (lambda h: tau)),
+        tau=tau,
     )
 
 
 def piece_by_label(out, label):
-    return next(p for p in out.diagnostics["pieces"] if p.label == label)
+    return next(p for p in piece_diagnostics(out) if p.label == label)
 
 
 # --------------------------------------------------------------------------
@@ -149,6 +151,39 @@ def test_uniform_closeness_table_decreasing_diagonal():
     assert all(b < a for a, b in zip(diag, diag[1:]))
 
 
+def counting_quadratic():
+    """``QUAD`` with its closed forms, whose slope records every call."""
+    calls = []
+
+    def slope(x):
+        calls.append(x)
+        return QUAD.closed_form_slope(x)
+
+    return replace(QUAD, closed_form_slope=slope), calls
+
+
+@pytest.mark.parametrize("mode", [RecoveryMode.RESOLVENT, RecoveryMode.FLOW])
+def test_build_recovery_evaluates_only_the_slopes_it_needs(mode):
+    # two endpoint checks, then one per droppable piece, whose first node has
+    # a non-zero slope; the per-piece integrals are piece_diagnostics' work
+    f, calls = counting_quadratic()
+    cfg = cfg_for(unit_line(8), lambda h: E1.point(1.0 / h), lambda h: E1.point(1.0 + 1.0 / h),
+                  mode=mode)
+    out = build_recovery(f, cfg, 8)
+    assert [p.label for p in out.pieces] == ["entry", "repair_start", "middle", "repair_end", "exit"]
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("mode", list(RecoveryMode))
+def test_piece_contributions_sum_to_the_action(mode):
+    cfg = cfg_for(unit_line(16), lambda h: E1.point(1.0 / h), lambda h: E1.point(1.0 + 1.0 / h),
+                  mode=mode)
+    out = build_recovery(QUAD, cfg, 8, eps=lambda h: 1.0 / h)
+    total = sum(p.contribution for p in piece_diagnostics(out))
+    av = action(out.curve, out.functional, out.curve.start, out.curve.end)
+    assert total == pytest.approx(av.total, rel=1e-12)
+
+
 # --------------------------------------------------------------------------
 # flow mode
 # --------------------------------------------------------------------------
@@ -215,7 +250,7 @@ def test_vanishing_recovery_quadratic_side_pieces_shrink():
         )
         out = build_recovery(QUAD, cfg, h, eps=lambda _h: 1.0 / _h)
         eps = 1.0 / h
-        ride = [p for p in out.diagnostics["pieces"] if p.label.startswith("ride")]
+        ride = [p for p in piece_diagnostics(out) if p.label.startswith("ride")]
         total = sum(p.contribution for p in ride)
         rides.append(total)
         assert distance(E1, out.curve.start, E1.point(0.0)) <= 1e-9
@@ -254,7 +289,7 @@ def test_vanishing_recovery_inverse_square_succeeds():
         )
         out = build_recovery(f, cfg, h, eps=lambda _h, e=eps: e)
         assert distance(HL, out.curve.start, HL.point(math.sqrt(eps))) <= 1e-9
-        entry = [p for p in out.diagnostics["pieces"] if p.label in ("entry", "exit")]
+        entry = [p for p in piece_diagnostics(out) if p.label in ("entry", "exit")]
         costs[eps] = {
             "entry": sum(p.contribution for p in entry),
             "ride_in": piece_by_label(out, "ride_in").kinetic,
