@@ -58,7 +58,14 @@ from .harness import (
     space_from_config,
     write_json,
 )
-from .laws import config_h_list, config_number, config_object, config_point, parse_law
+from .laws import (
+    config_bool,
+    config_h_list,
+    config_number,
+    config_object,
+    config_point,
+    parse_law,
+)
 from .proximal import (
     check_bound_chain,
     check_resolvent_identity,
@@ -326,7 +333,7 @@ def cmd_gamma(args) -> int:
                 n_certificate=n_certificate,
                 n_search=config_number(disc.get("N", 64), "N", int),
                 margin=margin,
-                with_optimizer=bool(cfg.get("with_optimizer", True)),
+                with_optimizer=config_bool(cfg.get("with_optimizer", True), "with_optimizer"),
             )
         emit_report(report, out, f"gamma_{sub}")
         print(f"verdict: {report.verdict.value}")

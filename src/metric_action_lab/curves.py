@@ -10,9 +10,14 @@ and it is infinite when the endpoints miss their prescribed anchors beyond
 ``ENDPOINT_TOL`` or when any node has infinite slope, which every node
 outside the effective domain of ``f`` has.
 
-``minimize_action`` runs coarse-to-fine sweeps of node-wise minimization
-with a bracketing grid plus golden-section refinement, which copes with the
-piecewise potentials in the catalogue.
+``minimize_action`` picks its solver by geometry.  On the flat spaces
+(Euclidean and quantile) it takes projected Newton steps on the whole curve:
+the kinetic Hessian is exactly tridiagonal in the nodes, and the potential
+adds one central-difference block per node.  On the half-line, whose
+catalogue slopes are discontinuous, kinked or singular, and on the tripod,
+which is not flat, it runs coarse-to-fine sweeps of node-wise minimization
+with a bracketing grid plus golden-section refinement.  Both report
+``sweeps``, ``converged`` and ``residual`` in their ``info``.
 """
 
 from __future__ import annotations
@@ -28,11 +33,13 @@ import numpy as np
 
 from .errors import ConcatenationError, DomainError, InitializationError
 from .functionals import INF, FunctionalSpec, descending_slope, slope_squared
-from .proximal import grid_golden, numeric_grad, per_edge_golden
-from .spaces import Point, SpaceHandle, SpaceKind, distance, geodesic_point
+from .proximal import grid_golden, per_edge_golden
+from .spaces import Point, SpaceHandle, SpaceKind, distance, geodesic_point, isotonic_repair
 
 ENDPOINT_TOL = 1e-9
-GAIN_TOL = 1e-10        # a sweep that gains less than this ends the search
+GAIN_TOL = 1e-10        # a sweep that gains less than this ends a node-wise search
+RESIDUAL_TOL = 1e-9     # a search whose residual falls below this has converged
+FD_STEP = 1e-5          # relative central-difference step of the flat-space Newton
 
 
 @dataclass
@@ -217,43 +224,12 @@ def _local_objective(space, g, p_prev, p_next, dt0, dt1, w):
     return val
 
 
-def _update_node_1d(space, local, p: Point, p_prev: Point, p_next: Point, span: float):
-    lo = min(p_prev.coords[0], p_next.coords[0], p.coords[0]) - span
+def _update_node_half_line(local, p: Point, p_prev: Point, p_next: Point, span: float):
+    lo = max(min(p_prev.coords[0], p_next.coords[0], p.coords[0]) - span, 0.0)
     hi = max(p_prev.coords[0], p_next.coords[0], p.coords[0]) + span
-    if space.kind is SpaceKind.HALF_LINE:
-        lo = max(lo, 0.0)
-    mk = lambda v: Point(space.kind, (v,))
+    mk = lambda v: Point(SpaceKind.HALF_LINE, (v,))
     v, value, _, _ = grid_golden(lambda u: local(mk(u)), lo, hi)
     return mk(v), value
-
-
-def _update_node_vector(space, local, p: Point, span: float):
-    coords = np.array(p.coords)
-    val = local(p)
-    step = span
-
-    def at(c):
-        return space.project(tuple(c))
-
-    for _ in range(12):
-        g = numeric_grad(lambda c: local(at(c)), coords)
-        if g is None:
-            return p, val
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-13:
-            break
-        s, improved = step, False
-        for _ in range(25):
-            cand = at(coords - s * g / gn)
-            v = local(cand)
-            if v < val - 1e-15:
-                coords, val, improved = np.array(cand.coords), v, True
-                step = min(2 * s, 4 * span)
-                break
-            s *= 0.5
-        if not improved:
-            break
-    return at(coords), val
 
 
 def _update_node_tripod(space, local, p: Point):
@@ -281,32 +257,52 @@ def minimize_action(
 ) -> tuple:
     """Search for a low-action curve joining ``x0`` to ``x1``.
 
-    ``N`` is the number of intervals of the final grid.  The search runs
-    node-wise sweeps (a minimization per interior node along the space) on a
-    coarse grid first, refining by geodesic midpoint insertion until the
-    requested resolution is reached.  Returns ``(curve, ActionValue, info)``.
+    ``N`` is the number of intervals of the final grid; the search starts
+    from ``init`` resampled to ``N`` intervals, or from the geodesic.  The
+    solver depends on the geometry:
+
+    * Euclidean and quantile spaces (flat): projected Newton steps on the
+      whole curve, at most ``max_iter`` of them (see ``_newton_flat``);
+    * half-line and tripod: node-wise sweeps (a minimization per interior
+      node along the space), on a coarse grid first when there is no
+      ``init``, refining by geodesic resampling up to ``N`` intervals; the
+      last grid gets at most ``max_iter`` sweeps.
+
+    Returns ``(curve, ActionValue, info)``.  ``info["sweeps"]`` counts the
+    Newton steps or the sweeps.  ``info["residual"]`` is the largest
+    coordinate move of the full projected Newton step at the returned curve
+    (flat) or the largest node move of the last sweep (node-wise), and
+    ``info["converged"]`` says that it is below ``RESIDUAL_TOL``.  A sweep
+    search that ends because the last sweep gained less than ``GAIN_TOL``
+    has not converged.  An unconverged search still returns its best curve.
     """
-    g = functools.partial(slope_squared, f, space)
+    flat = space.kind in (SpaceKind.EUCLIDEAN, SpaceKind.QUANTILE_1D)
+    levels = [N]
     if init is not None:
         if not math.isfinite(action(init, f, x0, x1).total):
             raise InitializationError("initial curve has infinite action")
-        levels = [N]
         cur = resample_curve(init, N)
     else:
-        levels = [N]
-        while levels[0] > 8:
+        while not flat and levels[0] > 8:
             levels.insert(0, (levels[0] + 1) // 2)
         cur = geodesic_curve(space, x0, x1, levels[0])
         if not math.isfinite(action(cur, f, x0, x1).total):
             raise InitializationError("geodesic initialization has infinite action")
+    if flat:
+        return _newton_flat(f, space, x0, x1, cur, max_iter)
+    return _sweep_nodes(f, space, x0, x1, cur, levels, max_iter)
 
+
+def _sweep_nodes(f, space, x0, x1, cur, levels, max_iter):
+    """Coarse-to-fine node-wise sweeps on the half-line and the tripod."""
+    g = functools.partial(slope_squared, f, space)
     span0 = max(distance(space, x0, x1), 1.0)
     sweeps_done = 0
-    last_gain = INF
-    for li, n_level in enumerate(levels):
+    moved = INF
+    for n_level in levels:
         if len(cur.points) - 1 != n_level:
             cur = resample_curve(cur, n_level)
-        level_sweeps = max_iter if n_level >= N else 80
+        level_sweeps = max_iter if n_level >= levels[-1] else 80
         span = max(0.5 * span0 / n_level, 1e-4)
         prev_total = action(cur, f, x0, x1).total
         for sweep in range(level_sweeps):
@@ -319,26 +315,168 @@ def minimize_action(
                 dt1 = times[i + 1] - times[i]
                 w = 0.5 * (dt0 + dt1)
                 local = _local_objective(space, g, pts[i - 1], pts[i + 1], dt0, dt1, w)
-                if space.kind is SpaceKind.HALF_LINE or (
-                    space.kind is SpaceKind.EUCLIDEAN and space.dim == 1
-                ):
-                    newp, newv = _update_node_1d(space, local, pts[i], pts[i - 1], pts[i + 1], 4 * span)
-                elif space.kind is SpaceKind.TRIPOD:
-                    newp, newv = _update_node_tripod(space, local, pts[i])
+                if space.kind is SpaceKind.HALF_LINE:
+                    newp, newv = _update_node_half_line(local, pts[i], pts[i - 1], pts[i + 1], 4 * span)
                 else:
-                    newp, newv = _update_node_vector(space, local, pts[i], span)
+                    newp, newv = _update_node_tripod(space, local, pts[i])
                 if newv <= local(pts[i]):
                     moved = max(moved, distance(space, pts[i], newp))
                     pts[i] = newp
             total = action(cur, f, x0, x1).total
             last_gain = prev_total - total
             prev_total = total
-            if moved < 1e-9 or (sweep > 3 and last_gain < GAIN_TOL):
+            if moved < RESIDUAL_TOL or (sweep > 3 and last_gain < GAIN_TOL):
                 break
 
     final = action(cur, f, x0, x1)
-    info = {"sweeps": sweeps_done, "last_gain": last_gain, "n_intervals": len(cur.points) - 1}
+    info = {"sweeps": sweeps_done, "converged": moved < RESIDUAL_TOL, "residual": moved}
     return cur, final, info
+
+
+def _newton_flat(f, space, x0, x1, cur, max_iter):
+    """Projected Newton on the whole curve of a Euclidean or quantile space.
+
+    The curve is an ``(N+1, d)`` coordinate array.  A step solves the
+    Newton system of the discrete action once (see ``_newton_step``),
+    projects each node with ``space.project`` and halves its length until
+    ``action`` does not rise.  The residual is the largest coordinate move of
+    the full projected step at the current curve, which is zero exactly at a
+    stationary curve.  The search stops when it falls below
+    ``RESIDUAL_TOL``, after ``max_iter`` steps, or when no step length keeps
+    the action from rising.
+    """
+    g = functools.partial(slope_squared, f, space)
+    m = space.grid_size if space.kind is SpaceKind.QUANTILE_1D else 1
+    value = action(cur, f, x0, x1).total
+    steps, residual = 0, 0.0
+    while len(cur.points) > 2:
+        X = np.array([p.coords for p in cur.points])
+        step = _newton_step(g, space, X, cur.times, m)
+        residual = max(
+            float(np.max(np.abs(x - space.project(x - dx).coords))) for x, dx in zip(X[1:-1], step)
+        )
+        if not (residual >= RESIDUAL_TOL and steps < max_iter):
+            break
+        for _ in range(40):
+            inner = [space.project(row) for row in X[1:-1] - step]
+            candidate = SampledCurve(cur.times, [cur.start, *inner, cur.end], space)
+            total = action(candidate, f, x0, x1).total
+            if total <= value:
+                break
+            step = 0.5 * step
+        else:
+            break
+        cur, value = candidate, total
+        steps += 1
+    final = action(cur, f, x0, x1)
+    info = {"sweeps": steps, "converged": residual < RESIDUAL_TOL, "residual": residual}
+    return cur, final, info
+
+
+def _newton_step(g, space: SpaceHandle, X: np.ndarray, times: np.ndarray, m: int) -> np.ndarray:
+    """Newton step ``(N-1, d)`` of the discrete action at the interior nodes.
+
+    The kinetic part ``sum_k |x_{k+1} - x_k|^2 / (m dt_k)`` has an exact
+    gradient and a Hessian that is block tridiagonal in the nodes, with
+    couplings ``c_k = 2 / (m dt_k)``.  The potential ``sum_k w_k g(x_k)``
+    adds a ``d x d`` block per node from central differences, its negative
+    eigenvalues clipped to zero so that the step descends.  On quantile
+    vectors a node moves in the span of its ``_face_basis``; the reduced
+    system keeps the block-tridiagonal form and is solved once.
+    """
+    X_in = X[1:-1]
+    n, d = X_in.shape
+    dts = np.diff(times)
+    c = 2.0 / (m * dts)
+    w = node_weights(dts)[1:-1]
+    pot_grad, pot_hess = _potential_derivatives(g, space.kind, X_in)
+    G = c[:-1, None] * (X_in - X[:-2]) + c[1:, None] * (X_in - X[2:]) + w[:, None] * pot_grad
+    vals, vecs = np.linalg.eigh(w[:, None, None] * pot_hess)
+    blocks = (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.transpose(0, 2, 1)
+    blocks += (c[:-1] + c[1:])[:, None, None] * np.eye(d)
+    if space.kind is SpaceKind.QUANTILE_1D:
+        bases = [_face_basis(x, grad) for x, grad in zip(X_in, G)]
+    else:
+        bases = [np.eye(d)] * n
+    z = _solve_block_tridiagonal(
+        [b.T @ block @ b for b, block in zip(bases, blocks)],
+        [-c[i + 1] * bases[i].T @ bases[i + 1] for i in range(n - 1)],
+        [b.T @ grad for b, grad in zip(bases, G)],
+    )
+    return np.array([b @ zi for b, zi in zip(bases, z)])
+
+
+def _solve_block_tridiagonal(diag: list, upper: list, rhs: list) -> list:
+    """Block Thomas algorithm for a symmetric positive definite system.
+
+    ``diag[i]`` is the diagonal block of node ``i``, ``upper[i]`` couples
+    node ``i`` to node ``i + 1`` (blocks may be rectangular) and ``rhs[i]``
+    is the right-hand side of node ``i``.
+    """
+    n = len(diag)
+    factors, partial = [], []
+    for i in range(n):
+        A, b = diag[i], rhs[i]
+        if i:
+            A = A - upper[i - 1].T @ factors[i - 1]
+            b = b - upper[i - 1].T @ partial[i - 1]
+        if i < n - 1:
+            factors.append(np.linalg.solve(A, upper[i]))
+        partial.append(np.linalg.solve(A, b))
+    x = partial[:]
+    for i in range(n - 2, -1, -1):
+        x[i] = partial[i] - factors[i] @ x[i + 1]
+    return x
+
+
+def _potential_derivatives(g, kind: SpaceKind, X: np.ndarray):
+    """Central-difference gradient ``(n, d)`` and Hessian ``(n, d, d)`` of
+    ``g`` at each row of ``X``."""
+    n, d = X.shape
+    grad, hess = np.zeros((n, d)), np.zeros((n, d, d))
+    at = lambda x: g(Point(kind, tuple(float(v) for v in x)))
+    for i, x in enumerate(X):
+        h = FD_STEP * np.maximum(np.abs(x), 1.0)
+        e = np.diag(h)
+        g0 = at(x)
+        for j in range(d):
+            gp, gm = at(x + e[j]), at(x - e[j])
+            grad[i, j] = (gp - gm) / (2.0 * h[j])
+            hess[i, j, j] = (gp - 2.0 * g0 + gm) / (h[j] * h[j])
+            for k in range(j):
+                hess[i, j, k] = hess[i, k, j] = (
+                    at(x + e[j] + e[k]) - at(x + e[j] - e[k])
+                    - at(x - e[j] + e[k]) + at(x - e[j] - e[k])
+                ) / (4.0 * h[j] * h[k])
+    return grad, hess
+
+
+def _face_basis(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Columns ``(d, r)`` spanning the moves of a quantile node ``x`` that
+    keep its binding ties.
+
+    A run of equal coordinates splits into the pools that the isotonic
+    projection of ``-grad`` restricted to the run forms: a descent step
+    would pull those coordinates out of order, so each pool moves as one
+    coordinate.  Untied coordinates move alone.
+    """
+    d = len(x)
+    cols = []
+    j = 0
+    while j < d:
+        k = j + 1
+        while k < d and x[k] == x[j]:
+            k += 1
+        pooled = isotonic_repair(-grad[j:k])
+        start = j
+        for r in range(j + 1, k + 1):
+            if r == k or pooled[r - j] != pooled[r - j - 1]:
+                col = np.zeros(d)
+                col[start:r] = 1.0
+                cols.append(col)
+                start = r
+        j = k
+    return np.array(cols).T
 
 
 # --------------------------------------------------------------------------

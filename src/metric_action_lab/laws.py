@@ -126,14 +126,26 @@ def config_object(value, key: str) -> ConfigObject:
 def config_number(value, key: str, kind=float):
     """``kind(value)`` for the config value under ``key``.
 
-    Raises ``ConfigError`` unless ``value`` is a number, and an integer when
-    ``kind`` is ``int``; a boolean is neither.
+    Raises ``ConfigError`` unless ``value`` is a finite number (JSON's
+    ``NaN`` and ``Infinity`` are not), and an integer when ``kind`` is
+    ``int``; a boolean is neither.
     """
     wanted = numbers.Integral if kind is int else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, wanted):
-        what = "an integer" if kind is int else "a number"
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, wanted)
+        or not (isinstance(value, numbers.Integral) or math.isfinite(value))
+    ):
+        what = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
     return kind(value)
+
+
+def config_bool(value, key: str) -> bool:
+    """The config value under ``key``, which must be JSON ``true`` or ``false``."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+    return value
 
 
 def as_coords(v):

@@ -229,8 +229,13 @@ def test_cli_missing_key_exits_2_with_one_line(tmp_path, capsys, command, cfg, k
         (["gamma", "example2"], {"h_list": [0]}, "h_list"),
         (["flow"], {"space": {"kind": "tripod"}, "functional": {"name": "quadratic"}, "x": [0, 0.5]},
          "center"),
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "tolerances": {"margin": math.nan}}, "margin"),
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "tolerances": {"margin": math.inf}}, "margin"),
+        (["gamma", "example2"], {"h_list": [4], "with_optimizer": "no"}, "with_optimizer"),
+        (["gamma", "example2"], {"h_list": [4], "with_optimizer": 1}, "with_optimizer"),
     ],
-    ids=["h_list_int", "dim_string", "margin_string", "family_string", "h_list_zero", "tripod_center"],
+    ids=["h_list_int", "dim_string", "margin_string", "family_string", "h_list_zero", "tripod_center",
+         "margin_nan", "margin_infinity", "with_optimizer_string", "with_optimizer_int"],
 )
 def test_cli_wrong_type_exits_2_with_one_line(tmp_path, capsys, command, cfg, key):
     path = write_json(tmp_path / "cfg.json", cfg)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from metric_action_lab import distance, euclidean, half_line, quantile_1d
 from metric_action_lab.curves import (
+    RESIDUAL_TOL,
     Piece,
     SampledCurve,
     action,
@@ -29,6 +30,7 @@ from metric_action_lab.functionals import (
     zero_functional,
 )
 from metric_action_lab.proximal import resolvent
+from metric_action_lab.spaces import Point, SpaceKind
 
 HL = half_line()
 E1 = euclidean(1)
@@ -323,6 +325,55 @@ def test_minimize_action_vector_quadratic_closed_form(space, u0, u1, unit):
     exact = lam * ((a @ a + b @ b) * math.cosh(lam) - 2.0 * (a @ b)) / math.sinh(lam)
     assert val.total == pytest.approx(exact, rel=1.0 / n**2)
     assert val.total < action(geodesic_curve(space, x0, x1, n), f, x0, x1).total
+
+
+def test_minimize_action_e1_matches_direct_tridiagonal_solve():
+    # the discrete action of the E^1 quadratic is a quadratic form: its
+    # minimizer solves (2/dt)(2x_i - x_{i-1} - x_{i+1}) + 2 dt x_i = 0 with
+    # x_0 = 0, x_N = 1, a tridiagonal system (Thomas algorithm below)
+    n = 64
+    dt = 1.0 / n
+    diag, off = 4.0 / dt + 2.0 * dt, -2.0 / dt
+    rhs = np.zeros(n - 1)
+    rhs[-1] = 2.0 / dt
+    c, d = np.zeros(n - 1), np.zeros(n - 1)
+    c[0], d[0] = off / diag, rhs[0] / diag
+    for i in range(1, n - 1):
+        denom = diag - off * c[i - 1]
+        c[i], d[i] = off / denom, (rhs[i] - off * d[i - 1]) / denom
+    x = np.zeros(n + 1)
+    x[-1] = 1.0
+    for i in range(n - 2, -1, -1):
+        x[i + 1] = d[i] - (c[i] * x[i + 2] if i < n - 2 else 0.0)
+    weights = np.full(n + 1, dt)
+    weights[0] = weights[-1] = dt / 2.0
+    direct = float(np.sum(np.diff(x) ** 2) / dt + np.sum(weights * x**2))
+    assert direct == pytest.approx(1.3130827212, abs=1e-10)
+
+    curve, val, info = minimize_action(QUAD, E1, E1.point(0.0), E1.point(1.0), n)
+    assert val.total == pytest.approx(direct, rel=1e-12)
+    assert info["converged"] and info["residual"] < RESIDUAL_TOL
+    assert max(abs(p.coords[0] - v) for p, v in zip(curve.points, x)) <= 1e-9
+
+
+def test_minimize_action_quantile_binding_order_constraint():
+    # a potential pulling the first quantile up and the second down: the
+    # free minimizer would cross them, so the order constraint binds
+    q2 = quantile_1d(2)
+    f = quadratic(q2, Point(SpaceKind.QUANTILE_1D, (1.0, -1.0)), 2.0)
+    a = q2.point(0.0, 0.1)
+    curve, val, info = minimize_action(f, q2, a, a, 32)
+    assert all(p.coords[0] <= p.coords[1] for p in curve.points)
+    assert any(p.coords[0] == p.coords[1] for p in curve.points)
+    assert val.total < action(geodesic_curve(q2, a, a, 32), f, a, a).total
+    assert info["converged"]
+
+
+def test_minimize_action_reports_stop_before_convergence():
+    f = ramp(16.0)
+    _, _, info = minimize_action(f, HL, HL.point(0.0), HL.point(1.0), 64, max_iter=2)
+    assert info["sweeps"] > 2  # the coarse grids got their own sweeps
+    assert not info["converged"] and info["residual"] >= RESIDUAL_TOL
 
 
 def test_minimize_action_never_beats_certificate():
