@@ -132,7 +132,7 @@ def _catalogue_for(space_name, sp):
     elif space_name == "tripod":
         out.append(("quadratic", quadratic(sp, sp.point(0, 0.5), 1.0)))
     else:
-        out.append(("quadratic", quadratic(sp, sp.point(*range(sp.grid_size)), 1.0)))
+        out.append(("quadratic", quadratic(sp, sp.point(*range(sp.dim)), 1.0)))
     return out
 
 

@@ -346,12 +346,11 @@ def _newton_flat(f, space, x0, x1, cur, max_iter):
     the action from rising.
     """
     g = functools.partial(slope_squared, f, space)
-    m = space.grid_size if space.kind is SpaceKind.QUANTILE_1D else 1
     value = action(cur, f, x0, x1).total
     steps, residual = 0, 0.0
     while len(cur.points) > 2:
         X = np.array([p.coords for p in cur.points])
-        step = _newton_step(g, space, X, cur.times, m)
+        step = _newton_step(g, space, X, cur.times)
         residual = max(
             float(np.max(np.abs(x - space.project(x - dx).coords))) for x, dx in zip(X[1:-1], step)
         )
@@ -373,12 +372,12 @@ def _newton_flat(f, space, x0, x1, cur, max_iter):
     return cur, final, info
 
 
-def _newton_step(g, space: SpaceHandle, X: np.ndarray, times: np.ndarray, m: int) -> np.ndarray:
+def _newton_step(g, space: SpaceHandle, X: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Newton step ``(N-1, d)`` of the discrete action at the interior nodes.
 
-    The kinetic part ``sum_k |x_{k+1} - x_k|^2 / (m dt_k)`` has an exact
-    gradient and a Hessian that is block tridiagonal in the nodes, with
-    couplings ``c_k = 2 / (m dt_k)``.  The potential ``sum_k w_k g(x_k)``
+    The kinetic part ``sum_k |x_{k+1} - x_k|^2 / (m dt_k)``, ``m`` the
+    space's ``weight``, has an exact gradient and a Hessian that is block
+    tridiagonal in the nodes, with couplings ``c_k = 2 / (m dt_k)``.  The potential ``sum_k w_k g(x_k)``
     adds a ``d x d`` block per node from central differences, its negative
     eigenvalues clipped to zero so that the step descends.  On quantile
     vectors a node moves in the span of its ``_face_basis``; the reduced
@@ -387,7 +386,7 @@ def _newton_step(g, space: SpaceHandle, X: np.ndarray, times: np.ndarray, m: int
     X_in = X[1:-1]
     n, d = X_in.shape
     dts = np.diff(times)
-    c = 2.0 / (m * dts)
+    c = 2.0 / (space.weight * dts)
     w = node_weights(dts)[1:-1]
     pot_grad, pot_hess = _potential_derivatives(g, space.kind, X_in)
     G = c[:-1, None] * (X_in - X[:-2]) + c[1:, None] * (X_in - X[2:]) + w[:, None] * pot_grad

@@ -4,8 +4,8 @@ A trajectory is generated by iterating the resolvent at the step size:
 ``x_{k+1} = J_dt(x_k)``.  Each validator compares a discrete quantity with
 the corresponding continuous inequality and returns the residual; callers
 compare the residual against ``tolerance + slack(dt)`` where the slack is
-``5 * L * dt`` with a configurable local Lipschitz estimate ``L``
-(default 10).  The inequalities hold exactly only in the continuous limit,
+``5 * L * dt`` with the fixed local Lipschitz estimate ``L = 10``
+(``LIPSCHITZ``).  The inequalities hold exactly only in the continuous limit,
 so the slack keeps finite-step checks from producing false failures.
 """
 
@@ -21,11 +21,11 @@ from .functionals import FunctionalSpec, descending_slope, evaluate, lam_neg
 from .proximal import resolvent, tau_upper_limit
 from .spaces import Point, SpaceHandle, distance
 
-DEFAULT_LIPSCHITZ = 10.0
+LIPSCHITZ = 10.0
 
 
-def slack(dt: float, lipschitz: float = DEFAULT_LIPSCHITZ) -> float:
-    return 5.0 * lipschitz * dt
+def slack(dt: float) -> float:
+    return 5.0 * LIPSCHITZ * dt
 
 
 @dataclass

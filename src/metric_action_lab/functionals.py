@@ -149,10 +149,9 @@ def _sup_candidates(space: SpaceHandle, x: Point, radius: float, n_samples: int)
     k = space.kind
     out = []
     if k in (SpaceKind.EUCLIDEAN, SpaceKind.QUANTILE_1D):
-        dim = space.dim if k is SpaceKind.EUCLIDEAN else space.grid_size
-        unit = 1.0 if k is SpaceKind.EUCLIDEAN else math.sqrt(space.grid_size)
+        unit = math.sqrt(space.weight)
         n_dirs = max(2, n_samples // n_shells)
-        dirs = _directions(dim, n_dirs)
+        dirs = _directions(space.dim, n_dirs)
         base = np.array(x.coords)
         for r in radii:
             for u in dirs:
@@ -297,9 +296,7 @@ def descending_slope(
         if v > best:
             best, best_y = v, y
     if best_y is not None:
-        if space.kind is SpaceKind.QUANTILE_1D or (
-            space.kind is SpaceKind.EUCLIDEAN and space.dim > 1
-        ):
+        if space.kind in (SpaceKind.EUCLIDEAN, SpaceKind.QUANTILE_1D) and space.dim > 1:
             best = max(best, _polish_vector(f, space, x, fx, best_y, method.radius))
         best = max(best, _polish_ray(f, space, x, fx, best_y))
     return best
@@ -475,10 +472,12 @@ def build_functional(space: SpaceHandle, name: str, params: dict | None = None) 
             if not (isinstance(center, (list, tuple)) and len(center) == 2):
                 raise ConfigError(f"a tripod quadratic needs center [edge, offset], got {center!r}")
         elif not isinstance(center, (list, tuple)):
-            center = [center] * (space.dim if space.kind is SpaceKind.EUCLIDEAN else 1)
+            center = [center] * space.dim
+        elif len(center) != space.dim:
+            raise ConfigError(
+                f"config key 'center' must be a number or {space.dim} numbers, got {center!r}"
+            )
         center = [config_number(c, "center") for c in center]
-        if space.kind is SpaceKind.QUANTILE_1D and len(center) != space.grid_size:
-            center = center[:1] * space.grid_size
         return quadratic(space, space.point(*center), config_number(params.get("lam", 1.0), "lam"))
     if name == "example1":
         if space.kind is not SpaceKind.HALF_LINE:

@@ -41,6 +41,7 @@ from .spaces import Point, SpaceHandle, SpaceKind, distance, geodesic_point
 VALUE_TOL = 1e-10
 POINT_TOL = 1e-8
 MAX_ITER = 4000         # proximal-gradient iterations before the fallback
+CD_SWEEPS = 60          # sweeps of the coordinate-descent fallback
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -49,7 +50,6 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class ResolventResult:
     point: Point
     value: float
-    tau: float
     iterations: int
     residual: float
     method: str = ""
@@ -123,10 +123,11 @@ def per_edge_golden(g: Callable[[Point], float], space: SpaceHandle, tol: float)
     return out
 
 
-def expand_bracket(g: Callable[[float], float], x0: float, lo_bound: float, step: float = 1.0):
-    """Find [lo, hi] containing the minimizer of a convex scalar function."""
-    lo = max(lo_bound, x0 - step)
-    hi = x0 + step
+def expand_bracket(g: Callable[[float], float], x0: float, lo_bound: float):
+    """Find [lo, hi] containing the minimizer of a convex scalar function,
+    doubling the distance from ``x0`` of each end of [x0 - 1, x0 + 1]."""
+    lo = max(lo_bound, x0 - 1.0)
+    hi = x0 + 1.0
     for _ in range(80):
         if g(hi) >= g(max(hi - 1e-9 * max(abs(hi), 1.0), lo)):
             break
@@ -189,8 +190,6 @@ def _solve_vector(obj, f: FunctionalSpec, space: SpaceHandle, tau: float, x: Poi
     def fval(coords) -> float:
         return evaluate(f, space.project(tuple(coords)))
 
-    scale2 = space.grid_size if space.kind is SpaceKind.QUANTILE_1D else 1.0
-
     def full(coords) -> float:
         return obj(space.project(tuple(coords)))
 
@@ -202,7 +201,7 @@ def _solve_vector(obj, f: FunctionalSpec, space: SpaceHandle, tau: float, x: Poi
 
     def prox_step(z, s):
         # exact prox of the coupling term d(., x)^2 / (2 tau) in coordinates
-        w = s / (tau * scale2)
+        w = s / (tau * space.weight)
         out = (z + w * xv) / (1.0 + w)
         return np.array(space.project(tuple(out)).coords)
 
@@ -236,11 +235,11 @@ def _solve_vector(obj, f: FunctionalSpec, space: SpaceHandle, tau: float, x: Poi
     return space.project(tuple(y)), val, it
 
 
-def _coordinate_descent(full, y, val, sweeps: int = 60):
+def _coordinate_descent(full, y, val):
     y = np.array(y, dtype=float)
     n = 0
     span = np.ones(len(y))
-    for _ in range(sweeps):
+    for _ in range(CD_SWEEPS):
         moved = 0.0
         for i in range(len(y)):
             def g1(v):
@@ -275,7 +274,7 @@ def resolvent(
     obj = _objective(f, space, tau, x)
     if f.closed_form_prox is not None:
         u = f.closed_form_prox(tau, x)
-        return ResolventResult(u, obj(u), tau, 0, 0.0, method="closed_form")
+        return ResolventResult(u, obj(u), 0, 0.0, method="closed_form")
     if space.kind is SpaceKind.HALF_LINE:
         u, val, n = _solve_half_line(obj, x)
         method = "golden_section"
@@ -293,19 +292,16 @@ def resolvent(
     if gap > 1e-7:
         raise ConvergenceError(
             f"resolvent probe found improvement {gap:.2e}",
-            best=ResolventResult(u, val, tau, n, gap, method=method),
+            best=ResolventResult(u, val, n, gap, method=method),
         )
-    return ResolventResult(u, val, tau, n, gap, method=method)
+    return ResolventResult(u, val, n, gap, method=method)
 
 
 def _probe_points(space: SpaceHandle, u: Point, delta: float):
-    k = space.kind
-    if k is SpaceKind.HALF_LINE:
-        return [space.project((u.coords[0] + delta,)), space.project((u.coords[0] - delta,))]
-    if k is SpaceKind.TRIPOD:
+    if space.kind is SpaceKind.TRIPOD:
         pts = [space.project((u.coords[0], u.coords[1] + delta))]
         if u.coords[1] - delta >= 0:
-            pts.append(Point(k, (u.coords[0], u.coords[1] - delta)))
+            pts.append(Point(space.kind, (u.coords[0], u.coords[1] - delta)))
         return pts
     out = []
     for i in range(len(u.coords)):

@@ -153,16 +153,14 @@ def estimated_entry_constant(f_h, space, x0h, x1h, tau, use_flow: bool) -> float
 
 
 def _vanishing_endpoint_ride(f, space, anchor, eps_h, slope_cap):
-    """Flow of the unscaled functional until the scaled slope is tame."""
+    """Flow of the unscaled functional, one grid step at a time, until the
+    scaled slope is tame."""
     times = np.concatenate(([0.0], np.geomspace(eps_h * 1e-6, eps_h * 0.999, 48)))
-    traj = flow_times(f, space, anchor, times)
+    points = [anchor]
     for k in range(1, len(times)):
-        s = descending_slope(f, space, traj.points[k])
-        if eps_h * s <= slope_cap:
-            sub_times = times[: k + 1]
-            norm = sub_times / sub_times[-1]
-            piece = SampledCurve(norm, traj.points[: k + 1], space)
-            return piece, float(sub_times[-1])
+        points.append(flow_times(f, space, points[-1], times[k - 1 : k + 1]).end)
+        if eps_h * descending_slope(f, space, points[-1]) <= slope_cap:
+            return SampledCurve(times[: k + 1] / times[k], points, space), float(times[k])
     raise ScheduleError(
         f"scaled slope never dropped under {slope_cap} on (0, {eps_h:g}); refine the grid"
     )

@@ -12,6 +12,13 @@ Four space kinds are implemented:
   embedding of one-dimensional Wasserstein geometry; monotonicity violations
   produced by vector arithmetic are repaired with pool-adjacent-violators.
 
+``SpaceHandle.dim`` is the number of coordinates of a point on every space:
+``n`` on ``R^n``, 1 on the half-line, 2 on a tripod (edge, offset) and the
+grid size ``m`` on quantile vectors.  On the flat spaces (Euclidean,
+half-line, quantile) the distance is ``|u - v| / sqrt(weight)`` in
+coordinates, where ``SpaceHandle.weight`` is ``m`` on quantile vectors and 1
+elsewhere.
+
 All four spaces are geodesic and satisfy the quadrilateral comparison
 inequality
 
@@ -45,9 +52,8 @@ class SpaceHandle:
     """A concrete metric space with distance and geodesic oracles."""
 
     kind: SpaceKind
-    dim: int = 1
+    dim: int = 1            # coordinates of a point
     edge_lengths: tuple = ()
-    grid_size: int = 0
 
     def __post_init__(self):
         if self.kind is SpaceKind.EUCLIDEAN and self.dim < 1:
@@ -57,8 +63,13 @@ class SpaceHandle:
                 raise DomainError("tripod needs at least 2 edges")
             if any(l <= 0 for l in self.edge_lengths):
                 raise DomainError("tripod edge lengths must be positive")
-        if self.kind is SpaceKind.QUANTILE_1D and self.grid_size < 2:
+        if self.kind is SpaceKind.QUANTILE_1D and self.dim < 2:
             raise DomainError("quantile grid size must be >= 2")
+
+    @property
+    def weight(self) -> int:
+        """The flat-metric weight ``m``: the grid size on quantile vectors, 1 elsewhere."""
+        return self.dim if self.kind is SpaceKind.QUANTILE_1D else 1
 
     def point(self, *coords) -> "Point":
         """Build a validated point of this space.
@@ -70,10 +81,9 @@ class SpaceHandle:
         if len(coords) == 1 and isinstance(coords[0], (list, tuple)):
             coords = tuple(coords[0])
         coords = tuple(float(c) for c in coords)
-        if self.kind is SpaceKind.EUCLIDEAN:
-            if len(coords) != self.dim:
-                raise DomainError(f"expected {self.dim} coordinates, got {len(coords)}")
-        elif self.kind is SpaceKind.HALF_LINE:
+        if self.kind in (SpaceKind.EUCLIDEAN, SpaceKind.QUANTILE_1D) and len(coords) != self.dim:
+            raise DomainError(f"expected {self.dim} coordinates, got {len(coords)}")
+        if self.kind is SpaceKind.HALF_LINE:
             if len(coords) != 1 or coords[0] < 0:
                 raise DomainError("half-line points are single nonnegative reals")
         elif self.kind is SpaceKind.TRIPOD:
@@ -86,8 +96,6 @@ class SpaceHandle:
                 raise DomainError(f"offset {coords[1]} outside edge {e}")
             coords = (float(e), min(coords[1], self.edge_lengths[e]))
         elif self.kind is SpaceKind.QUANTILE_1D:
-            if len(coords) != self.grid_size:
-                raise DomainError(f"expected {self.grid_size} quantiles, got {len(coords)}")
             if any(b < a - 1e-9 for a, b in zip(coords, coords[1:])):
                 raise DomainError("quantile vector must be nondecreasing")
             coords = tuple(isotonic_repair(coords))
@@ -129,11 +137,11 @@ def half_line() -> SpaceHandle:
 
 
 def tripod(edge_lengths: Sequence[float] = (1.0, 1.0, 1.0)) -> SpaceHandle:
-    return SpaceHandle(SpaceKind.TRIPOD, edge_lengths=tuple(float(l) for l in edge_lengths))
+    return SpaceHandle(SpaceKind.TRIPOD, dim=2, edge_lengths=tuple(float(l) for l in edge_lengths))
 
 
 def quantile_1d(grid_size: int) -> SpaceHandle:
-    return SpaceHandle(SpaceKind.QUANTILE_1D, grid_size=grid_size)
+    return SpaceHandle(SpaceKind.QUANTILE_1D, dim=grid_size)
 
 
 def isotonic_repair(values: Sequence[float]) -> list:
@@ -173,7 +181,7 @@ def distance(space: SpaceHandle, p: Point, q: Point) -> float:
     if k is SpaceKind.HALF_LINE:
         return abs(p.coords[0] - q.coords[0])
     if k is SpaceKind.QUANTILE_1D:
-        return math.dist(p.coords, q.coords) / math.sqrt(space.grid_size)
+        return math.dist(p.coords, q.coords) / math.sqrt(space.dim)
     # tripod: through the branch point unless both points share an edge
     (ep, op), (eq, oq) = p.coords, q.coords
     if int(ep) == int(eq):
@@ -200,16 +208,10 @@ def geodesic_point(space: SpaceHandle, p: Point, q: Point, t: float) -> Point:
     return Point(k, (eq, s - op))
 
 
-def check_cat0(
-    space: SpaceHandle,
-    y: Point,
-    x0: Point,
-    x1: Point,
-    t_grid: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-) -> float:
+def check_cat0(space: SpaceHandle, y: Point, x0: Point, x1: Point) -> float:
     """Residual of the quadrilateral comparison inequality.
 
-    Returns the max over ``t_grid`` of
+    Returns the max over ``t`` in {0, 1/4, 1/2, 3/4, 1} of
 
         d(y, x_t)^2 - [(1-t) d(y,x0)^2 + t d(y,x1)^2 - t(1-t) d(x0,x1)^2]
 
@@ -220,7 +222,7 @@ def check_cat0(
     d1 = distance(space, y, x1)
     d01 = distance(space, x0, x1)
     residuals = []
-    for t in t_grid:
+    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         xt = geodesic_point(space, x0, x1, t)
         lhs = distance(space, y, xt) ** 2
         rhs = (1 - t) * d0**2 + t * d1**2 - t * (1 - t) * d01**2
@@ -237,5 +239,5 @@ def random_point(space: SpaceHandle, rng, scale: float = 1.0) -> Point:
     if space.kind is SpaceKind.TRIPOD:
         e = int(rng.integers(len(space.edge_lengths)))
         return Point(space.kind, (float(e), float(rng.uniform(0, space.edge_lengths[e]))))
-    vals = sorted(scale * rng.normal(size=space.grid_size))
+    vals = sorted(scale * rng.normal(size=space.dim))
     return Point(space.kind, tuple(float(v) for v in vals))

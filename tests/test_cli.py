@@ -233,9 +233,14 @@ def test_cli_missing_key_exits_2_with_one_line(tmp_path, capsys, command, cfg, k
         (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "tolerances": {"margin": math.inf}}, "margin"),
         (["gamma", "example2"], {"h_list": [4], "with_optimizer": "no"}, "with_optimizer"),
         (["gamma", "example2"], {"h_list": [4], "with_optimizer": 1}, "with_optimizer"),
+        (["flow"], {"space": {"kind": "quantile_1d", "grid_size": 4}, "x": [0, 1, 2, 3],
+                    "functional": {"name": "quadratic", "params": {"center": [0, 1, 2]}}}, "center"),
+        (["flow"], {"space": {"kind": "euclidean", "dim": 2}, "x": [0, 1],
+                    "functional": {"name": "quadratic", "params": {"center": [0, 1, 2]}}}, "center"),
     ],
     ids=["h_list_int", "dim_string", "margin_string", "family_string", "h_list_zero", "tripod_center",
-         "margin_nan", "margin_infinity", "with_optimizer_string", "with_optimizer_int"],
+         "margin_nan", "margin_infinity", "with_optimizer_string", "with_optimizer_int",
+         "quantile_center_length", "euclidean_center_length"],
 )
 def test_cli_wrong_type_exits_2_with_one_line(tmp_path, capsys, command, cfg, key):
     path = write_json(tmp_path / "cfg.json", cfg)

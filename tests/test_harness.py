@@ -175,7 +175,7 @@ def test_space_from_config_kinds():
     assert space_from_config({"kind": "euclidean", "dim": 3}).dim == 3
     assert space_from_config({"kind": "half_line"}).kind.value == "half_line"
     assert space_from_config({"kind": "tripod"}).edge_lengths == (1.0, 1.0, 1.0)
-    assert space_from_config({"kind": "quantile_1d", "grid_size": 4}).grid_size == 4
+    assert space_from_config({"kind": "quantile_1d", "grid_size": 4}).dim == 4
     with pytest.raises(ConfigError):
         space_from_config({"kind": "hyperbolic"})
 

@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 
 from metric_action_lab import distance, euclidean, half_line, uniform_distance
 from metric_action_lab.curves import action, geodesic_curve
-from metric_action_lab.errors import PreconditionError
+from metric_action_lab.errors import ConvergenceError, FlowError, PreconditionError
 from metric_action_lab.flow import flow_times
 from metric_action_lab.functionals import (
     inverse_square,
@@ -17,6 +18,7 @@ from metric_action_lab.functionals import (
 from metric_action_lab.recovery import (
     RecoveryConfig,
     RecoveryMode,
+    _vanishing_endpoint_ride,
     build_recovery,
     default_tau_schedule,
     estimated_entry_constant,
@@ -26,6 +28,8 @@ from metric_action_lab.recovery import (
 
 HL = half_line()
 E1 = euclidean(1)
+# the package exports the function ``flow``, which shadows the module
+flow_module = importlib.import_module("metric_action_lab.flow")
 QUAD = quadratic(E1, E1.point(0.0), 1.0)
 
 
@@ -257,6 +261,33 @@ def test_vanishing_recovery_quadratic_side_pieces_shrink():
         assert distance(E1, out.curve.end, E1.point(1.0)) <= 1e-9
     assert rides[-1] <= 1e-4
     assert all(b <= a + 1e-12 for a, b in zip(rides, rides[1:]))
+
+
+def test_vanishing_ride_stops_at_the_first_tame_step(monkeypatch):
+    # from x = 0.1 the scaled slope 0.5 * 2 / x^3 starts at 1000 and falls
+    # under the cap 10 partway along the grid: one resolvent per kept step
+    calls = []
+    resolvent = flow_module.resolvent
+    monkeypatch.setattr(flow_module, "resolvent", lambda *a: calls.append(a) or resolvent(*a))
+    ride, _ = _vanishing_endpoint_ride(inverse_square(1.0), HL, HL.point(0.1), 0.5, 10.0)
+    assert 2 < len(ride.points) < 49
+    assert len(calls) == len(ride.points) - 1
+    assert 0.5 * 2.0 / ride.end.coords[0] ** 3 <= 10.0 < 0.5 * 2.0 / ride.points[-2].coords[0] ** 3
+
+
+def test_vanishing_ride_resolvent_failure_raises_flow_error(monkeypatch):
+    def fail(*args):
+        raise ConvergenceError("no convergence")
+
+    monkeypatch.setattr(flow_module, "resolvent", fail)
+    cfg = RecoveryConfig(
+        mode=RecoveryMode.VANISHING,
+        base_curve=geodesic_curve(HL, HL.point(0.0), HL.point(1.0), 16),
+        x0_seq=lambda h: HL.point(0.1),
+        x1_seq=lambda h: HL.point(1.0),
+    )
+    with pytest.raises(FlowError, match="no convergence"):
+        build_recovery(inverse_square(1.0), cfg, 2, eps=lambda h: 0.5)
 
 
 def test_vanishing_mode_schedule_error_on_impossible_cap():

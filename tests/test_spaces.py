@@ -115,6 +115,13 @@ def test_cat0_degenerate_pair():
     assert check_cat0(sp, sp.point(0.0, 0.0), a, a) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "space", [euclidean(3), half_line(), tripod(), quantile_1d(4)], ids=lambda sp: sp.kind.value
+)
+def test_dim_counts_the_coordinates_of_a_point(space, rng):
+    assert space.dim == len(random_point(space, rng).coords)
+
+
 def test_quantile_distance_is_scaled_norm(rng):
     sp = quantile_1d(4)
     u, v = random_point(sp, rng), random_point(sp, rng)
