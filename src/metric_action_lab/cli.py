@@ -294,7 +294,7 @@ def cmd_action(args) -> int:
 
 def cmd_recovery(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
-    gamma = resolve_base_curve(cfg)
+    gamma, _ = resolve_base_curve(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = {"schema": 1, "mode": cfg.mode.value, "h": {}}
@@ -346,7 +346,7 @@ def cmd_gamma(args) -> int:
         return 0 if report.verdict is Verdict.CONSISTENT else 1
     # liminf probe: member resolvents of the base curve as the test sequence
     cfg = ExperimentConfig.from_json(args.config)
-    gamma = resolve_base_curve(cfg)
+    gamma, base_meta = resolve_base_curve(cfg)
     probe_cfg = config_object(cfg.raw.get("liminf", {}), "liminf")
     tail_from = probe_cfg.get("tail_from", int(max(cfg.h_list, default=0)))
     tail_from = config_number(tail_from, "tail_from", int)
@@ -357,6 +357,7 @@ def cmd_gamma(args) -> int:
         for h in cfg.h_list
     }
     report = liminf_probe(cfg.family, curves, gamma, tail_from=tail_from, slack=slack)
+    report.meta.update(base_meta)
     emit_report(report, out, "gamma_liminf")
     print(f"verdict: {report.verdict.value}")
     return 0 if report.verdict is Verdict.CONSISTENT else 1

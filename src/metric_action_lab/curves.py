@@ -16,8 +16,12 @@ the kinetic Hessian is exactly tridiagonal in the nodes, and the potential
 adds one central-difference block per node.  On the half-line, whose
 catalogue slopes are discontinuous, kinked or singular, and on the tripod,
 which is not flat, it runs coarse-to-fine sweeps of node-wise minimization
-with a bracketing grid plus golden-section refinement.  Both report
-``sweeps``, ``converged`` and ``residual`` in their ``info``.
+with a bracketing grid plus golden-section refinement.  A node's objective
+is a float function of its coordinate along one line (the half-line, or a
+tripod edge) built on ``spaces.distance_along``, so its neighbours' tags
+are checked once per node update, not once per probe.  Both solvers report
+``sweeps``, ``converged`` (a ``bool``) and ``residual`` (a ``float``) in
+their ``info``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,16 @@ import numpy as np
 from .errors import ConcatenationError, DomainError, InitializationError
 from .functionals import INF, FunctionalSpec, descending_slope, slope_squared
 from .proximal import grid_golden, per_edge_golden
-from .spaces import Point, SpaceHandle, SpaceKind, distance, geodesic_point, isotonic_repair
+from .spaces import (
+    Point,
+    SpaceHandle,
+    SpaceKind,
+    distance,
+    distance_along,
+    geodesic_point,
+    isotonic_repair,
+    point_along,
+)
 
 ENDPOINT_TOL = 1e-9
 GAIN_TOL = 1e-10        # a sweep that gains less than this ends a node-wise search
@@ -210,34 +223,45 @@ def uniform_distance(a: SampledCurve, b: SampledCurve) -> float:
 # --------------------------------------------------------------------------
 
 
-def _local_objective(space, g, p_prev, p_next, dt0, dt1, w):
-    def val(p: Point) -> float:
-        gp = g(p)
+def _local_objective(space, g, edge, p_prev, p_next, dt0, dt1, w):
+    """The action terms of one interior node as a function of its coordinate
+    along one line (the half-line, or tripod edge ``edge``): the kinetic
+    terms of its two intervals plus its trapezoid share of ``g = slope^2``."""
+    at = point_along(space, edge)
+    d_prev, d_next = distance_along(space, p_prev, edge), distance_along(space, p_next, edge)
+
+    def val(s: float) -> float:
+        gp = g(at(s))
         if not math.isfinite(gp):
             return INF
-        return (
-            distance(space, p_prev, p) ** 2 / dt0
-            + distance(space, p, p_next) ** 2 / dt1
-            + w * gp
-        )
+        return d_prev(s) ** 2 / dt0 + d_next(s) ** 2 / dt1 + w * gp
 
     return val
 
 
-def _update_node_half_line(local, p: Point, p_prev: Point, p_next: Point, span: float):
+def _update_node_half_line(space, g, p_prev: Point, p: Point, p_next: Point, dt0, dt1, w, span: float):
+    """Grid-then-golden minimum of the node's local objective on a bracket
+    around it and its neighbours.  Returns the new point, its value, the
+    value at ``p`` and the distance from ``p``."""
+    local = _local_objective(space, g, 0, p_prev, p_next, dt0, dt1, w)
     lo = max(min(p_prev.coords[0], p_next.coords[0], p.coords[0]) - span, 0.0)
     hi = max(p_prev.coords[0], p_next.coords[0], p.coords[0]) + span
-    mk = lambda v: Point(SpaceKind.HALF_LINE, (v,))
-    v, value, _, _ = grid_golden(lambda u: local(mk(u)), lo, hi)
-    return mk(v), value
+    v, value, _, _ = grid_golden(local, lo, hi)
+    return Point(SpaceKind.HALF_LINE, (v,)), value, local(p.coords[0]), distance_along(space, p)(v)
 
 
-def _update_node_tripod(space, local, p: Point):
-    best, best_val = p, local(p)
-    for q, v, _ in per_edge_golden(local, space, 1e-10):
+def _update_node_tripod(space, g, p_prev: Point, p: Point, p_next: Point, dt0, dt1, w, span: float):
+    """Best of ``p`` and the golden-section minimum of the node's local
+    objective along every edge (``span`` is unused).  Returns the new point,
+    its value, the value at ``p`` and the distance from ``p``."""
+    on_edge = lambda e: _local_objective(space, g, e, p_prev, p_next, dt0, dt1, w)
+    current = on_edge(int(p.coords[0]))(p.coords[1])
+    best, best_val = p, current
+    for q, v, _ in per_edge_golden(on_edge, space, 1e-10):
         if v < best_val:
             best, best_val = q, v
-    return best, best_val
+    e, s = best.coords
+    return best, best_val, current, distance_along(space, p, int(e))(s)
 
 
 def resample_curve(curve: SampledCurve, n_intervals: int) -> SampledCurve:
@@ -296,6 +320,7 @@ def minimize_action(
 def _sweep_nodes(f, space, x0, x1, cur, levels, max_iter):
     """Coarse-to-fine node-wise sweeps on the half-line and the tripod."""
     g = functools.partial(slope_squared, f, space)
+    update = _update_node_half_line if space.kind is SpaceKind.HALF_LINE else _update_node_tripod
     span0 = max(distance(space, x0, x1), 1.0)
     sweeps_done = 0
     moved = INF
@@ -314,13 +339,11 @@ def _sweep_nodes(f, space, x0, x1, cur, levels, max_iter):
                 dt0 = times[i] - times[i - 1]
                 dt1 = times[i + 1] - times[i]
                 w = 0.5 * (dt0 + dt1)
-                local = _local_objective(space, g, pts[i - 1], pts[i + 1], dt0, dt1, w)
-                if space.kind is SpaceKind.HALF_LINE:
-                    newp, newv = _update_node_half_line(local, pts[i], pts[i - 1], pts[i + 1], 4 * span)
-                else:
-                    newp, newv = _update_node_tripod(space, local, pts[i])
-                if newv <= local(pts[i]):
-                    moved = max(moved, distance(space, pts[i], newp))
+                newp, newv, oldv, move = update(
+                    space, g, pts[i - 1], pts[i], pts[i + 1], dt0, dt1, w, 4 * span
+                )
+                if newv <= oldv:
+                    moved = max(moved, move)
                     pts[i] = newp
             total = action(cur, f, x0, x1).total
             last_gain = prev_total - total
@@ -329,7 +352,8 @@ def _sweep_nodes(f, space, x0, x1, cur, levels, max_iter):
                 break
 
     final = action(cur, f, x0, x1)
-    info = {"sweeps": sweeps_done, "converged": moved < RESIDUAL_TOL, "residual": moved}
+    # nodes resampled from an init carry numpy floats
+    info = {"sweeps": sweeps_done, "converged": bool(moved < RESIDUAL_TOL), "residual": float(moved)}
     return cur, final, info
 
 

@@ -238,17 +238,19 @@ def load_curve(path, space: SpaceHandle) -> SampledCurve:
         raise ConfigError(f"cannot read curve {path}: {exc}") from None
 
 
-def resolve_base_curve(cfg: ExperimentConfig) -> SampledCurve:
+def resolve_base_curve(cfg: ExperimentConfig) -> tuple:
+    """The experiment's base curve and the report ``meta`` entries it adds:
+    ``base_curve_converged`` for a ``minimize_action`` curve, none otherwise."""
     spec = cfg.base_curve_spec
     kind = spec.get("type", "geodesic")
     n = config_number(spec.get("N", cfg.n_intervals), "N", int)
     if kind == "geodesic":
-        return geodesic_curve(cfg.space, cfg.x0, cfg.x1, n)
+        return geodesic_curve(cfg.space, cfg.x0, cfg.x1, n), {}
     if kind == "minimize_action":
-        curve, _, _ = minimize_action(cfg.family.limit, cfg.space, cfg.x0, cfg.x1, n)
-        return curve
+        curve, _, info = minimize_action(cfg.family.limit, cfg.space, cfg.x0, cfg.x1, n)
+        return curve, {"base_curve_converged": info["converged"]}
     if kind == "csv":
-        return load_curve(spec["path"], cfg.space)
+        return load_curve(spec["path"], cfg.space), {}
     raise ConfigError(f"unknown base curve type {kind!r}")
 
 
@@ -290,7 +292,7 @@ def run_positive(cfg: ExperimentConfig) -> ExperimentReport:
     A library error at one index, a law that fails at that ``h`` included,
     gives that row an ``error`` entry and infinite gaps; the other rows run.
     """
-    gamma = resolve_base_curve(cfg)
+    gamma, base_meta = resolve_base_curve(cfg)
     target = action(gamma, cfg.family.limit, cfg.x0, cfg.x1).total
 
     def one(h):
@@ -344,6 +346,7 @@ def run_positive(cfg: ExperimentConfig) -> ExperimentReport:
             "repair": "geodesic",
             "margin": cfg.margin,
             "d_inf_tol": cfg.d_inf_tol,
+            **base_meta,
         },
     )
 
@@ -493,7 +496,12 @@ def run_example2(
     margin: float = 0.05,
     with_optimizer: bool = True,
 ) -> ExperimentReport:
-    """Ramp family: the certified crossing toll is 2 while the target is 1."""
+    """Ramp family: the certified crossing toll is 2 while the target is 1.
+
+    A row's ``optimizer_converged`` (JSON only) is the ``converged`` flag of
+    the search that gave ``optimizer_upper_bound``, ``None`` without the
+    optimizer.
+    """
     space = half_line()
     zero = zero_functional(space)
     x0, x1 = space.point(0.0), space.point(1.0)
@@ -511,13 +519,14 @@ def run_example2(
         xs = np.linspace(0.0, inv, n_certificate + 1)
         amgm = crossing_lower_bound(xs, sqrt_g)
         remainder = (1.0 - inv) ** 2
-        upper = math.inf
+        upper, converged = math.inf, None
         if with_optimizer:
-            for init in _example2_inits(space, inv, n_search):
-                _, val, _ = minimize_action(
-                    f_h, space, x0, x1, n_search, init=init, max_iter=60
-                )
-                upper = min(upper, val.total)
+            searches = [
+                minimize_action(f_h, space, x0, x1, n_search, init=init, max_iter=60)[1:]
+                for init in _example2_inits(space, inv, n_search)
+            ]
+            val, info = min(searches, key=lambda s: s[0].total)  # first search wins ties
+            upper, converged = val.total, info["converged"]
         s0 = descending_slope(f_h, space, x0)
         return {
             "h": h,
@@ -525,6 +534,7 @@ def run_example2(
             "kinetic_remainder": remainder,
             "certified_lower_bound": amgm + remainder,
             "optimizer_upper_bound": upper,
+            "optimizer_converged": converged,
             "slope_x0": s0,
             "theta_target": target,
         }
@@ -629,7 +639,8 @@ def write_json(path, obj) -> None:
 def emit_report(report: ExperimentReport, out_dir, stem: str) -> tuple:
     """Write ``stem.csv`` and ``stem.json``; byte-stable for fixed config.
 
-    A JSON summary row also carries the row's ``error``, if it has one.
+    A JSON summary row also carries the row's keys that are not CSV
+    columns: an ``error``, ``optimizer_converged``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -642,12 +653,8 @@ def emit_report(report: ExperimentReport, out_dir, stem: str) -> tuple:
         "verdict": report.verdict.value,
         "witness": report.witness,
         "meta": report.meta,
-        "rows": [],
+        "rows": [{**dict.fromkeys(report.columns), **row} for row in report.rows],
         "versions": {"metric_action_lab": __version__},
     }
-    for row in report.rows:
-        summary["rows"].append({c: row.get(c) for c in report.columns})
-        if "error" in row:
-            summary["rows"][-1]["error"] = row["error"]
     write_json(json_path, summary)
     return csv_path, json_path

@@ -14,6 +14,12 @@ method converges to the unique minimizer.  Solvers by space:
   the smooth part, falling back to cyclic coordinate descent on a refining
   grid when the functional is not smooth enough to difference.
 
+On the half-line and the tripod the objective is minimized along one
+coordinate: ``_line_objective`` is a float function whose distance term
+comes from ``spaces.distance_along``, so ``x``'s space tag is checked once
+per search, not once per probe, and every probe value is bit-identical to
+the point-based ``_objective``.
+
 A supplied closed-form prox short-circuits everything.  The step range is
 enforced as ``tau < 1/(2 lam^-)`` throughout so the Lipschitz estimate for
 the resolvent applies in every validator.
@@ -36,7 +42,15 @@ from .functionals import (
     evaluate,
     lam_neg,
 )
-from .spaces import Point, SpaceHandle, SpaceKind, distance, geodesic_point
+from .spaces import (
+    Point,
+    SpaceHandle,
+    SpaceKind,
+    distance,
+    distance_along,
+    geodesic_point,
+    point_along,
+)
 
 VALUE_TOL = 1e-10
 POINT_TOL = 1e-8
@@ -102,23 +116,25 @@ def grid_golden(g: Callable[[float], float], lo: float, hi: float):
     neighbours of the best grid point.  Returns (argmin, min, evals, best
     grid point).
     """
-    grid = np.linspace(lo, hi, 17)
+    # the points of np.linspace(lo, hi, 17), bit for bit
+    step = (hi - lo) / 16
+    grid = [k * step + lo for k in range(16)] + [hi]
     vals = [g(v) for v in grid]
-    j = int(np.argmin(vals))
+    j = min(range(len(grid)), key=vals.__getitem__)  # first minimum, as np.argmin
     a, b = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
     x, v, n = golden_section(g, a, b)
     return x, v, n + len(grid), grid[j]
 
 
-def per_edge_golden(g: Callable[[Point], float], space: SpaceHandle, tol: float):
-    """Golden-section minimum of ``g`` along every tripod edge.
+def per_edge_golden(on_edge: Callable[[int], Callable[[float], float]], space: SpaceHandle, tol: float):
+    """Golden-section minimum along every tripod edge.
 
-    Returns one (point, value, evals) triple per edge, in edge order.
+    ``on_edge(e)`` is the objective as a function of the offset along edge
+    ``e``.  Returns one (point, value, evals) triple per edge, in edge order.
     """
     out = []
     for e, length in enumerate(space.edge_lengths):
-        on_edge = lambda s: g(Point(SpaceKind.TRIPOD, (float(e), s)))
-        s, v, n = golden_section(on_edge, 0.0, length, tol)
+        s, v, n = golden_section(on_edge(e), 0.0, length, tol)
         out.append((Point(SpaceKind.TRIPOD, (float(e), s)), v, n))
     return out
 
@@ -153,16 +169,29 @@ def _objective(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
     return val
 
 
-def _solve_half_line(obj, x: Point):
-    x0 = x.coords[0]
-    g = lambda v: obj(Point(SpaceKind.HALF_LINE, (v,)))
-    lo, hi = expand_bracket(g, x0, 0.0)
+def _line_objective(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point, edge: int = 0):
+    """``_objective`` as a function of the coordinate along one line (the
+    half-line, or tripod edge ``edge``)."""
+    at, dist = point_along(space, edge), distance_along(space, x, edge)
+
+    def val(s: float) -> float:
+        fy = evaluate(f, at(s))
+        if not math.isfinite(fy):
+            return INF
+        return fy + dist(s) ** 2 / (2.0 * tau)
+
+    return val
+
+
+def _solve_half_line(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
+    g = _line_objective(f, space, tau, x)
+    lo, hi = expand_bracket(g, x.coords[0], 0.0)
     v, val, n = golden_section(g, lo, hi)
     return Point(SpaceKind.HALF_LINE, (v,)), val, n
 
 
-def _solve_tripod(obj, space: SpaceHandle):
-    edges = per_edge_golden(obj, space, 1e-11)
+def _solve_tripod(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
+    edges = per_edge_golden(lambda e: _line_objective(f, space, tau, x, e), space, 1e-11)
     u, val, _ = min(edges, key=lambda e: e[1])  # first edge wins ties
     return u, val, sum(n for _, _, n in edges)
 
@@ -276,10 +305,10 @@ def resolvent(
         u = f.closed_form_prox(tau, x)
         return ResolventResult(u, obj(u), 0, 0.0, method="closed_form")
     if space.kind is SpaceKind.HALF_LINE:
-        u, val, n = _solve_half_line(obj, x)
+        u, val, n = _solve_half_line(f, space, tau, x)
         method = "golden_section"
     elif space.kind is SpaceKind.TRIPOD:
-        u, val, n = _solve_tripod(obj, space)
+        u, val, n = _solve_tripod(f, space, tau, x)
         method = "per_edge_golden"
     else:
         u, val, n = _solve_vector(obj, f, space, tau, x)

@@ -17,7 +17,9 @@ Four space kinds are implemented:
 grid size ``m`` on quantile vectors.  On the flat spaces (Euclidean,
 half-line, quantile) the distance is ``|u - v| / sqrt(weight)`` in
 coordinates, where ``SpaceHandle.weight`` is ``m`` on quantile vectors and 1
-elsewhere.
+elsewhere.  The half-line and each tripod edge are lines: ``point_along`` and
+``distance_along`` give a point and its distance to a fixed point as
+functions of the coordinate along one of them, for the 1-d searches.
 
 All four spaces are geodesic and satisfy the quadrilateral comparison
 inequality
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DomainError, SpaceMismatchError
 
@@ -187,6 +189,35 @@ def distance(space: SpaceHandle, p: Point, q: Point) -> float:
     if int(ep) == int(eq):
         return abs(op - oq)
     return op + oq
+
+
+def point_along(space: SpaceHandle, edge: int = 0) -> Callable[[float], Point]:
+    """``s -> p_s``, the point at coordinate ``s`` of one line: the
+    half-line, or edge ``edge`` of a tripod."""
+    if space.kind is SpaceKind.HALF_LINE:
+        return lambda v: Point(SpaceKind.HALF_LINE, (v,))
+    if space.kind is not SpaceKind.TRIPOD:
+        raise DomainError(f"no line coordinate on a {space.kind.value} space")
+    e = float(edge)
+    return lambda s: Point(SpaceKind.TRIPOD, (e, s))
+
+
+def distance_along(space: SpaceHandle, q: Point, edge: int = 0) -> Callable[[float], float]:
+    """``s -> distance(space, p_s, q)`` with ``p_s = point_along(space, edge)(s)``.
+
+    The closure does the same IEEE operations as :func:`distance`; ``q``'s
+    tag is checked once, here, so a 1-d search pays no dispatch per probe.
+    """
+    _check_tags(space, q)
+    if space.kind is SpaceKind.HALF_LINE:
+        q0 = q.coords[0]
+        return lambda v: abs(v - q0)
+    if space.kind is not SpaceKind.TRIPOD:
+        raise DomainError(f"no line coordinate on a {space.kind.value} space")
+    eq, oq = q.coords
+    if int(eq) == edge:
+        return lambda s: abs(s - oq)
+    return lambda s: s + oq
 
 
 def geodesic_point(space: SpaceHandle, p: Point, q: Point, t: float) -> Point:

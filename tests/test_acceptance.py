@@ -245,7 +245,7 @@ def test_criterion_9_positive_gamma_experiment():
     from tests.test_curves import shooting_oracle_value
 
     cfg = _positive_config()
-    gamma = resolve_base_curve(cfg)
+    gamma, _ = resolve_base_curve(cfg)
     theta_star = action(gamma, cfg.family.limit, cfg.x0, cfg.x1).total
     oracle, _, _ = shooting_oracle_value()
     oracle_ok = abs(theta_star - oracle) <= 1e-3

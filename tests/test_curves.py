@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -374,6 +375,17 @@ def test_minimize_action_reports_stop_before_convergence():
     _, _, info = minimize_action(f, HL, HL.point(0.0), HL.point(1.0), 64, max_iter=2)
     assert info["sweeps"] > 2  # the coarse grids got their own sweeps
     assert not info["converged"] and info["residual"] >= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("space, f", [(HL, ramp(4.0)), (E1, QUAD)], ids=["half_line", "euclidean"])
+def test_minimize_action_info_is_plain_json(space, f):
+    # resampling the init gives nodes with numpy coordinates, and the first
+    # sweep measures its moves from them
+    init = line_curve(space, 8, lambda t: t)
+    _, _, info = minimize_action(f, space, space.point(0.0), space.point(1.0), 16, init=init, max_iter=1)
+    assert type(info["converged"]) is bool
+    assert type(info["residual"]) is float
+    json.dumps(info)
 
 
 def test_minimize_action_never_beats_certificate():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metric_action_lab import euclidean, half_line
-from metric_action_lab.curves import action, curve_to_csv, geodesic_curve
+from metric_action_lab.curves import action, curve_to_csv, geodesic_curve, minimize_action
 from metric_action_lab.errors import ConfigError, DomainError
 from metric_action_lab.functionals import FunctionalFamily, quadratic, ramp, zero_functional
 from metric_action_lab.harness import (
@@ -394,7 +394,8 @@ def test_positive_csv_base_curve(tmp_path):
             "base_curve": {"type": "csv", "path": str(tmp_path / "gamma.csv")},
         }
     )
-    base = resolve_base_curve(cfg)
+    base, meta = resolve_base_curve(cfg)
+    assert meta == {}
     assert base.times == pytest.approx(gamma.times)
     assert [p.coords for p in base.points] == pytest.approx([p.coords for p in gamma.points])
     assert run_positive(cfg).verdict is Verdict.CONSISTENT
@@ -500,6 +501,41 @@ def test_example2_optimizer_never_beats_certificate():
     for row in rep.rows:
         assert row["optimizer_upper_bound"] >= 1.95
         assert row["optimizer_upper_bound"] >= row["amgm_lower_bound"] - 1e-9
+
+
+def test_example2_json_rows_carry_the_optimizer_flag(tmp_path):
+    from metric_action_lab.harness import _example2_inits
+
+    rep = run_example2([4], n_certificate=64, n_search=8)
+    csv_path, json_path = emit_report(rep, tmp_path, "ex2")
+    row = json.loads(json_path.read_text())["rows"][0]
+    # the flag of the search that gave the bound
+    searches = [
+        minimize_action(ramp(4.0), HL, HL.point(0.0), HL.point(1.0), 8, init=init, max_iter=60)
+        for init in _example2_inits(HL, 0.25, 8)
+    ]
+    _, best, info = min(searches, key=lambda s: s[1].total)
+    assert row["optimizer_upper_bound"] == best.total
+    assert row["optimizer_converged"] is info["converged"]
+    assert "optimizer_converged" not in csv_path.read_text()
+    assert run_example2([4], n_certificate=64, with_optimizer=False).rows[0]["optimizer_converged"] is None
+
+
+def test_minimize_action_base_curve_reports_convergence(tmp_path):
+    cfg = ExperimentConfig.from_dict(
+        {
+            "space": {"kind": "half_line"},
+            "family": {"name": "quadratic", "params": {"center": 0.5}},
+            "x0": 0.2,
+            "x1": 1.0,
+            "h_list": [2],
+            "base_curve": {"type": "minimize_action", "N": 8},
+            "discretization": {"N": 8},
+        }
+    )
+    _, json_path = emit_report(run_positive(cfg), tmp_path, "pos")
+    _, _, info = minimize_action(cfg.family.limit, HL, cfg.x0, cfg.x1, 8)
+    assert json.loads(json_path.read_text())["meta"]["base_curve_converged"] is info["converged"]
 
 
 def test_verdict_soundness_gate():
