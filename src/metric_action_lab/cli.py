@@ -294,10 +294,10 @@ def cmd_action(args) -> int:
 
 def cmd_recovery(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
-    gamma, _ = resolve_base_curve(cfg)
+    gamma, meta = resolve_base_curve(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary = {"schema": 1, "mode": cfg.mode.value, "h": {}}
+    summary = {"schema": 1, "mode": cfg.mode.value, "meta": meta, "h": {}}
     for h in cfg.h_list:
         res = experiment_recovery(cfg, gamma, h)
         (out / f"recovery_h{h}.csv").write_text(curve_to_csv(res.curve))

@@ -10,18 +10,18 @@ and it is infinite when the endpoints miss their prescribed anchors beyond
 ``ENDPOINT_TOL`` or when any node has infinite slope, which every node
 outside the effective domain of ``f`` has.
 
-``minimize_action`` picks its solver by geometry.  On the flat spaces
-(Euclidean and quantile) it takes projected Newton steps on the whole curve:
-the kinetic Hessian is exactly tridiagonal in the nodes, and the potential
-adds one central-difference block per node.  On the half-line, whose
-catalogue slopes are discontinuous, kinked or singular, and on the tripod,
-which is not flat, it runs coarse-to-fine sweeps of node-wise minimization
-with a bracketing grid plus golden-section refinement.  A node's objective
-is a float function of its coordinate along one line (the half-line, or a
-tripod edge) built on ``spaces.distance_along``, so its neighbours' tags
-are checked once per node update, not once per probe.  Both solvers report
-``sweeps``, ``converged`` (a ``bool``) and ``residual`` (a ``float``) in
-their ``info``.
+``minimize_action`` picks its solver by geometry.  On the Euclidean,
+quantile and tripod spaces it takes projected Newton steps on the whole
+curve (on the tripod in edge charts, see ``_newton``): the kinetic Hessian
+is exactly tridiagonal in the nodes, and the potential adds one
+central-difference block per node.  The half-line keeps coarse-to-fine
+node-wise sweeps (a bracketing grid plus golden-section refinement),
+because its catalogue slopes are discontinuous, kinked or singular: on the
+ramp's step central differences see a zero gradient, so Newton would take
+the geodesic for stationary.  A node's objective is a float function of its
+coordinate built on ``spaces.distance_along``, so its neighbours' tags are
+checked once per node update.  Both solvers report ``sweeps``,
+``converged`` (a ``bool``) and ``residual`` (a ``float``) in their ``info``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConcatenationError, DomainError, InitializationError
 from .functionals import INF, FunctionalSpec, descending_slope, slope_squared
-from .proximal import grid_golden, per_edge_golden
+from .proximal import grid_golden
 from .spaces import (
     Point,
     SpaceHandle,
@@ -52,7 +52,7 @@ from .spaces import (
 ENDPOINT_TOL = 1e-9
 GAIN_TOL = 1e-10        # a sweep that gains less than this ends a node-wise search
 RESIDUAL_TOL = 1e-9     # a search whose residual falls below this has converged
-FD_STEP = 1e-5          # relative central-difference step of the flat-space Newton
+FD_STEP = 1e-5          # relative central-difference step of the Newton search
 
 
 @dataclass
@@ -223,45 +223,25 @@ def uniform_distance(a: SampledCurve, b: SampledCurve) -> float:
 # --------------------------------------------------------------------------
 
 
-def _local_objective(space, g, edge, p_prev, p_next, dt0, dt1, w):
-    """The action terms of one interior node as a function of its coordinate
-    along one line (the half-line, or tripod edge ``edge``): the kinetic
-    terms of its two intervals plus its trapezoid share of ``g = slope^2``."""
-    at = point_along(space, edge)
-    d_prev, d_next = distance_along(space, p_prev, edge), distance_along(space, p_next, edge)
+def _update_node_half_line(space, g, p_prev: Point, p: Point, p_next: Point, dt0, dt1, w, span: float):
+    """Grid-then-golden minimum of the node's local objective, the kinetic
+    terms of its two intervals plus its trapezoid share of ``g = slope^2`` as
+    a function of its coordinate, on a bracket around it and its neighbours.
+    Returns the new point, its value, the value at ``p`` and the distance
+    from ``p``."""
+    at = point_along(space)
+    d_prev, d_next = distance_along(space, p_prev), distance_along(space, p_next)
 
-    def val(s: float) -> float:
+    def local(s: float) -> float:
         gp = g(at(s))
         if not math.isfinite(gp):
             return INF
         return d_prev(s) ** 2 / dt0 + d_next(s) ** 2 / dt1 + w * gp
 
-    return val
-
-
-def _update_node_half_line(space, g, p_prev: Point, p: Point, p_next: Point, dt0, dt1, w, span: float):
-    """Grid-then-golden minimum of the node's local objective on a bracket
-    around it and its neighbours.  Returns the new point, its value, the
-    value at ``p`` and the distance from ``p``."""
-    local = _local_objective(space, g, 0, p_prev, p_next, dt0, dt1, w)
     lo = max(min(p_prev.coords[0], p_next.coords[0], p.coords[0]) - span, 0.0)
     hi = max(p_prev.coords[0], p_next.coords[0], p.coords[0]) + span
     v, value, _, _ = grid_golden(local, lo, hi)
     return Point(SpaceKind.HALF_LINE, (v,)), value, local(p.coords[0]), distance_along(space, p)(v)
-
-
-def _update_node_tripod(space, g, p_prev: Point, p: Point, p_next: Point, dt0, dt1, w, span: float):
-    """Best of ``p`` and the golden-section minimum of the node's local
-    objective along every edge (``span`` is unused).  Returns the new point,
-    its value, the value at ``p`` and the distance from ``p``."""
-    on_edge = lambda e: _local_objective(space, g, e, p_prev, p_next, dt0, dt1, w)
-    current = on_edge(int(p.coords[0]))(p.coords[1])
-    best, best_val = p, current
-    for q, v, _ in per_edge_golden(on_edge, space, 1e-10):
-        if v < best_val:
-            best, best_val = q, v
-    e, s = best.coords
-    return best, best_val, current, distance_along(space, p, int(e))(s)
 
 
 def resample_curve(curve: SampledCurve, n_intervals: int) -> SampledCurve:
@@ -285,42 +265,41 @@ def minimize_action(
     from ``init`` resampled to ``N`` intervals, or from the geodesic.  The
     solver depends on the geometry:
 
-    * Euclidean and quantile spaces (flat): projected Newton steps on the
-      whole curve, at most ``max_iter`` of them (see ``_newton_flat``);
-    * half-line and tripod: node-wise sweeps (a minimization per interior
-      node along the space), on a coarse grid first when there is no
-      ``init``, refining by geodesic resampling up to ``N`` intervals; the
-      last grid gets at most ``max_iter`` sweeps.
+    * Euclidean, quantile and tripod spaces: projected Newton steps on the
+      whole curve, at most ``max_iter`` of them (see ``_newton``);
+    * half-line: node-wise sweeps (a minimization per interior node), on a
+      coarse grid first when there is no ``init``, refining by geodesic
+      resampling up to ``N`` intervals; the last grid gets at most
+      ``max_iter`` sweeps.
 
     Returns ``(curve, ActionValue, info)``.  ``info["sweeps"]`` counts the
     Newton steps or the sweeps.  ``info["residual"]`` is the largest
     coordinate move of the full projected Newton step at the returned curve
-    (flat) or the largest node move of the last sweep (node-wise), and
+    (Newton) or the largest node move of the last sweep (half-line), and
     ``info["converged"]`` says that it is below ``RESIDUAL_TOL``.  A sweep
     search that ends because the last sweep gained less than ``GAIN_TOL``
     has not converged.  An unconverged search still returns its best curve.
     """
-    flat = space.kind in (SpaceKind.EUCLIDEAN, SpaceKind.QUANTILE_1D)
+    sweep = space.kind is SpaceKind.HALF_LINE
     levels = [N]
     if init is not None:
         if not math.isfinite(action(init, f, x0, x1).total):
             raise InitializationError("initial curve has infinite action")
         cur = resample_curve(init, N)
     else:
-        while not flat and levels[0] > 8:
+        while sweep and levels[0] > 8:
             levels.insert(0, (levels[0] + 1) // 2)
         cur = geodesic_curve(space, x0, x1, levels[0])
         if not math.isfinite(action(cur, f, x0, x1).total):
             raise InitializationError("geodesic initialization has infinite action")
-    if flat:
-        return _newton_flat(f, space, x0, x1, cur, max_iter)
-    return _sweep_nodes(f, space, x0, x1, cur, levels, max_iter)
+    if sweep:
+        return _sweep_nodes(f, space, x0, x1, cur, levels, max_iter)
+    return _newton(f, space, x0, x1, cur, max_iter)
 
 
 def _sweep_nodes(f, space, x0, x1, cur, levels, max_iter):
-    """Coarse-to-fine node-wise sweeps on the half-line and the tripod."""
+    """Coarse-to-fine node-wise sweeps on the half-line."""
     g = functools.partial(slope_squared, f, space)
-    update = _update_node_half_line if space.kind is SpaceKind.HALF_LINE else _update_node_tripod
     span0 = max(distance(space, x0, x1), 1.0)
     sweeps_done = 0
     moved = INF
@@ -339,7 +318,7 @@ def _sweep_nodes(f, space, x0, x1, cur, levels, max_iter):
                 dt0 = times[i] - times[i - 1]
                 dt1 = times[i + 1] - times[i]
                 w = 0.5 * (dt0 + dt1)
-                newp, newv, oldv, move = update(
+                newp, newv, oldv, move = _update_node_half_line(
                     space, g, pts[i - 1], pts[i], pts[i + 1], dt0, dt1, w, 4 * span
                 )
                 if newv <= oldv:
@@ -357,31 +336,56 @@ def _sweep_nodes(f, space, x0, x1, cur, levels, max_iter):
     return cur, final, info
 
 
-def _newton_flat(f, space, x0, x1, cur, max_iter):
-    """Projected Newton on the whole curve of a Euclidean or quantile space.
+def _newton(f, space, x0, x1, cur, max_iter):
+    """Projected Newton on the whole curve of a Euclidean, quantile or tripod space.
 
-    The curve is an ``(N+1, d)`` coordinate array.  A step solves the
-    Newton system of the discrete action once (see ``_newton_step``),
-    projects each node with ``space.project`` and halves its length until
-    ``action`` does not rise.  The residual is the largest coordinate move of
-    the full projected step at the current curve, which is zero exactly at a
-    stationary curve.  The search stops when it falls below
-    ``RESIDUAL_TOL``, after ``max_iter`` steps, or when no step length keeps
-    the action from rising.
+    The variables are a point's coordinates, or on the tripod its offset,
+    each node keeping its edge during a step; first a node at the branch
+    point moves onto the edge with the most negative one-sided derivative of
+    the action, if one descends.  A step solves the Newton system once
+    (``_newton_step``), projects each node with ``space.project`` and halves
+    its length until ``action`` does not rise.  The residual, the largest
+    coordinate move of the full projected step, is zero exactly at a
+    stationary curve.  The search stops when it falls below ``RESIDUAL_TOL``,
+    after ``max_iter`` steps, or when no step length keeps the action from rising.
     """
     g = functools.partial(slope_squared, f, space)
+    tripod = space.kind is SpaceKind.TRIPOD
+    chart = slice(1, None) if tripod else slice(None)
     value = action(cur, f, x0, x1).total
     steps, residual = 0, 0.0
     while len(cur.points) > 2:
-        X = np.array([p.coords for p in cur.points])
-        step = _newton_step(g, space, X, cur.times)
+        C = np.array([p.coords for p in cur.points])
+        sigma = np.ones(len(C) - 1)
+        at = lambda i, x: Point(space.kind, tuple(float(v) for v in x))
+        if tripod:
+            dts = np.diff(cur.times)
+            w = node_weights(dts)
+            for i in np.flatnonzero(C[1:-1, 1] == 0.0) + 1:
+                # kinetic derivative along edge e: -c s to a neighbour on e, c s off it
+                nbrs = ((2.0 / dts[i - 1], C[i - 1]), (2.0 / dts[i], C[i + 1]))
+                g0 = g(Point(space.kind, (float(C[i, 0]), 0.0)))
+                slopes = [
+                    sum(ck * (-s if e == edge else s) for ck, (edge, s) in nbrs)
+                    + w[i] * (g(Point(space.kind, (float(e), FD_STEP))) - g0) / FD_STEP
+                    for e in range(len(space.edge_lengths))
+                ]
+                if min(slopes) < 0.0:
+                    C[i, 0] = slopes.index(min(slopes))
+            edges = C[1:-1, 0].tolist()
+            sigma = np.where(C[1:, 0] == C[:-1, 0], 1.0, -1.0)
+            at = lambda i, x: Point(space.kind, (edges[i], float(x[0])))
+        X = C[:, chart]
+        step = _newton_step(g, space, X, cur.times, sigma, at)
+        project = lambda i, x: space.project(at(i, x).coords)
         residual = max(
-            float(np.max(np.abs(x - space.project(x - dx).coords))) for x, dx in zip(X[1:-1], step)
+            float(np.max(np.abs(x - project(i, x - dx).coords[chart])))
+            for i, (x, dx) in enumerate(zip(X[1:-1], step))
         )
         if not (residual >= RESIDUAL_TOL and steps < max_iter):
             break
         for _ in range(40):
-            inner = [space.project(row) for row in X[1:-1] - step]
+            inner = [project(i, row) for i, row in enumerate(X[1:-1] - step)]
             candidate = SampledCurve(cur.times, [cur.start, *inner, cur.end], space)
             total = action(candidate, f, x0, x1).total
             if total <= value:
@@ -396,34 +400,41 @@ def _newton_flat(f, space, x0, x1, cur, max_iter):
     return cur, final, info
 
 
-def _newton_step(g, space: SpaceHandle, X: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _newton_step(g, space: SpaceHandle, X: np.ndarray, times: np.ndarray, sigma: np.ndarray, at) -> np.ndarray:
     """Newton step ``(N-1, d)`` of the discrete action at the interior nodes.
 
-    The kinetic part ``sum_k |x_{k+1} - x_k|^2 / (m dt_k)``, ``m`` the
-    space's ``weight``, has an exact gradient and a Hessian that is block
-    tridiagonal in the nodes, with couplings ``c_k = 2 / (m dt_k)``.  The potential ``sum_k w_k g(x_k)``
-    adds a ``d x d`` block per node from central differences, its negative
-    eigenvalues clipped to zero so that the step descends.  On quantile
-    vectors a node moves in the span of its ``_face_basis``; the reduced
-    system keeps the block-tridiagonal form and is solved once.
+    The kinetic part ``sum_k |x_{k+1} - sigma_k x_k|^2 / (m dt_k)``, ``m`` the
+    space's ``weight``, ``sigma_k = -1`` for a tripod interval across the
+    branch point and 1 otherwise, has an exact gradient and a block
+    tridiagonal Hessian with couplings ``-sigma_k c_k``, ``c_k = 2 / (m dt_k)``.
+    The potential ``sum_k w_k g(x_k)`` adds a ``d x d`` block per node from
+    central differences at ``at(i, x)``, its negative eigenvalues clipped to
+    zero so that the step descends.  A node moves in the span of its basis:
+    the ``_face_basis`` on quantile vectors; none for a tripod node at the
+    branch point whose gradient points off its edge.  The reduced system
+    keeps the block-tridiagonal form and is solved once.
     """
     X_in = X[1:-1]
     n, d = X_in.shape
     dts = np.diff(times)
     c = 2.0 / (space.weight * dts)
     w = node_weights(dts)[1:-1]
-    pot_grad, pot_hess = _potential_derivatives(g, space.kind, X_in)
-    G = c[:-1, None] * (X_in - X[:-2]) + c[1:, None] * (X_in - X[2:]) + w[:, None] * pot_grad
+    pot_grad, pot_hess = _potential_derivatives(g, at, X_in)
+    G = c[:-1, None] * (X_in - sigma[:-1, None] * X[:-2]) + c[1:, None] * (X_in - sigma[1:, None] * X[2:])
+    G += w[:, None] * pot_grad
     vals, vecs = np.linalg.eigh(w[:, None, None] * pot_hess)
     blocks = (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.transpose(0, 2, 1)
     blocks += (c[:-1] + c[1:])[:, None, None] * np.eye(d)
     if space.kind is SpaceKind.QUANTILE_1D:
         bases = [_face_basis(x, grad) for x, grad in zip(X_in, G)]
+    elif space.kind is SpaceKind.TRIPOD:
+        bases = [np.eye(1)[:, :0] if x[0] == 0.0 and grad[0] > 0.0 else np.eye(1) for x, grad in zip(X_in, G)]
     else:
         bases = [np.eye(d)] * n
+    coupling = sigma * c
     z = _solve_block_tridiagonal(
         [b.T @ block @ b for b, block in zip(bases, blocks)],
-        [-c[i + 1] * bases[i].T @ bases[i + 1] for i in range(n - 1)],
+        [-coupling[i + 1] * bases[i].T @ bases[i + 1] for i in range(n - 1)],
         [b.T @ grad for b, grad in zip(bases, G)],
     )
     return np.array([b @ zi for b, zi in zip(bases, z)])
@@ -452,24 +463,24 @@ def _solve_block_tridiagonal(diag: list, upper: list, rhs: list) -> list:
     return x
 
 
-def _potential_derivatives(g, kind: SpaceKind, X: np.ndarray):
+def _potential_derivatives(g, at, X: np.ndarray):
     """Central-difference gradient ``(n, d)`` and Hessian ``(n, d, d)`` of
-    ``g`` at each row of ``X``."""
+    ``g`` at the point ``at(i, x)`` of each interior node's row ``x = X[i]``."""
     n, d = X.shape
     grad, hess = np.zeros((n, d)), np.zeros((n, d, d))
-    at = lambda x: g(Point(kind, tuple(float(v) for v in x)))
     for i, x in enumerate(X):
+        node = lambda y: g(at(i, y))
         h = FD_STEP * np.maximum(np.abs(x), 1.0)
         e = np.diag(h)
-        g0 = at(x)
+        g0 = node(x)
         for j in range(d):
-            gp, gm = at(x + e[j]), at(x - e[j])
+            gp, gm = node(x + e[j]), node(x - e[j])
             grad[i, j] = (gp - gm) / (2.0 * h[j])
             hess[i, j, j] = (gp - 2.0 * g0 + gm) / (h[j] * h[j])
             for k in range(j):
                 hess[i, j, k] = hess[i, k, j] = (
-                    at(x + e[j] + e[k]) - at(x + e[j] - e[k])
-                    - at(x - e[j] + e[k]) + at(x - e[j] - e[k])
+                    node(x + e[j] + e[k]) - node(x + e[j] - e[k])
+                    - node(x - e[j] + e[k]) + node(x - e[j] - e[k])
                 ) / (4.0 * h[j] * h[k])
     return grad, hess
 

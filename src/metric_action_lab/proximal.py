@@ -9,7 +9,7 @@ method converges to the unique minimizer.  Solvers by space:
 
 * half-line: golden-section on an automatically expanded bracket;
 * tripod: golden-section on every edge, then compare edge minima
-  (first edge wins exact ties);
+  (first edge wins exact ties; the iterations add up over the edges);
 * Euclidean and quantile vectors: proximal-gradient with backtracking on
   the smooth part, falling back to cyclic coordinate descent on a refining
   grid when the functional is not smooth enough to difference.
@@ -126,19 +126,6 @@ def grid_golden(g: Callable[[float], float], lo: float, hi: float):
     return x, v, n + len(grid), grid[j]
 
 
-def per_edge_golden(on_edge: Callable[[int], Callable[[float], float]], space: SpaceHandle, tol: float):
-    """Golden-section minimum along every tripod edge.
-
-    ``on_edge(e)`` is the objective as a function of the offset along edge
-    ``e``.  Returns one (point, value, evals) triple per edge, in edge order.
-    """
-    out = []
-    for e, length in enumerate(space.edge_lengths):
-        s, v, n = golden_section(on_edge(e), 0.0, length, tol)
-        out.append((Point(SpaceKind.TRIPOD, (float(e), s)), v, n))
-    return out
-
-
 def expand_bracket(g: Callable[[float], float], x0: float, lo_bound: float):
     """Find [lo, hi] containing the minimizer of a convex scalar function,
     doubling the distance from ``x0`` of each end of [x0 - 1, x0 + 1]."""
@@ -191,9 +178,10 @@ def _solve_half_line(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point
 
 
 def _solve_tripod(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
-    edges = per_edge_golden(lambda e: _line_objective(f, space, tau, x, e), space, 1e-11)
-    u, val, _ = min(edges, key=lambda e: e[1])  # first edge wins ties
-    return u, val, sum(n for _, _, n in edges)
+    lines = [_line_objective(f, space, tau, x, e) for e in range(len(space.edge_lengths))]
+    edges = [golden_section(line, 0.0, length) for line, length in zip(lines, space.edge_lengths)]
+    e = min(range(len(edges)), key=lambda e: edges[e][1])  # first edge wins ties
+    return Point(SpaceKind.TRIPOD, (float(e), edges[e][0])), edges[e][1], sum(n for _, _, n in edges)
 
 
 def numeric_grad(fn, coords):

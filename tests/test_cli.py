@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +128,14 @@ def test_cli_recovery_outputs(tmp_path):
     assert "4" in summary["h"]
     labels = {p["label"] for p in summary["h"]["4"]["pieces"]}
     assert "middle" in labels
+
+
+def test_cli_recovery_records_base_curve_convergence(tmp_path):
+    cfg = str(Path(__file__).parent / "data" / "gamma_positive_tripod.config.json")
+    rc = main(["recovery", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "recovery_summary.json").read_text())
+    assert summary["meta"]["base_curve_converged"] is True
 
 
 def test_cli_recovery_vanishing_without_eps_law(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metric_action_lab import distance, euclidean, half_line, quantile_1d
+from metric_action_lab import distance, euclidean, half_line, quantile_1d, tripod
 from metric_action_lab.curves import (
     RESIDUAL_TOL,
     Piece,
@@ -368,6 +368,29 @@ def test_minimize_action_quantile_binding_order_constraint():
     assert any(p.coords[0] == p.coords[1] for p in curve.points)
     assert val.total < action(geodesic_curve(q2, a, a, 32), f, a, a).total
     assert info["converged"]
+
+
+def test_minimize_action_tripod_two_edges_is_the_unfolded_line():
+    # a curve that stays on edges 0 and 1 is the E^1 problem with edge 0
+    # unfolded onto the negative axis: same distances, same quadratic
+    tp = tripod()
+    f = quadratic(tp, tp.point(0, 0.1891))
+    _, val, info = minimize_action(f, tp, tp.point(0, 0.4461), tp.point(1, 0.8804), 64)
+    f1 = quadratic(E1, E1.point(-0.1891))
+    _, line, _ = minimize_action(f1, E1, E1.point(-0.4461), E1.point(0.8804), 64)
+    assert info["converged"]
+    assert abs(val.total - line.total) <= 1e-12 * line.total
+
+
+def test_minimize_action_tripod_leaves_the_branch_point_for_the_centre_edge():
+    # the geodesic runs from edge 0 to edge 2 through the branch point; the
+    # minimizer bends into edge 1 towards the centre
+    tp = tripod()
+    f = quadratic(tp, tp.point(1, 0.6), 3.0)
+    curve, val, info = minimize_action(f, tp, tp.point(0, 0.2), tp.point(2, 0.2), 8)
+    assert info["converged"]
+    assert any(p.coords[0] == 1.0 for p in curve.points)
+    assert val.total <= 3.530182010599  # the node-wise sweep's value
 
 
 def test_minimize_action_reports_stop_before_convergence():

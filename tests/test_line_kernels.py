@@ -1,10 +1,11 @@
 """Bit-for-bit references for the 1-d searches on the half-line and the tripod.
 
-The resolvent solvers and the node-wise sweep minimize float objectives of
-one line coordinate, built on ``spaces.distance_along``.  The references
-below are the same objectives written on points, through ``distance``: the
-resolvent objective ``obj(Point)`` and the sweep's ``local(Point)``.  Every
-comparison is exact (``==``): a kernel that changes one bit fails here.
+The resolvent solvers on both spaces and the half-line node-wise sweep
+minimize float objectives of one line coordinate, built on
+``spaces.distance_along``.  The references below are the same objectives
+written on points, through ``distance``: the resolvent objective
+``obj(Point)`` and the sweep's ``local(Point)``.  Every comparison is exact
+(``==``): a kernel that changes one bit fails here.
 """
 
 import functools
@@ -16,7 +17,6 @@ import pytest
 from metric_action_lab import distance, half_line, tripod
 from metric_action_lab.curves import (
     _update_node_half_line,
-    _update_node_tripod,
     geodesic_curve,
     minimize_action,
 )
@@ -194,25 +194,6 @@ def test_half_line_node_update_matches_point_reference(f, nodes):
     assert newv == value
     assert oldv == local(p)
     assert move == distance(HL, p, newp)
-
-
-@pytest.mark.parametrize("nodes", [((0, 0.5), (0, 0.1), (2, 0.5)), ((1, 0.2), (0, 0.0), (2, 0.7))])
-def test_tripod_node_update_matches_point_reference(nodes):
-    f = quadratic(TP_UNEVEN, TP_UNEVEN.point(1, 0.3), 1.0)
-    p_prev, p, p_next = (TP_UNEVEN.point(*c) for c in nodes)
-    dt0, dt1 = 1.0 / 8, 1.0 / 8
-    w = 0.5 * (dt0 + dt1)
-    local = ref_local(TP_UNEVEN, f, p_prev, p_next, dt0, dt1, w)
-    best, best_val = p, local(p)
-    for q, v, _ in ref_per_edge(TP_UNEVEN, local, 1e-10):
-        if v < best_val:
-            best, best_val = q, v
-    g = functools.partial(slope_squared, f, TP_UNEVEN)
-    newp, newv, oldv, move = _update_node_tripod(TP_UNEVEN, g, p_prev, p, p_next, dt0, dt1, w, 0.0)
-    assert newp == best
-    assert newv == best_val
-    assert oldv == local(p)
-    assert move == distance(TP_UNEVEN, p, newp)
 
 
 # --------------------------------------------------------------------------

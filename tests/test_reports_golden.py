@@ -2,7 +2,7 @@
 
 ``gamma example2`` (h 4 and 8, N 16, a 256-interval certificate, optimizer
 on) runs the half-line node-wise sweep; ``gamma positive`` on a tripod with
-a ``minimize_action`` base curve in flow mode runs the tripod sweep.  A
+a ``minimize_action`` base curve in flow mode runs the tripod Newton search.  A
 change to either search that moves one printed digit fails here.  The
 expected files were written by the lab itself; to regenerate them after an
 intended change, from the root of a checkout:
