@@ -48,7 +48,6 @@ from .proximal import (  # noqa: F401
     resolvent_convergence_probe,
 )
 from .flow import (  # noqa: F401
-    FlowTrajectory,
     check_contraction,
     check_energy_identity,
     check_evi,

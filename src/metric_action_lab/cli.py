@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .curves import action, curve_to_csv, format_table
+from .curves import action, curve_to_csv, format_table, metric_speed
 from .errors import MetricActionError
 from .flow import check_contraction, check_energy_identity, check_evi, flow, slack
 from .functionals import (
@@ -262,12 +262,12 @@ def cmd_flow(args) -> int:
     x = config_point(sp, cfg["x"], "x")
     T = config_number(cfg.get("T", 1.0), "T")
     traj = flow(f, sp, x, T, config_number(cfg.get("n_steps", 1000), "n_steps", int))
-    speeds = traj.speeds(sp)
+    speeds = metric_speed(traj)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     header = ["t"] + [f"coord_{i}" for i in range(len(x.coords))] + ["f_value", "speed", "slope"]
     rows = (
-        [t, *p.coords, traj.f_values[k], speeds[min(k, len(speeds) - 1)],
+        [t, *p.coords, evaluate(f, p), speeds[min(k, len(speeds) - 1)],
          descending_slope(f, sp, p)]
         for k, (t, p) in enumerate(zip(traj.times, traj.points))
     )

@@ -1,7 +1,9 @@
 """Sampled curves, metric speed, the action functional, concatenation.
 
-A sampled curve is a strictly increasing time grid on [0, 1] with one point
-per node.  The discretized action of a curve under a functional ``f`` is
+A sampled curve, the lab's only curve type, is a strictly increasing time
+grid with one point per node; a flow is one on its own time grid.  A curve
+read from CSV, concatenated or given to ``minimize_action`` as ``init`` must
+be on [0, 1].  The discretized action of a curve under a functional ``f`` is
 
     sum_k d(p_k, p_{k+1})^2 / dt_k            (midpoint speeds, exact AM-GM)
   + trapezoid of slope(f)^2 over the nodes    (potential term)
@@ -18,9 +20,9 @@ central-difference block per node.  The half-line keeps coarse-to-fine
 node-wise sweeps (a bracketing grid plus golden-section refinement),
 because its catalogue slopes are discontinuous, kinked or singular: on the
 ramp's step central differences see a zero gradient, so Newton would take
-the geodesic for stationary.  A node's objective is a float function of its
-coordinate built on ``spaces.distance_along``, so its neighbours' tags are
-checked once per node update.  Both solvers report ``sweeps``,
+the geodesic for stationary.  The sweep searches node coordinates as floats;
+``action``, run on the whole curve before the first sweep and after each,
+checks the points' tags.  Both solvers report ``sweeps``,
 ``converged`` (a ``bool``) and ``residual`` (a ``float``) in their ``info``.
 """
 
@@ -43,10 +45,8 @@ from .spaces import (
     SpaceHandle,
     SpaceKind,
     distance,
-    distance_along,
     geodesic_point,
     isotonic_repair,
-    point_along,
 )
 
 ENDPOINT_TOL = 1e-9
@@ -67,8 +67,6 @@ class SampledCurve:
             raise DomainError("curve needs one point per node and at least two nodes")
         if np.any(np.diff(self.times) <= 0):
             raise DomainError("times must be strictly increasing")
-        if abs(self.times[0]) > 1e-12 or abs(self.times[-1] - 1.0) > 1e-12:
-            raise DomainError("curve must be parametrized on [0, 1]")
 
     @property
     def start(self) -> Point:
@@ -80,7 +78,7 @@ class SampledCurve:
 
     def at(self, t: float) -> Point:
         """Evaluate by geodesic interpolation between bracketing nodes."""
-        t = min(max(t, 0.0), 1.0)
+        t = min(max(t, float(self.times[0])), float(self.times[-1]))
         k = int(np.searchsorted(self.times, t, side="right")) - 1
         k = min(max(k, 0), len(self.times) - 2)
         t0, t1 = self.times[k], self.times[k + 1]
@@ -91,9 +89,16 @@ class SampledCurve:
         return SampledCurve(self.times.copy(), [fn(p) for p in self.points], self.space)
 
     def reversed_time(self) -> "SampledCurve":
-        """Time flip; preserves the discrete action exactly."""
+        """Time flip of a curve on [0, 1]; preserves the discrete action exactly."""
         times = 1.0 - self.times[::-1]
         return SampledCurve(times, list(reversed(self.points)), self.space)
+
+
+def _on_unit_interval(c: SampledCurve) -> SampledCurve:
+    """``c``, after checking that it is parametrized on [0, 1]."""
+    if abs(c.times[0]) > 1e-12 or abs(c.times[-1] - 1.0) > 1e-12:
+        raise DomainError("curve must be parametrized on [0, 1]")
+    return c
 
 
 @dataclass
@@ -178,13 +183,15 @@ def amgm_lower_bound(c: SampledCurve, potential_at: Callable[[Point], float]) ->
 
 
 def concatenate_rescale(pieces: Sequence[Piece], endpoint_tol: float = ENDPOINT_TOL) -> SampledCurve:
-    """Concatenate curve segments with given durations, rescale to [0, 1].
+    """Concatenate segments, each on [0, 1], with given durations; rescale to [0, 1].
 
     Zero-duration segments are dropped after their endpoints are checked.
     Under the linear rescale a segment compressed by factor ``rho``
     contributes ``1/rho`` times its own kinetic integral and ``rho`` times
     its potential integral to the final action.
     """
+    for p in pieces:
+        _on_unit_interval(p.curve)
     kept = [p for p in pieces if p.duration > 0.0]
     if not kept:
         raise ConcatenationError("no segment with positive duration")
@@ -223,25 +230,23 @@ def uniform_distance(a: SampledCurve, b: SampledCurve) -> float:
 # --------------------------------------------------------------------------
 
 
-def _update_node_half_line(space, g, p_prev: Point, p: Point, p_next: Point, dt0, dt1, w, span: float):
-    """Grid-then-golden minimum of the node's local objective, the kinetic
-    terms of its two intervals plus its trapezoid share of ``g = slope^2`` as
-    a function of its coordinate, on a bracket around it and its neighbours.
-    Returns the new point, its value, the value at ``p`` and the distance
-    from ``p``."""
-    at = point_along(space)
-    d_prev, d_next = distance_along(space, p_prev), distance_along(space, p_next)
+def _update_node_half_line(g, a: float, v: float, b: float, dt0, dt1, w, span: float):
+    """Grid-then-golden minimum of the local objective of a half-line node at
+    coordinate ``v`` between neighbours at ``a`` and ``b``: the kinetic terms
+    of its two intervals plus its trapezoid share of ``g = slope^2``, as a
+    function of its coordinate, on a bracket around it and its neighbours.
+    Returns the new coordinate, its value and the value at ``v``."""
 
     def local(s: float) -> float:
-        gp = g(at(s))
+        gp = g(Point(SpaceKind.HALF_LINE, (s,)))
         if not math.isfinite(gp):
             return INF
-        return d_prev(s) ** 2 / dt0 + d_next(s) ** 2 / dt1 + w * gp
+        return abs(s - a) ** 2 / dt0 + abs(s - b) ** 2 / dt1 + w * gp
 
-    lo = max(min(p_prev.coords[0], p_next.coords[0], p.coords[0]) - span, 0.0)
-    hi = max(p_prev.coords[0], p_next.coords[0], p.coords[0]) + span
-    v, value, _, _ = grid_golden(local, lo, hi)
-    return Point(SpaceKind.HALF_LINE, (v,)), value, local(p.coords[0]), distance_along(space, p)(v)
+    lo = max(min(a, b, v) - span, 0.0)
+    hi = max(a, b, v) + span
+    s, value, _, _ = grid_golden(local, lo, hi)
+    return s, value, local(v)
 
 
 def resample_curve(curve: SampledCurve, n_intervals: int) -> SampledCurve:
@@ -262,8 +267,8 @@ def minimize_action(
     """Search for a low-action curve joining ``x0`` to ``x1``.
 
     ``N`` is the number of intervals of the final grid; the search starts
-    from ``init`` resampled to ``N`` intervals, or from the geodesic.  The
-    solver depends on the geometry:
+    from ``init`` (on [0, 1]) resampled to ``N`` intervals, or from the
+    geodesic.  The solver depends on the geometry:
 
     * Euclidean, quantile and tripod spaces: projected Newton steps on the
       whole curve, at most ``max_iter`` of them (see ``_newton``);
@@ -283,7 +288,7 @@ def minimize_action(
     sweep = space.kind is SpaceKind.HALF_LINE
     levels = [N]
     if init is not None:
-        if not math.isfinite(action(init, f, x0, x1).total):
+        if not math.isfinite(action(_on_unit_interval(init), f, x0, x1).total):
             raise InitializationError("initial curve has infinite action")
         cur = resample_curve(init, N)
     else:
@@ -309,21 +314,20 @@ def _sweep_nodes(f, space, x0, x1, cur, levels, max_iter):
         level_sweeps = max_iter if n_level >= levels[-1] else 80
         span = max(0.5 * span0 / n_level, 1e-4)
         prev_total = action(cur, f, x0, x1).total
+        xs = [p.coords[0] for p in cur.points]
         for sweep in range(level_sweeps):
             sweeps_done += 1
             moved = 0.0
-            pts = cur.points
             times = cur.times
-            for i in range(1, len(pts) - 1):
+            for i in range(1, len(xs) - 1):
                 dt0 = times[i] - times[i - 1]
                 dt1 = times[i + 1] - times[i]
                 w = 0.5 * (dt0 + dt1)
-                newp, newv, oldv, move = _update_node_half_line(
-                    space, g, pts[i - 1], pts[i], pts[i + 1], dt0, dt1, w, 4 * span
-                )
+                s, newv, oldv = _update_node_half_line(g, xs[i - 1], xs[i], xs[i + 1], dt0, dt1, w, 4 * span)
                 if newv <= oldv:
-                    moved = max(moved, move)
-                    pts[i] = newp
+                    moved = max(moved, abs(s - xs[i]))
+                    xs[i] = s
+                    cur.points[i] = Point(SpaceKind.HALF_LINE, (s,))
             total = action(cur, f, x0, x1).total
             last_gain = prev_total - total
             prev_total = total
@@ -553,4 +557,4 @@ def curve_from_csv(text: str, space: SpaceHandle) -> SampledCurve:
     for row in body:
         times.append(float(row[0]))
         pts.append(space.point(*[float(v) for v in row[1:]]))
-    return SampledCurve(np.array(times), pts, space)
+    return _on_unit_interval(SampledCurve(np.array(times), pts, space))

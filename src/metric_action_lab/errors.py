@@ -33,7 +33,8 @@ class ConvergenceError(MetricActionError):
 
 
 class FlowError(MetricActionError):
-    """Trajectory construction failed; carries the partial trajectory."""
+    """Trajectory construction failed; ``partial`` is the list of points
+    reached before the failing step."""
 
     def __init__(self, message, partial=None):
         super().__init__(message)

@@ -1,9 +1,11 @@
 """Gradient-flow trajectories by minimizing movements, with validators.
 
-A trajectory is generated by iterating the resolvent at the step size:
-``x_{k+1} = J_dt(x_k)``.  Each validator compares a discrete quantity with
-the corresponding continuous inequality and returns the residual; callers
-compare the residual against ``tolerance + slack(dt)`` where the slack is
+A trajectory is generated by iterating the resolvent at the step size,
+``x_{k+1} = J_dt(x_k)``; it is a ``curves.SampledCurve`` on its own time
+grid, and validators that need ``f`` along it evaluate it at the nodes.
+Each validator compares a discrete quantity with the corresponding
+continuous inequality and returns the residual; callers compare the
+residual against ``tolerance + slack(dt)`` where the slack is
 ``5 * L * dt`` with the fixed local Lipschitz estimate ``L = 10``
 (``LIPSCHITZ``).  The inequalities hold exactly only in the continuous limit,
 so the slack keeps finite-step checks from producing false failures.
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .curves import interval_lengths
+from .curves import SampledCurve, metric_speed
 from .errors import DomainError, FlowError, MetricActionError
 from .functionals import FunctionalSpec, descending_slope, evaluate, lam_neg
 from .proximal import resolvent, tau_upper_limit
@@ -28,23 +30,9 @@ def slack(dt: float) -> float:
     return 5.0 * LIPSCHITZ * dt
 
 
-@dataclass
-class FlowTrajectory:
-    times: np.ndarray
-    points: list
-    f_values: np.ndarray
-
-    @property
-    def end(self) -> Point:
-        return self.points[-1]
-
-    def speeds(self, space: SpaceHandle) -> np.ndarray:
-        return interval_lengths(space, self.points) / np.diff(self.times)
-
-
 def flow(
     f: FunctionalSpec, space: SpaceHandle, x: Point, T: float, n_steps: int
-) -> FlowTrajectory:
+) -> SampledCurve:
     """Minimizing-movement trajectory on [0, T] with uniform steps."""
     if n_steps < 1 or T <= 0:
         raise DomainError("need T > 0 and n_steps >= 1")
@@ -54,25 +42,22 @@ def flow(
     return flow_times(f, space, x, np.linspace(0.0, T, n_steps + 1))
 
 
-def flow_times(f: FunctionalSpec, space: SpaceHandle, x: Point, times) -> FlowTrajectory:
+def flow_times(f: FunctionalSpec, space: SpaceHandle, x: Point, times) -> SampledCurve:
     """Minimizing movements along an arbitrary increasing time grid."""
     times = np.asarray(times, dtype=float)
     pts = [x]
-    vals = [evaluate(f, x)]
     for k in range(len(times) - 1):
         dt = times[k + 1] - times[k]
         try:
             res = resolvent(f, space, dt, pts[-1])
         except MetricActionError as exc:
-            partial = FlowTrajectory(times[: k + 1], pts, np.array(vals))
-            raise FlowError(f"resolvent failed at step {k}: {exc}", partial=partial) from exc
+            raise FlowError(f"resolvent failed at step {k}: {exc}", partial=pts) from exc
         pts.append(res.point)
-        vals.append(evaluate(f, res.point))
-    return FlowTrajectory(times, pts, np.array(vals))
+    return SampledCurve(times, pts, space)
 
 
 def check_evi(
-    traj: FlowTrajectory,
+    traj: SampledCurve,
     f: FunctionalSpec,
     lam: float,
     v: Point,
@@ -89,7 +74,7 @@ def check_evi(
     for k in range(1, len(traj.points) - 1):
         dt2 = traj.times[k + 1] - traj.times[k - 1]
         deriv = 0.5 * (d2[k + 1] - d2[k - 1]) / dt2
-        r = deriv + 0.5 * lam * d2[k] - fv + traj.f_values[k]
+        r = deriv + 0.5 * lam * d2[k] - fv + evaluate(f, traj.points[k])
         worst = max(worst, r)
     return worst
 
@@ -122,7 +107,7 @@ class EnergyReport:
 
 
 def check_energy_identity(
-    traj: FlowTrajectory, f: FunctionalSpec, space: SpaceHandle
+    traj: SampledCurve, f: FunctionalSpec, space: SpaceHandle
 ) -> EnergyReport:
     """Compare the value drop with the integral of the squared speed.
 
@@ -130,10 +115,10 @@ def check_energy_identity(
     the report also carries the worst node-wise gap between interval speed
     and the slope at the right node.
     """
-    speeds = traj.speeds(space)
+    speeds = metric_speed(traj)
     dts = np.diff(traj.times)
     kinetic = float(np.sum(speeds**2 * dts))
-    drop = float(traj.f_values[0] - traj.f_values[-1])
+    drop = float(evaluate(f, traj.start) - evaluate(f, traj.end))
     rel = abs(drop - kinetic) / max(1.0, abs(drop))
     gap = 0.0
     for k in range(len(speeds)):

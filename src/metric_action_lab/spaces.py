@@ -177,13 +177,8 @@ def _check_tags(space: SpaceHandle, *points: Point):
 def distance(space: SpaceHandle, p: Point, q: Point) -> float:
     """Metric distance between two points of ``space``."""
     _check_tags(space, p, q)
-    k = space.kind
-    if k is SpaceKind.EUCLIDEAN:
-        return math.dist(p.coords, q.coords)
-    if k is SpaceKind.HALF_LINE:
-        return abs(p.coords[0] - q.coords[0])
-    if k is SpaceKind.QUANTILE_1D:
-        return math.dist(p.coords, q.coords) / math.sqrt(space.dim)
+    if space.kind is not SpaceKind.TRIPOD:
+        return math.dist(p.coords, q.coords) / math.sqrt(space.weight)
     # tripod: through the branch point unless both points share an edge
     (ep, op), (eq, oq) = p.coords, q.coords
     if int(ep) == int(eq):

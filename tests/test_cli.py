@@ -282,6 +282,25 @@ def test_cli_unreadable_curve_file_exits_2_with_one_line(tmp_path, capsys, comma
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ([0.0, 0.5, 2.0], "curve must be parametrized on [0, 1]"),
+        ([0.0, 0.5, 0.4, 1.0], "times must be strictly increasing"),
+    ],
+    ids=["off_unit_interval", "not_increasing"],
+)
+def test_cli_action_rejects_bad_curve_times(tmp_path, capsys, times, message):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("t,coord_0\n" + "".join(f"{t},{t}\n" for t in times))
+    cfg = write_json(tmp_path / "cfg.json", {"space": {"kind": "half_line"}, "functional": {"name": "zero"},
+                                             "curve_csv": str(curve), "x0": 0.0, "x1": 1.0})
+    rc = main(["action", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"metric-action-lab: cannot read curve {curve}: {message}\n"
+
+
 def test_cli_gamma_liminf(tmp_path):
     cfg = write_json(
         tmp_path / "cfg.json",

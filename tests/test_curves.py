@@ -22,7 +22,7 @@ from metric_action_lab.curves import (
     resample_curve,
     uniform_distance,
 )
-from metric_action_lab.errors import ConcatenationError, InitializationError
+from metric_action_lab.errors import ConcatenationError, DomainError, InitializationError
 from metric_action_lab.functionals import (
     descending_slope,
     inverse_square,
@@ -156,6 +156,17 @@ def test_concatenate_rejects_gap():
         concatenate_rescale([Piece(a, 1.0, "a"), Piece(b, 1.0, "b")])
 
 
+def test_curves_off_the_unit_interval_are_rejected_where_one_is_needed():
+    # a curve may live on any grid (a flow does), but concatenation and
+    # minimize_action's init need [0, 1]
+    off = SampledCurve(np.linspace(0.0, 2.0, 5), [E1.point(v) for v in np.linspace(0.0, 1.0, 5)], E1)
+    unit = line_curve(E1, 4, lambda t: 1.0 + t)
+    with pytest.raises(DomainError, match=r"parametrized on \[0, 1\]"):
+        concatenate_rescale([Piece(off, 1.0), Piece(unit, 1.0)])
+    with pytest.raises(DomainError, match=r"parametrized on \[0, 1\]"):
+        minimize_action(QUAD, E1, E1.point(0.0), E1.point(1.0), 8, init=off)
+
+
 def test_concatenate_action_decomposition():
     # total action equals the duration-weighted sum of per-piece integrals
     f = QUAD
@@ -274,7 +285,7 @@ def shooting_oracle_value(n_steps: int = 4000):
     ts = np.linspace(0.0, 1.0, n_steps + 1)
     speed2 = (np.diff(traj) / np.diff(ts)) ** 2
     pot = traj**2
-    value = float(np.sum(speed2 * np.diff(ts)) + np.trapezoid(pot, ts))
+    value = float(np.sum(speed2 * np.diff(ts)) + 0.5 * float(np.sum((pot[1:] + pot[:-1]) * np.diff(ts))))
     return value, ts, traj
 
 

@@ -16,6 +16,7 @@ from metric_action_lab.flow import (
 )
 from metric_action_lab.functionals import (
     descending_slope,
+    evaluate,
     inverse_square,
     linear_half_line,
     quadratic,
@@ -67,7 +68,7 @@ def test_flow_f_values_nonincreasing(rng):
         (inverse_square(0.5), HL, HL.point(0.8)),
     ):
         traj = flow(f, sp, x, 0.5, 200)
-        diffs = np.diff(traj.f_values)
+        diffs = np.diff([evaluate(f, p) for p in traj.points])
         assert np.max(diffs) <= 1e-10
 
 

@@ -359,3 +359,18 @@ def test_tripod_tie_flag():
     f = strip_closed_forms(quadratic(sp, sp.point(0, 0.0), 1.0))
     res = resolvent(f, sp, 0.3, sp.point(1, 0.5))
     assert res.point.coords[1] == pytest.approx(0.5 / 1.3, abs=1e-7)
+
+
+@pytest.mark.parametrize("lam", [-1.0, -0.4])
+@pytest.mark.parametrize("space", [E1, euclidean(2), HL], ids=["euclidean1", "euclidean2", "half_line"])
+def test_concave_quadratic_closed_form_prox_matches_numeric(space, lam, rng):
+    # lam < 0: the affine formula, then the metric projection (the
+    # half-line's clamp at 0), against the space's numerical solver
+    for _ in range(40):
+        f = quadratic(space, random_point(space, rng), lam)
+        x = random_point(space, rng)
+        tau = float(rng.uniform(0.05, 0.95)) * tau_upper_limit(lam)
+        exact = resolvent(f, space, tau, x)
+        numeric = resolvent(strip_closed_forms(f), space, tau, x)
+        assert exact.method == "closed_form"
+        assert max(abs(a - b) for a, b in zip(exact.point.coords, numeric.point.coords)) <= 1e-6

@@ -1,18 +1,28 @@
-"""The CSV reports of two small configs, pinned byte for byte.
+"""The CSV reports of four small runs, pinned byte for byte.
 
 ``gamma example2`` (h 4 and 8, N 16, a 256-interval certificate, optimizer
 on) runs the half-line node-wise sweep; ``gamma positive`` on a tripod with
-a ``minimize_action`` base curve in flow mode runs the tripod Newton search.  A
-change to either search that moves one printed digit fails here.  The
-expected files were written by the lab itself; to regenerate them after an
-intended change, from the root of a checkout:
+a ``minimize_action`` base curve in flow mode runs the tripod Newton search.
+``flow`` on quantile vectors writes a trajectory with its ``f_value``,
+``speed`` and ``slope`` columns.  ``recovery`` on the same tripod config
+writes the h = 8 recovery curve: tripod Newton, flow-mode pieces,
+concatenation, the time flip and the ``edge`` column.  A change that moves
+one printed digit fails here.  The expected files were written by the lab
+itself; to regenerate them after an intended change, from the root of a
+checkout:
 
     PYTHONPATH=src python -m metric_action_lab.cli gamma example2 \\
         --config tests/data/gamma_example2.config.json --out /tmp/golden
     PYTHONPATH=src python -m metric_action_lab.cli gamma positive \\
         --config tests/data/gamma_positive_tripod.config.json --out /tmp/golden
+    PYTHONPATH=src python -m metric_action_lab.cli flow \\
+        --config tests/data/flow_quantile.config.json --out /tmp/golden
+    PYTHONPATH=src python -m metric_action_lab.cli recovery \\
+        --config tests/data/gamma_positive_tripod.config.json --out /tmp/golden
     cp /tmp/golden/gamma_example2.csv tests/data/gamma_example2.csv
     cp /tmp/golden/gamma_positive.csv tests/data/gamma_positive_tripod.csv
+    cp /tmp/golden/trajectory.csv tests/data/flow_quantile.csv
+    cp /tmp/golden/recovery_h8.csv tests/data/recovery_tripod_h8.csv
 """
 
 from pathlib import Path
@@ -24,10 +34,25 @@ from metric_action_lab.cli import main
 DATA = Path(__file__).parent / "data"
 
 
+# run -> (command line before --config, file it writes, expected file)
+RUNS = {
+    "example2": (["gamma", "example2"], "gamma_example2.csv", "gamma_example2.csv"),
+    "positive": (["gamma", "positive"], "gamma_positive.csv", "gamma_positive_tripod.csv"),
+    "flow": (["flow"], "trajectory.csv", "flow_quantile.csv"),
+    "recovery": (["recovery"], "recovery_h8.csv", "recovery_tripod_h8.csv"),
+}
+
+
 @pytest.mark.parametrize(
-    "experiment, stem", [("example2", "gamma_example2"), ("positive", "gamma_positive_tripod")]
+    "run, stem",
+    [
+        ("example2", "gamma_example2"),
+        ("positive", "gamma_positive_tripod"),
+        ("flow", "flow_quantile"),
+        ("recovery", "gamma_positive_tripod"),
+    ],
 )
-def test_report_csv_is_byte_identical(tmp_path, experiment, stem):
-    main(["gamma", experiment, "--config", str(DATA / f"{stem}.config.json"), "--out", str(tmp_path)])
-    written = (tmp_path / f"gamma_{experiment}.csv").read_bytes()
-    assert written == (DATA / f"{stem}.csv").read_bytes()
+def test_report_csv_is_byte_identical(tmp_path, run, stem):
+    command, written, expected = RUNS[run]
+    main([*command, "--config", str(DATA / f"{stem}.config.json"), "--out", str(tmp_path)])
+    assert (tmp_path / written).read_bytes() == (DATA / expected).read_bytes()
