@@ -28,7 +28,6 @@ from .functionals import (  # noqa: F401
     FunctionalFamily,
     FunctionalSpec,
     SupFormula,
-    build_functional,
     check_lambda_convexity,
     descending_slope,
     evaluate,
@@ -81,6 +80,7 @@ from .harness import (  # noqa: F401
     ExperimentConfig,
     ExperimentReport,
     Verdict,
+    build_functional,
     emit_report,
     liminf_probe,
     run_example1,

@@ -13,10 +13,13 @@ Subcommands:
 * ``gamma positive|example1|example2|liminf`` runs the convergence
   experiments.
 
-Every subcommand takes ``--config PATH`` and ``--out DIR``.  The exit code
-is 0 when all asserted invariants pass, 1 when one fails, and 2 when the
-command line, the config or a law is invalid; a library error prints one
-``metric-action-lab: <message>`` line on stderr.
+The CLI only dispatches: ``harness`` owns the config format and reads
+every config key, and this module maps the command line to a harness call
+and a verdict to an exit code.  Every subcommand takes ``--config PATH``
+and ``--out DIR``.  The exit code is 0 when all asserted invariants pass,
+1 when one fails, and 2 when the command line, the config or a law is
+invalid; a library error prints one ``metric-action-lab: <message>`` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -36,35 +39,26 @@ from .flow import check_contraction, check_energy_identity, check_evi, flow, sla
 from .functionals import (
     FunctionalFamily,
     SupFormula,
-    build_functional,
     check_lambda_convexity,
     descending_slope,
     evaluate,
+    inverse_square,
+    linear_half_line,
     quadratic,
+    ramp,
     zero_functional,
 )
 from .harness import (
     ExperimentConfig,
     Verdict,
+    action_config,
     emit_report,
     experiment_recovery,
-    liminf_probe,
+    flow_config,
     load_config,
-    load_curve,
     resolve_base_curve,
-    run_example1,
-    run_example2,
-    run_positive,
-    space_from_config,
+    run_gamma,
     write_json,
-)
-from .laws import (
-    config_bool,
-    config_h_list,
-    config_number,
-    config_object,
-    config_point,
-    parse_law,
 )
 from .proximal import (
     check_bound_chain,
@@ -124,9 +118,9 @@ def _catalogue_for(space_name, sp):
     if space_name == "half_line":
         center = sp.point(1.0)
         out.append(("quadratic", quadratic(sp, center, 1.0)))
-        out.append(("linear", build_functional(sp, "linear", {"c": 2.0})))
-        out.append(("example1", build_functional(sp, "example1", {"eps": 0.5})))
-        out.append(("example2", build_functional(sp, "example2", {"h": 4.0})))
+        out.append(("linear", linear_half_line(2.0)))
+        out.append(("example1", inverse_square(0.5)))
+        out.append(("example2", ramp(4.0)))
     elif space_name == "euclidean2":
         out.append(("quadratic", quadratic(sp, sp.point(0.5, -0.5), 1.0)))
     elif space_name == "tripod":
@@ -249,19 +243,9 @@ def cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
-def _space_and_functional(cfg: dict) -> tuple:
-    """The space and the catalogue functional a ``flow``/``action`` config names."""
-    sp = space_from_config(cfg["space"])
-    fn = config_object(cfg["functional"], "functional")
-    return sp, build_functional(sp, fn["name"], fn.get("params", {}))
-
-
 def cmd_flow(args) -> int:
-    cfg = load_config(args.config)
-    sp, f = _space_and_functional(cfg)
-    x = config_point(sp, cfg["x"], "x")
-    T = config_number(cfg.get("T", 1.0), "T")
-    traj = flow(f, sp, x, T, config_number(cfg.get("n_steps", 1000), "n_steps", int))
+    sp, f, x, T, n_steps = flow_config(load_config(args.config))
+    traj = flow(f, sp, x, T, n_steps)
     speeds = metric_speed(traj)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -278,11 +262,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_action(args) -> int:
-    cfg = load_config(args.config)
-    sp, f = _space_and_functional(cfg)
-    curve = load_curve(cfg["curve_csv"], sp)
-    x0 = config_point(sp, cfg["x0"], "x0")
-    x1 = config_point(sp, cfg["x1"], "x1")
+    f, curve, x0, x1 = action_config(load_config(args.config))
     av = action(curve, f, x0, x1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -293,7 +273,7 @@ def cmd_action(args) -> int:
 
 
 def cmd_recovery(args) -> int:
-    cfg = ExperimentConfig.from_json(args.config)
+    cfg = ExperimentConfig.from_dict(load_config(args.config))
     gamma, meta = resolve_base_curve(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -312,55 +292,11 @@ def cmd_recovery(args) -> int:
 
 def cmd_gamma(args) -> int:
     sub = args.experiment
-    out = Path(args.out)
-    if sub in ("example1", "example2"):
-        cfg = load_config(args.config)
-        h_list = config_h_list(cfg["h_list"])
-        disc = config_object(cfg.get("discretization", {}), "discretization")
-        n_certificate = config_number(disc.get("n_certificate", 1024), "n_certificate", int)
-        tolerances = config_object(cfg.get("tolerances", {}), "tolerances")
-        margin = config_number(tolerances.get("margin", 0.05), "margin")
-        if sub == "example1":
-            report = run_example1(
-                h_list,
-                n_certificate=n_certificate,
-                eps_law=cfg.get("eps_law", "1/h"),
-                margin=margin,
-            )
-        else:
-            report = run_example2(
-                h_list,
-                n_certificate=n_certificate,
-                n_search=config_number(disc.get("N", 64), "N", int),
-                margin=margin,
-                with_optimizer=config_bool(cfg.get("with_optimizer", True), "with_optimizer"),
-            )
-        emit_report(report, out, f"gamma_{sub}")
-        print(f"verdict: {report.verdict.value}")
-        return 0 if report.verdict is Verdict.VIOLATED else 1
-    if sub == "positive":
-        cfg = ExperimentConfig.from_json(args.config)
-        report = run_positive(cfg)
-        emit_report(report, out, "gamma_positive")
-        print(f"verdict: {report.verdict.value}")
-        return 0 if report.verdict is Verdict.CONSISTENT else 1
-    # liminf probe: member resolvents of the base curve as the test sequence
-    cfg = ExperimentConfig.from_json(args.config)
-    gamma, base_meta = resolve_base_curve(cfg)
-    probe_cfg = config_object(cfg.raw.get("liminf", {}), "liminf")
-    tail_from = probe_cfg.get("tail_from", int(max(cfg.h_list, default=0)))
-    tail_from = config_number(tail_from, "tail_from", int)
-    slack = config_number(probe_cfg.get("slack", 0.01), "slack")
-    tl = parse_law(probe_cfg.get("tau_law", "1/(h*h)"))
-    curves = {
-        h: gamma.mapped(lambda p, _h=h: resolvent(cfg.family.member(_h), cfg.space, tl(_h), p).point)
-        for h in cfg.h_list
-    }
-    report = liminf_probe(cfg.family, curves, gamma, tail_from=tail_from, slack=slack)
-    report.meta.update(base_meta)
-    emit_report(report, out, "gamma_liminf")
+    report = run_gamma(sub, load_config(args.config))
+    emit_report(report, Path(args.out), f"gamma_{sub}")
     print(f"verdict: {report.verdict.value}")
-    return 0 if report.verdict is Verdict.CONSISTENT else 1
+    asserted = Verdict.VIOLATED if sub.startswith("example") else Verdict.CONSISTENT
+    return 0 if report.verdict is asserted else 1
 
 
 def main(argv=None) -> int:
@@ -375,26 +311,18 @@ def main(argv=None) -> int:
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(fn=cmd_validate)
 
-    fl = sub.add_parser("flow", help="integrate and dump a trajectory")
-    fl.add_argument("--config", required=True)
-    fl.add_argument("--out", default="out")
-    fl.set_defaults(fn=cmd_flow)
-
-    ac = sub.add_parser("action", help="evaluate the action of a curve CSV")
-    ac.add_argument("--config", required=True)
-    ac.add_argument("--out", default="out")
-    ac.set_defaults(fn=cmd_action)
-
-    rc = sub.add_parser("recovery", help="build recovery curves")
-    rc.add_argument("--config", required=True)
-    rc.add_argument("--out", default="out")
-    rc.set_defaults(fn=cmd_recovery)
-
-    gm = sub.add_parser("gamma", help="convergence experiments")
-    gm.add_argument("experiment", choices=["positive", "example1", "example2", "liminf"])
-    gm.add_argument("--config", required=True)
-    gm.add_argument("--out", default="out")
-    gm.set_defaults(fn=cmd_gamma)
+    for name, fn, help in [
+        ("flow", cmd_flow, "integrate and dump a trajectory"),
+        ("action", cmd_action, "evaluate the action of a curve CSV"),
+        ("recovery", cmd_recovery, "build recovery curves"),
+        ("gamma", cmd_gamma, "convergence experiments"),
+    ]:
+        sp = sub.add_parser(name, help=help)
+        if name == "gamma":
+            sp.add_argument("experiment", choices=["positive", "example1", "example2", "liminf"])
+        sp.add_argument("--config", required=True)
+        sp.add_argument("--out", default="out")
+        sp.set_defaults(fn=fn)
 
     args = ap.parse_args(argv)
     try:

@@ -26,7 +26,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .laws import config_number, config_object
 from .spaces import (
     Point,
     SpaceHandle,
@@ -455,43 +454,6 @@ def linear_half_line(c: float) -> FunctionalSpec:
         closed_form_slope=slope,
         closed_form_prox=lambda tau, x: Point(SpaceKind.HALF_LINE, (max(x.coords[0] - c * tau, 0.0),)),
     )
-
-
-def build_functional(space: SpaceHandle, name: str, params: dict | None = None) -> FunctionalSpec:
-    """Catalogue lookup used by config files.
-
-    Names: ``zero``, ``quadratic`` (params ``center``, ``lam``), ``example1``
-    (param ``eps``), ``example2`` (param ``h``), ``linear`` (param ``c``).
-    """
-    params = config_object({} if params is None else params, "params")
-    if name == "zero":
-        return zero_functional(space)
-    if name == "quadratic":
-        center = params.get("center", 0.0)
-        if space.kind is SpaceKind.TRIPOD:
-            if not (isinstance(center, (list, tuple)) and len(center) == 2):
-                raise ConfigError(f"a tripod quadratic needs center [edge, offset], got {center!r}")
-        elif not isinstance(center, (list, tuple)):
-            center = [center] * space.dim
-        elif len(center) != space.dim:
-            raise ConfigError(
-                f"config key 'center' must be a number or {space.dim} numbers, got {center!r}"
-            )
-        center = [config_number(c, "center") for c in center]
-        return quadratic(space, space.point(*center), config_number(params.get("lam", 1.0), "lam"))
-    if name == "example1":
-        if space.kind is not SpaceKind.HALF_LINE:
-            raise ConfigError("example1 lives on the half-line")
-        return inverse_square(config_number(params.get("eps", 1.0), "eps"))
-    if name == "example2":
-        if space.kind is not SpaceKind.HALF_LINE:
-            raise ConfigError("example2 lives on the half-line")
-        return ramp(config_number(params.get("h", 1.0), "h"))
-    if name == "linear":
-        if space.kind is not SpaceKind.HALF_LINE:
-            raise ConfigError("linear lives on the half-line")
-        return linear_half_line(config_number(params.get("c", 1.0), "c"))
-    raise ConfigError(f"unknown catalogue functional {name!r}")
 
 
 def strip_closed_forms(f: FunctionalSpec) -> FunctionalSpec:

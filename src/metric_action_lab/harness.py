@@ -8,6 +8,12 @@ bounded away from the target action; the verdict machinery only declares a
 violation when such a certificate beats the target by the configured
 margin.
 
+The harness owns the config format: ``CONFIG_KEYS`` declares the keys of
+every config object, ``DEFAULTS`` the default of every discretization and
+tolerance setting, and ``ExperimentConfig.from_dict``, ``run_gamma``,
+``flow_config`` and ``action_config`` read every key of the configs the
+command line takes; the CLI only dispatches to them.
+
 Reports serialize to a CSV table (one row per index) plus a JSON summary.
 Identical configurations produce byte-identical files.  ``load_config``
 reads every JSON config, ``load_curve`` every curve file, and ``write_json``
@@ -40,24 +46,28 @@ from .curves import (
 from .errors import ConfigError, DomainError, MetricActionError
 from .functionals import (
     FunctionalFamily,
+    FunctionalSpec,
     SupFormula,
-    build_functional,
     descending_slope,
     inverse_square,
+    linear_half_line,
+    quadratic,
     ramp,
     zero_functional,
 )
 from .laws import (
     ConfigObject,
     as_coords,
+    config_bool,
+    config_count,
     config_h_list,
     config_number,
-    config_object,
     config_point,
     parse_law,
 )
+from .proximal import resolvent
 from .recovery import RecoveryConfig, RecoveryMode, RecoveryOutput, build_recovery
-from .spaces import Point, SpaceHandle, euclidean, half_line, quantile_1d, tripod
+from .spaces import Point, SpaceHandle, SpaceKind, euclidean, half_line, quantile_1d, tripod
 from .spaces import distance as space_distance
 
 
@@ -89,6 +99,56 @@ def parallel_map(fn: Callable, items: Sequence) -> list:
 # configuration
 # --------------------------------------------------------------------------
 
+# The keys each config object may carry.  One experiment config serves
+# ``gamma positive|liminf|example1|example2`` and ``recovery``, so a key that
+# any of them reads is known to all of them.
+CONFIG_KEYS = {
+    "experiment": {"space", "family", "x0", "x1", "x0_law", "x1_law", "h_list", "mode", "eps_law",
+                   "base_curve", "discretization", "tolerances", "liminf", "with_optimizer", "seed"},
+    "flow": {"space", "functional", "x", "T", "n_steps"},
+    "action": {"space", "functional", "curve_csv", "x0", "x1"},
+    "space": {"kind", "dim", "edge_lengths", "grid_size"},
+    "family": {"name", "params", "eps_law", "scale_law", "limit", "scale_limit"},
+    "params": {"center", "lam", "eps", "h", "c"},
+    "limit": {"name", "params"},
+    "functional": {"name", "params"},
+    "base_curve": {"type", "N", "path"},
+    "discretization": {"N", "n_certificate"},
+    "tolerances": {"margin", "d_inf_tol", "slope_cap"},
+    "liminf": {"tail_from", "slack", "tau_law"},
+}
+
+# the default of each ``discretization`` and ``tolerances`` setting
+DEFAULTS = {"N": 64, "n_certificate": 1024, "margin": 0.05, "d_inf_tol": 0.02, "slope_cap": 10.0}
+
+
+def config_object(value, key: str) -> ConfigObject:
+    """The config value under ``key``: a JSON object whose keys
+    ``CONFIG_KEYS[key]`` lists.  An unknown key is a ``ConfigError`` naming
+    it and the nearest known key."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {key!r} must be a JSON object, got {value!r}")
+    known = CONFIG_KEYS[key]
+    for k in value:
+        if k not in known:
+            import difflib  # only this error needs it; a module-level import costs every run
+
+            near = difflib.get_close_matches(str(k), sorted(known), n=1)
+            hint = f"; did you mean {near[0]!r}?" if near else ""
+            raise ConfigError(f"unknown config key {k!r}{hint}")
+    return ConfigObject(value)
+
+
+def experiment_settings(obj: dict) -> dict:
+    """The ``discretization`` counts and ``tolerances`` of an experiment
+    config, each defaulted from ``DEFAULTS``."""
+    disc = config_object(obj.get("discretization", {}), "discretization")
+    tol = config_object(obj.get("tolerances", {}), "tolerances")
+    out = {k: config_count(disc.get(k, DEFAULTS[k]), k) for k in ("N", "n_certificate")}
+    for k in ("margin", "d_inf_tol", "slope_cap"):
+        out[k] = config_number(tol.get(k, DEFAULTS[k]), k)
+    return out
+
 
 def space_from_config(spec: dict) -> SpaceHandle:
     spec = config_object(spec, "space")
@@ -105,10 +165,46 @@ def space_from_config(spec: dict) -> SpaceHandle:
     raise ConfigError(f"unknown space kind {kind!r}")
 
 
+def build_functional(space: SpaceHandle, name: str, params: dict | None = None) -> FunctionalSpec:
+    """Catalogue lookup used by config files.
+
+    Names: ``zero``, ``quadratic`` (params ``center``, ``lam``), ``example1``
+    (param ``eps``), ``example2`` (param ``h``), ``linear`` (param ``c``).
+    """
+    params = config_object({} if params is None else params, "params")
+    if name == "zero":
+        return zero_functional(space)
+    if name == "quadratic":
+        center = params.get("center", 0.0)
+        if space.kind is SpaceKind.TRIPOD:
+            if not (isinstance(center, (list, tuple)) and len(center) == 2):
+                raise ConfigError(f"a tripod quadratic needs center [edge, offset], got {center!r}")
+        elif not isinstance(center, (list, tuple)):
+            center = [center] * space.dim
+        elif len(center) != space.dim:
+            raise ConfigError(
+                f"config key 'center' must be a number or {space.dim} numbers, got {center!r}"
+            )
+        center = [config_number(c, "center") for c in center]
+        return quadratic(space, space.point(*center), config_number(params.get("lam", 1.0), "lam"))
+    for entry, make, key in (("example1", inverse_square, "eps"), ("example2", ramp, "h"),
+                             ("linear", linear_half_line, "c")):
+        if name == entry:
+            if space.kind is not SpaceKind.HALF_LINE:
+                raise ConfigError(f"{name} lives on the half-line")
+            return make(config_number(params.get(key, 1.0), key))
+    raise ConfigError(f"unknown catalogue functional {name!r}")
+
+
+def functional_from_config(space: SpaceHandle, spec: dict, key: str) -> FunctionalSpec:
+    """The catalogue functional of the ``{name, params}`` object under ``key``."""
+    spec = config_object(spec, key)
+    return build_functional(space, spec["name"], spec.get("params"))
+
+
 def family_from_config(space: SpaceHandle, fam: dict) -> FunctionalFamily:
     fam = config_object(fam, "family")
     name = fam["name"]
-    params = fam.get("params", {})
     if name == "example2":
         return FunctionalFamily(
             member=lambda h: ramp(float(h)),
@@ -121,15 +217,14 @@ def family_from_config(space: SpaceHandle, fam: dict) -> FunctionalFamily:
             limit=zero_functional(space),
             base=inverse_square(1.0),
         )
-    base = build_functional(space, name, params)
+    base = build_functional(space, name, fam.get("params"))
     if "scale_law" in fam and fam["scale_law"] is not None:
         law = parse_law(fam["scale_law"])
         member = lambda h: base.scaled(law(h))
     else:
         member = lambda h: base
     if fam.get("limit") is not None:
-        lim_spec = config_object(fam["limit"], "limit")
-        limit = build_functional(space, lim_spec["name"], lim_spec.get("params", {}))
+        limit = functional_from_config(space, fam["limit"], "limit")
     elif fam.get("scale_limit") is not None:
         limit = base.scaled(config_number(fam["scale_limit"], "scale_limit"))
     else:
@@ -137,8 +232,13 @@ def family_from_config(space: SpaceHandle, fam: dict) -> FunctionalFamily:
     return FunctionalFamily(member=member, limit=limit, base=base)
 
 
-def endpoint_law(space: SpaceHandle, law_spec) -> Callable[[int], Point]:
-    fns = [parse_law(l) for l in as_coords(law_spec)]
+def endpoint_law(space: SpaceHandle, law_spec, key: str) -> Callable[[int], Point]:
+    """``h -> point`` from the laws under ``key``, one per coordinate of ``space``."""
+    laws = as_coords(law_spec)
+    if len(laws) != space.dim:
+        raise ConfigError(
+            f"config key {key!r} must give one law per coordinate ({space.dim}), got {len(laws)}")
+    fns = [parse_law(l) for l in laws]
     return lambda h: space.point(*[fn(h) for fn in fns])
 
 
@@ -151,32 +251,30 @@ class ExperimentConfig:
     x0_seq: Callable[[int], Point]
     x1_seq: Callable[[int], Point]
     h_list: list
-    mode: RecoveryMode = RecoveryMode.RESOLVENT
-    base_curve_spec: dict = field(default_factory=lambda: {"type": "geodesic"})
-    eps_law: Optional[Callable[[int], float]] = None
-    n_intervals: int = 64
-    margin: float = 0.05
-    d_inf_tol: float = 0.02
-    slope_cap: float = 10.0
-    seed: int = 0
-    raw: dict = field(default_factory=dict)
+    mode: RecoveryMode
+    base_curve_spec: dict
+    eps_law: Optional[Callable[[int], float]]
+    n_intervals: int
+    margin: float
+    d_inf_tol: float
+    slope_cap: float
+    seed: int
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        obj = ConfigObject(obj)
+        obj = config_object(obj, "experiment")
         space = space_from_config(obj["space"])
         family = family_from_config(space, obj["family"])
         x0 = config_point(space, obj["x0"], "x0")
         x1 = config_point(space, obj["x1"], "x1")
-        disc = config_object(obj.get("discretization", {}), "discretization")
-        tol = config_object(obj.get("tolerances", {}), "tolerances")
+        settings = experiment_settings(obj)
         try:
             mode = RecoveryMode(obj.get("mode", "resolvent"))
         except ValueError:
             raise ConfigError(
                 f"config key 'mode' must be resolvent, flow or vanishing, got {obj['mode']!r}"
             ) from None
-        eps_law = parse_law(obj["eps_law"]) if obj.get("eps_law") else None
+        eps_law = None if obj.get("eps_law") is None else parse_law(obj["eps_law"])
         if mode is RecoveryMode.VANISHING:
             # members are eps(h) * base with a vanishing scale, limit is zero
             base = family.base
@@ -192,23 +290,18 @@ class ExperimentConfig:
             family=family,
             x0=x0,
             x1=x1,
-            x0_seq=endpoint_law(space, obj.get("x0_law", obj["x0"])),
-            x1_seq=endpoint_law(space, obj.get("x1_law", obj["x1"])),
+            x0_seq=endpoint_law(space, obj.get("x0_law", obj["x0"]), "x0_law"),
+            x1_seq=endpoint_law(space, obj.get("x1_law", obj["x1"]), "x1_law"),
             h_list=config_h_list(obj["h_list"]),
             mode=mode,
             base_curve_spec=config_object(obj.get("base_curve", {"type": "geodesic"}), "base_curve"),
             eps_law=eps_law,
-            n_intervals=config_number(disc.get("N", 64), "N", int),
-            margin=config_number(tol.get("margin", 0.05), "margin"),
-            d_inf_tol=config_number(tol.get("d_inf_tol", 0.02), "d_inf_tol"),
-            slope_cap=config_number(tol.get("slope_cap", 10.0), "slope_cap"),
+            n_intervals=settings["N"],
+            margin=settings["margin"],
+            d_inf_tol=settings["d_inf_tol"],
+            slope_cap=settings["slope_cap"],
             seed=config_number(obj.get("seed", 0), "seed", int),
-            raw=obj,
         )
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(load_config(path))
 
 
 def load_config(path) -> dict:
@@ -238,12 +331,31 @@ def load_curve(path, space: SpaceHandle) -> SampledCurve:
         raise ConfigError(f"cannot read curve {path}: {exc}") from None
 
 
+def flow_config(obj: dict) -> tuple:
+    """``(space, f, x, T, n_steps)`` of a ``flow`` config."""
+    obj = config_object(obj, "flow")
+    sp = space_from_config(obj["space"])
+    f = functional_from_config(sp, obj["functional"], "functional")
+    x = config_point(sp, obj["x"], "x")
+    T = config_number(obj.get("T", 1.0), "T")
+    return sp, f, x, T, config_number(obj.get("n_steps", 1000), "n_steps", int)
+
+
+def action_config(obj: dict) -> tuple:
+    """``(f, curve, x0, x1)`` of an ``action`` config."""
+    obj = config_object(obj, "action")
+    sp = space_from_config(obj["space"])
+    f = functional_from_config(sp, obj["functional"], "functional")
+    curve = load_curve(obj["curve_csv"], sp)
+    return f, curve, config_point(sp, obj["x0"], "x0"), config_point(sp, obj["x1"], "x1")
+
+
 def resolve_base_curve(cfg: ExperimentConfig) -> tuple:
     """The experiment's base curve and the report ``meta`` entries it adds:
     ``base_curve_converged`` for a ``minimize_action`` curve, none otherwise."""
     spec = cfg.base_curve_spec
     kind = spec.get("type", "geodesic")
-    n = config_number(spec.get("N", cfg.n_intervals), "N", int)
+    n = config_count(spec.get("N", cfg.n_intervals), "N")
     if kind == "geodesic":
         return geodesic_curve(cfg.space, cfg.x0, cfg.x1, n), {}
     if kind == "minimize_action":
@@ -272,18 +384,8 @@ def experiment_recovery(cfg: ExperimentConfig, gamma: SampledCurve, h: int) -> R
 # positive experiments
 # --------------------------------------------------------------------------
 
-POSITIVE_COLUMNS = [
-    "h",
-    "tau",
-    "theta_h",
-    "theta_target",
-    "gap",
-    "d_inf",
-    "slope_x0",
-    "slope_x1",
-    "endpoint_gap",
-    "pass",
-]
+POSITIVE_COLUMNS = ["h", "tau", "theta_h", "theta_target", "gap", "d_inf", "slope_x0",
+                    "slope_x1", "endpoint_gap", "pass"]
 
 
 def run_positive(cfg: ExperimentConfig) -> ExperimentReport:
@@ -370,42 +472,49 @@ def crossing_lower_bound(xs: np.ndarray, sqrt_g_right: Callable[[float], float])
     return total
 
 
-def _certified_verdict(rows: list, bound: str, target: float, margin: float) -> tuple:
-    """Mark rows whose ``bound`` column beats the target by the margin.
+def _certified_report(
+    columns: list, h_list: Sequence, certificate: Callable, bound: str, margin: float, meta: dict
+) -> ExperimentReport:
+    """Rows ``certificate(h)`` per index against the straight-curve target.
 
-    The first passing row is the witness; the verdict is a violation only
-    when every row passes, so an empty grid stays inconclusive.
+    The target is the action of the straight curve from 0 to 1 on the
+    half-line under the zero functional.  A library error at one index,
+    a law that fails at that ``h`` included, gives that row an ``error``
+    entry, ``nan`` values and no pass; the other rows run.  A row passes
+    when its ``bound`` column beats the target by ``margin``.  The first
+    passing row is the witness; the verdict is a violation only when every
+    row passes, so an empty grid stays inconclusive.
     """
+    space = half_line()
+    x0, x1 = space.point(0.0), space.point(1.0)
+    target = action(geodesic_curve(space, x0, x1, 256), zero_functional(space), x0, x1).total
+
+    def one(h):
+        row = {"h": h, "theta_target": target}
+        try:
+            row.update(certificate(h))
+        except MetricActionError as exc:
+            row.update(dict.fromkeys(columns[1:-2], math.nan), error=str(exc))
+        return row
+
+    rows = parallel_map(one, list(h_list))
     witness = None
     for row in rows:
         row["pass"] = bool(row[bound] > target + margin)
         if row["pass"] and witness is None:
             witness = {"h": row["h"], "lower_bound": row[bound], "target": target}
     verdict = Verdict.VIOLATED if witness and all(r["pass"] for r in rows) else Verdict.INCONCLUSIVE
-    return verdict, witness
+    meta = {**meta, "margin": margin, "repair": "geodesic", "seed": 0}
+    return ExperimentReport(columns, rows, verdict, witness, meta)
 
 
-EXAMPLE1_COLUMNS = [
-    "h",
-    "eps",
-    "x0h",
-    "certified_lower_bound",
-    "coarse_lower_bound",
-    "amgm_part",
-    "kinetic_part",
-    "slope_x0_closed",
-    "slope_x0_sup",
-    "theta_target",
-    "pass",
-]
+EXAMPLE1_COLUMNS = ["h", "eps", "x0h", "certified_lower_bound", "coarse_lower_bound",
+                    "amgm_part", "kinetic_part", "slope_x0_closed", "slope_x0_sup",
+                    "theta_target", "pass"]
 
 
-def run_example1(
-    h_list: Sequence[int],
-    n_certificate: int = 1024,
-    eps_law="1/h",
-    margin: float = 0.05,
-) -> ExperimentReport:
+def run_example1(h_list: Sequence[int], n_certificate: int = DEFAULTS["n_certificate"],
+                 eps_law="1/h", margin: float = DEFAULTS["margin"]) -> ExperimentReport:
     """Scaled inverse-square family: certified obstruction to convergence.
 
     The moving start point sits where the scaled slope blows up; every
@@ -416,9 +525,6 @@ def run_example1(
     """
     space = half_line()
     law = parse_law(eps_law)
-    zero = zero_functional(space)
-    straight = geodesic_curve(space, space.point(0.0), space.point(1.0), 256)
-    target = action(straight, zero, space.point(0.0), space.point(1.0)).total
 
     def certificate(h):
         eps = law(h)
@@ -451,51 +557,19 @@ def run_example1(
             "slope_x0_sup": s_sup,
         }
 
-    def one(h):
-        row = {"h": h, "theta_target": target}
-        try:
-            row.update(certificate(h))
-        except MetricActionError as exc:
-            row.update(dict.fromkeys(EXAMPLE1_COLUMNS[1:-2], math.nan), error=str(exc))
-        return row
-
-    rows = parallel_map(one, list(h_list))
-    verdict, witness = _certified_verdict(rows, "certified_lower_bound", target, margin)
-    return ExperimentReport(
-        columns=EXAMPLE1_COLUMNS,
-        rows=rows,
-        verdict=verdict,
-        witness=witness,
-        meta={
-            "experiment": "example1",
-            "eps_law": str(eps_law),
-            "n_certificate": n_certificate,
-            "margin": margin,
-            "repair": "geodesic",
-            "seed": 0,
-        },
+    meta = {"experiment": "example1", "eps_law": str(eps_law), "n_certificate": n_certificate}
+    return _certified_report(
+        EXAMPLE1_COLUMNS, h_list, certificate, "certified_lower_bound", margin, meta
     )
 
 
-EXAMPLE2_COLUMNS = [
-    "h",
-    "amgm_lower_bound",
-    "kinetic_remainder",
-    "certified_lower_bound",
-    "optimizer_upper_bound",
-    "slope_x0",
-    "theta_target",
-    "pass",
-]
+EXAMPLE2_COLUMNS = ["h", "amgm_lower_bound", "kinetic_remainder", "certified_lower_bound",
+                    "optimizer_upper_bound", "slope_x0", "theta_target", "pass"]
 
 
-def run_example2(
-    h_list: Sequence[int],
-    n_certificate: int = 1024,
-    n_search: int = 64,
-    margin: float = 0.05,
-    with_optimizer: bool = True,
-) -> ExperimentReport:
+def run_example2(h_list: Sequence[int], n_certificate: int = DEFAULTS["n_certificate"],
+                 n_search: int = DEFAULTS["N"], margin: float = DEFAULTS["margin"],
+                 with_optimizer: bool = True) -> ExperimentReport:
     """Ramp family: the certified crossing toll is 2 while the target is 1.
 
     A row's ``optimizer_converged`` (JSON only) is the ``converged`` flag of
@@ -503,18 +577,14 @@ def run_example2(
     optimizer.
     """
     space = half_line()
-    zero = zero_functional(space)
     x0, x1 = space.point(0.0), space.point(1.0)
-    straight = geodesic_curve(space, x0, x1, 256)
-    target = action(straight, zero, x0, x1).total
 
-    def one(h):
+    def certificate(h):
         f_h = ramp(float(h))
         inv = 1.0 / h
 
         def sqrt_g(x: float) -> float:
-            s = f_h.closed_form_slope(space.point(x))
-            return float(s)
+            return float(f_h.closed_form_slope(space.point(x)))
 
         xs = np.linspace(0.0, inv, n_certificate + 1)
         amgm = crossing_lower_bound(xs, sqrt_g)
@@ -529,31 +599,16 @@ def run_example2(
             upper, converged = val.total, info["converged"]
         s0 = descending_slope(f_h, space, x0)
         return {
-            "h": h,
             "amgm_lower_bound": amgm,
             "kinetic_remainder": remainder,
             "certified_lower_bound": amgm + remainder,
             "optimizer_upper_bound": upper,
             "optimizer_converged": converged,
             "slope_x0": s0,
-            "theta_target": target,
         }
 
-    rows = parallel_map(one, list(h_list))
-    verdict, witness = _certified_verdict(rows, "amgm_lower_bound", target, margin)
-    return ExperimentReport(
-        columns=EXAMPLE2_COLUMNS,
-        rows=rows,
-        verdict=verdict,
-        witness=witness,
-        meta={
-            "experiment": "example2",
-            "n_certificate": n_certificate,
-            "margin": margin,
-            "repair": "geodesic",
-            "seed": 0,
-        },
-    )
+    meta = {"experiment": "example2", "n_certificate": n_certificate}
+    return _certified_report(EXAMPLE2_COLUMNS, h_list, certificate, "amgm_lower_bound", margin, meta)
 
 
 def _example2_inits(space, inv, n_search):
@@ -614,6 +669,50 @@ def liminf_probe(
         verdict=Verdict.CONSISTENT if ok else Verdict.INCONCLUSIVE,
         meta={"experiment": "liminf", "tail_from": tail_from, "slack": slack, "seed": 0},
     )
+
+
+def run_liminf(cfg: ExperimentConfig, probe: dict) -> ExperimentReport:
+    """``liminf_probe`` on the member resolvents of the base curve.
+
+    ``probe`` is the config's ``liminf`` object: the resolvent steps
+    ``tau_law``, the tail start ``tail_from`` and the ``slack``.
+    """
+    gamma, base_meta = resolve_base_curve(cfg)
+    probe = config_object(probe, "liminf")
+    tail_from = probe.get("tail_from", int(max(cfg.h_list, default=0)))
+    tail_from = config_number(tail_from, "tail_from", int)
+    slack = config_number(probe.get("slack", 0.01), "slack")
+    tau = parse_law(probe.get("tau_law", "1/(h*h)"))
+    curves = {
+        h: gamma.mapped(lambda p, _h=h: resolvent(cfg.family.member(_h), cfg.space, tau(_h), p).point)
+        for h in cfg.h_list
+    }
+    report = liminf_probe(cfg.family, curves, gamma, tail_from=tail_from, slack=slack)
+    report.meta.update(base_meta)
+    return report
+
+
+def run_gamma(kind: str, obj: dict) -> ExperimentReport:
+    """The ``gamma <kind>`` experiment of the experiment config ``obj``."""
+    if kind in ("positive", "liminf"):
+        cfg = ExperimentConfig.from_dict(obj)
+        return run_positive(cfg) if kind == "positive" else run_liminf(cfg, obj.get("liminf", {}))
+    args = certified_args(kind, obj)
+    return run_example1(**args) if kind == "example1" else run_example2(**args)
+
+
+def certified_args(kind: str, obj: dict) -> dict:
+    """The arguments of ``run_example1`` or ``run_example2`` (``kind``) in
+    the experiment config ``obj``."""
+    obj = config_object(obj, "experiment")
+    h_list = config_h_list(obj["h_list"])
+    settings = experiment_settings(obj)
+    args = {"h_list": h_list, "n_certificate": settings["n_certificate"],
+            "margin": settings["margin"]}
+    if kind == "example1":
+        return dict(args, eps_law=obj.get("eps_law", "1/h"))
+    with_optimizer = config_bool(obj.get("with_optimizer", True), "with_optimizer")
+    return dict(args, n_search=settings["N"], with_optimizer=with_optimizer)
 
 
 # --------------------------------------------------------------------------

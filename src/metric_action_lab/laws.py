@@ -16,7 +16,8 @@ law, ``h`` and the cause when it is evaluated there.
 
 The ``config_*`` readers check the other values of a config file where
 they are read: a value of the wrong JSON type raises ``ConfigError`` naming
-its key.
+its key.  The objects that hold them, and the keys each may carry, are
+declared in ``harness``.
 """
 
 from __future__ import annotations
@@ -76,7 +77,10 @@ def _compile(node: ast.AST, src: str) -> Callable[[int], float]:
 
 
 def parse_law(text) -> Callable[[int], float]:
-    """Compile a law string into ``h -> float``; numbers pass through."""
+    """Compile a law string into ``h -> float``; numbers pass through, and a
+    boolean is neither."""
+    if isinstance(text, bool):
+        raise ConfigError(f"law {text!r} is not a number or a string")
     if isinstance(text, (int, float)):
         if not math.isfinite(text):
             raise ConfigError(f"law {text!r} is not finite")
@@ -116,13 +120,6 @@ class ConfigObject(dict):
         raise ConfigError(f"config is missing required key {key!r}")
 
 
-def config_object(value, key: str) -> ConfigObject:
-    """The config value under ``key``, which must be a JSON object."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"config key {key!r} must be a JSON object, got {value!r}")
-    return ConfigObject(value)
-
-
 def config_number(value, key: str, kind=float):
     """``kind(value)`` for the config value under ``key``.
 
@@ -139,6 +136,14 @@ def config_number(value, key: str, kind=float):
         what = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
     return kind(value)
+
+
+def config_count(value, key: str) -> int:
+    """The config value under ``key``, which must be an integer of at least 1."""
+    n = config_number(value, key, int)
+    if n < 1:
+        raise ConfigError(f"config key {key!r} must be at least 1, got {n}")
+    return n
 
 
 def config_bool(value, key: str) -> bool:

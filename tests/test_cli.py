@@ -316,3 +316,52 @@ def test_cli_gamma_liminf(tmp_path):
     )
     rc = main(["gamma", "liminf", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 0
+
+
+_E3 = {"space": {"kind": "euclidean", "dim": 3}, "family": {"name": "zero"}, "x0": [0, 0, 0],
+       "x1": [1, 1, 1], "x0_law": "1/h", "h_list": [2, 4], "base_curve": {"type": "geodesic", "N": 8}}
+_FLOW = {"space": {"kind": "euclidean", "dim": 1}, "functional": {"name": "zero"}, "x": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "discretisation": {"N": 8}},
+         "unknown config key 'discretisation'; did you mean 'discretization'?"),
+        (["recovery"], {**_HALF_LINE_X0_LAW, "discretisation": {"N": 8}},
+         "unknown config key 'discretisation'; did you mean 'discretization'?"),
+        (["gamma", "example2"], {"h_list": [4], "discretization": {"n_certficate": 8}},
+         "unknown config key 'n_certficate'; did you mean 'n_certificate'?"),
+        (["gamma", "liminf"], {**_HALF_LINE_X0_LAW, "liminf": {"tau": "1/h"}},
+         "unknown config key 'tau'; did you mean 'tau_law'?"),
+        (["flow"], {**_FLOW, "n_step": 30}, "unknown config key 'n_step'; did you mean 'n_steps'?"),
+        (["action"], {"space": {"kind": "half_line"}, "functional": {"name": "zero"}, "curve": "c.csv",
+                      "x0": 0.0, "x1": 1.0}, "unknown config key 'curve'; did you mean 'curve_csv'?"),
+        (["gamma", "positive"], _E3, "config key 'x0_law' must give one law per coordinate (3), got 1"),
+        (["recovery"], _E3, "config key 'x0_law' must give one law per coordinate (3), got 1"),
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "x0_law": True}, "law True is not a number or a string"),
+        (["recovery"], {**_HALF_LINE_X0_LAW, "x0_law": True}, "law True is not a number or a string"),
+        (["gamma", "example1"], {"h_list": [4], "eps_law": False}, "law False is not a number or a string"),
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "family": {"name": "zero", "scale_law": True}},
+         "law True is not a number or a string"),
+        (["gamma", "liminf"], {**_HALF_LINE_X0_LAW, "liminf": {"tau_law": True}},
+         "law True is not a number or a string"),
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "discretization": {"N": -5}},
+         "config key 'N' must be at least 1, got -5"),
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "base_curve": {"type": "geodesic", "N": 0}},
+         "config key 'N' must be at least 1, got 0"),
+        (["gamma", "example2"], {"h_list": [4], "discretization": {"n_certificate": -3}},
+         "config key 'n_certificate' must be at least 1, got -3"),
+        (["gamma", "example2"], {"h_list": [4], "discretization": {"n_certificate": 0}},
+         "config key 'n_certificate' must be at least 1, got 0"),
+    ],
+    ids=["discretisation_positive", "discretisation_recovery", "n_certficate", "tau", "n_step", "curve",
+         "x0_law_count_positive", "x0_law_count_recovery", "x0_law_true_positive",
+         "x0_law_true_recovery", "eps_law_false", "scale_law_true", "tau_law_true", "N_negative",
+         "base_curve_N_zero", "n_certificate_negative", "n_certificate_zero"],
+)
+def test_cli_rejects_config_when_read(tmp_path, capsys, command, cfg, message):
+    path = write_json(tmp_path / "cfg.json", cfg)
+    rc = main(command + ["--config", path, "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"metric-action-lab: {message}\n"

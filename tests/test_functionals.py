@@ -8,7 +8,6 @@ from metric_action_lab.curves import action, geodesic_curve
 from metric_action_lab.errors import ConfigError
 from metric_action_lab.functionals import (
     FunctionalSpec,
-    build_functional,
     check_lambda_convexity,
     evaluate,
     inverse_square,
@@ -18,6 +17,7 @@ from metric_action_lab.functionals import (
     strip_closed_forms,
     zero_functional,
 )
+from metric_action_lab.harness import build_functional
 from metric_action_lab.spaces import SpaceKind, random_point
 
 HL = half_line()

@@ -20,8 +20,11 @@ from metric_action_lab.harness import (
     Verdict,
     crossing_lower_bound,
     emit_report,
+    certified_args,
     family_from_config,
+    flow_config,
     liminf_probe,
+    load_config,
     parallel_map,
     resolve_base_curve,
     run_example1,
@@ -79,6 +82,12 @@ def test_parse_law_rejects_garbage():
     ]:
         with pytest.raises(ConfigError):
             parse_law(law)
+
+
+@pytest.mark.parametrize("law", [True, False])
+def test_parse_law_rejects_booleans(law):
+    with pytest.raises(ConfigError, match="not a number or a string"):
+        parse_law(law)
 
 
 @pytest.mark.parametrize(
@@ -226,7 +235,22 @@ def test_experiment_config_vanishing_needs_base_and_eps_law(family, extra):
         ExperimentConfig.from_dict(obj)
 
 
-def test_readme_experiment_config_loads():
+DATA = Path(__file__).parent / "data"
+
+# the reader of the command that takes a shipped config, by file name prefix
+_READERS = {
+    "flow_": flow_config,
+    "gamma_example2": lambda obj: certified_args("example2", obj),
+    "gamma_positive": ExperimentConfig.from_dict,
+}
+
+
+@pytest.mark.parametrize("name", ["README.md", *sorted(p.name for p in DATA.glob("*.config.json"))])
+def test_shipped_configs_load(name):
+    if name != "README.md":
+        (reader,) = [r for prefix, r in _READERS.items() if name.startswith(prefix)]
+        reader(load_config(DATA / name))
+        return
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Experiment config (JSON)", 1)[1]
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
@@ -295,6 +319,33 @@ def test_experiment_config_raises_only_documented_errors(path, value):
         ExperimentConfig.from_dict(obj)
     except (ConfigError, DomainError):
         pass
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("discretisation",), {"N": 8}, "unknown config key 'discretisation'; did you mean 'discretization'?"),
+        (("space", "dimm"), 1, "unknown config key 'dimm'; did you mean 'dim'?"),
+        (("family", "params", "lamb"), 1.0, "unknown config key 'lamb'; did you mean 'lam'?"),
+        (("tolerances", "colour"), 1.0, "unknown config key 'colour'"),
+        (("x0_law",), ["1/h", "1"], "config key 'x0_law' must give one law per coordinate (1), got 2"),
+        (("x1_law",), True, "law True is not a number or a string"),
+        (("eps_law",), False, "law False is not a number or a string"),
+        (("discretization", "N"), 0, "config key 'N' must be at least 1, got 0"),
+        (("discretization", "n_certificate"), -3, "config key 'n_certificate' must be at least 1, got -3"),
+    ],
+    ids=["discretisation", "dimm", "lamb", "colour", "x0_law_count", "x1_law_true", "eps_law_false",
+         "N_zero", "n_certificate_negative"],
+)
+def test_experiment_config_rejects_when_read(path, value, message):
+    obj = copy.deepcopy(_VALID_CONFIG)
+    parent = obj
+    for k in path[:-1]:
+        parent = parent[k]
+    parent[path[-1]] = value
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_dict(obj)
+    assert str(info.value) == message
 
 
 # --------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def test_resolvent_value_never_exceeds_anchor_value(any_space, rng):
 
 
 def test_resolvent_descends_for_whole_catalogue(rng):
-    from metric_action_lab.functionals import build_functional
+    from metric_action_lab.harness import build_functional
 
     catalogue = [
         build_functional(HL, "zero", {}),
