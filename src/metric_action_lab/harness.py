@@ -66,7 +66,7 @@ from .laws import (
     parse_law,
 )
 from .proximal import resolvent
-from .recovery import RecoveryConfig, RecoveryMode, RecoveryOutput, build_recovery
+from .recovery import SLOPE_CAP, RecoveryConfig, RecoveryMode, RecoveryOutput, build_recovery
 from .spaces import Point, SpaceHandle, SpaceKind, euclidean, half_line, quantile_1d, tripod
 from .spaces import distance as space_distance
 
@@ -107,28 +107,32 @@ CONFIG_KEYS = {
                    "base_curve", "discretization", "tolerances", "liminf", "with_optimizer", "seed"},
     "flow": {"space", "functional", "x", "T", "n_steps"},
     "action": {"space", "functional", "curve_csv", "x0", "x1"},
-    "space": {"kind", "dim", "edge_lengths", "grid_size"},
     "family": {"name", "params", "eps_law", "scale_law", "limit", "scale_limit"},
-    "params": {"center", "lam", "eps", "h", "c"},
     "limit": {"name", "params"},
     "functional": {"name", "params"},
     "base_curve": {"type", "N", "path"},
     "discretization": {"N", "n_certificate"},
     "tolerances": {"margin", "d_inf_tol", "slope_cap"},
     "liminf": {"tail_from", "slack", "tau_law"},
+    # by variant: a space's keys by its kind, a catalogue functional's params by its name
+    "space": {"euclidean": {"kind", "dim"}, "half_line": {"kind"},
+              "tripod": {"kind", "edge_lengths"}, "quantile_1d": {"kind", "grid_size"}},
+    "params": {"zero": set(), "quadratic": {"center", "lam"}, "example1": {"eps"},
+               "example2": {"h"}, "linear": {"c"}},
 }
 
 # the default of each ``discretization`` and ``tolerances`` setting
-DEFAULTS = {"N": 64, "n_certificate": 1024, "margin": 0.05, "d_inf_tol": 0.02, "slope_cap": 10.0}
+DEFAULTS = {"N": 64, "n_certificate": 1024, "margin": 0.05, "d_inf_tol": 0.02, "slope_cap": SLOPE_CAP}
 
 
-def config_object(value, key: str) -> ConfigObject:
+def config_object(value, key: str, variant: str | None = None) -> ConfigObject:
     """The config value under ``key``: a JSON object whose keys
-    ``CONFIG_KEYS[key]`` lists.  An unknown key is a ``ConfigError`` naming
-    it and the nearest known key."""
+    ``CONFIG_KEYS[key]``, or ``CONFIG_KEYS[key][variant]`` for a ``space``
+    of one kind and the ``params`` of one functional, lists.  An unknown
+    key is a ``ConfigError`` naming it and the nearest known key."""
     if not isinstance(value, dict):
         raise ConfigError(f"config key {key!r} must be a JSON object, got {value!r}")
-    known = CONFIG_KEYS[key]
+    known = CONFIG_KEYS[key] if variant is None else CONFIG_KEYS[key][variant]
     for k in value:
         if k not in known:
             import difflib  # only this error needs it; a module-level import costs every run
@@ -151,8 +155,10 @@ def experiment_settings(obj: dict) -> dict:
 
 
 def space_from_config(spec: dict) -> SpaceHandle:
-    spec = config_object(spec, "space")
-    kind = spec["kind"]
+    kind = ConfigObject(spec)["kind"] if isinstance(spec, dict) else None
+    if isinstance(spec, dict) and not (isinstance(kind, str) and kind in CONFIG_KEYS["space"]):
+        raise ConfigError(f"unknown space kind {kind!r}")
+    spec = config_object(spec, "space", kind)
     if kind == "euclidean":
         return euclidean(config_number(spec.get("dim", 1), "dim", int))
     if kind == "half_line":
@@ -160,9 +166,7 @@ def space_from_config(spec: dict) -> SpaceHandle:
     if kind == "tripod":
         lengths = as_coords(spec.get("edge_lengths", [1.0, 1.0, 1.0]))
         return tripod([config_number(l, "edge_lengths") for l in lengths])
-    if kind == "quantile_1d":
-        return quantile_1d(config_number(spec["grid_size"], "grid_size", int))
-    raise ConfigError(f"unknown space kind {kind!r}")
+    return quantile_1d(config_number(spec["grid_size"], "grid_size", int))
 
 
 def build_functional(space: SpaceHandle, name: str, params: dict | None = None) -> FunctionalSpec:
@@ -171,7 +175,9 @@ def build_functional(space: SpaceHandle, name: str, params: dict | None = None) 
     Names: ``zero``, ``quadratic`` (params ``center``, ``lam``), ``example1``
     (param ``eps``), ``example2`` (param ``h``), ``linear`` (param ``c``).
     """
-    params = config_object({} if params is None else params, "params")
+    if not (isinstance(name, str) and name in CONFIG_KEYS["params"]):
+        raise ConfigError(f"unknown catalogue functional {name!r}")
+    params = config_object({} if params is None else params, "params", name)
     if name == "zero":
         return zero_functional(space)
     if name == "quadratic":
@@ -187,13 +193,11 @@ def build_functional(space: SpaceHandle, name: str, params: dict | None = None) 
             )
         center = [config_number(c, "center") for c in center]
         return quadratic(space, space.point(*center), config_number(params.get("lam", 1.0), "lam"))
-    for entry, make, key in (("example1", inverse_square, "eps"), ("example2", ramp, "h"),
-                             ("linear", linear_half_line, "c")):
-        if name == entry:
-            if space.kind is not SpaceKind.HALF_LINE:
-                raise ConfigError(f"{name} lives on the half-line")
-            return make(config_number(params.get(key, 1.0), key))
-    raise ConfigError(f"unknown catalogue functional {name!r}")
+    if space.kind is not SpaceKind.HALF_LINE:
+        raise ConfigError(f"{name} lives on the half-line")
+    make, key = {"example1": (inverse_square, "eps"), "example2": (ramp, "h"),
+                 "linear": (linear_half_line, "c")}[name]
+    return make(config_number(params.get(key, 1.0), key))
 
 
 def functional_from_config(space: SpaceHandle, spec: dict, key: str) -> FunctionalSpec:
@@ -523,6 +527,7 @@ def run_example1(h_list: Sequence[int], n_certificate: int = DEFAULTS["n_certifi
     ``eps`` that fails or is not positive at one ``h`` gives that row an
     ``error`` entry, ``nan`` values and no pass; the other rows run.
     """
+    n_certificate = config_count(n_certificate, "n_certificate")
     space = half_line()
     law = parse_law(eps_law)
 
@@ -576,6 +581,7 @@ def run_example2(h_list: Sequence[int], n_certificate: int = DEFAULTS["n_certifi
     the search that gave ``optimizer_upper_bound``, ``None`` without the
     optimizer.
     """
+    n_certificate = config_count(n_certificate, "n_certificate")
     space = half_line()
     x0, x1 = space.point(0.0), space.point(1.0)
 

@@ -7,12 +7,17 @@ The resolvent of ``f`` at step ``tau`` is the minimizer of
 which is strongly convex whenever ``tau < 1 / (2 lam^-)``, so any descent
 method converges to the unique minimizer.  Solvers by space:
 
-* half-line: golden-section on an automatically expanded bracket;
-* tripod: golden-section on every edge, then compare edge minima
-  (first edge wins exact ties; the iterations add up over the edges);
+* half-line: Brent's method (``brent``: golden-section steps that keep the
+  bracket, plus parabolic steps) on an automatically expanded bracket;
+* tripod: the objective is strongly convex along every edge, so an edge
+  that does not descend from the branch point holds its minimizer there
+  and needs no search; Brent runs only on a descending edge.  Then compare
+  edge minima (first edge wins exact ties; the iterations add up over the
+  edges and the shared branch-point value);
 * Euclidean and quantile vectors: proximal-gradient with backtracking on
-  the smooth part, falling back to cyclic coordinate descent on a refining
-  grid when the functional is not smooth enough to difference.
+  the smooth part and Barzilai-Borwein steps ``|dy|^2 / <dy, dg>`` from its
+  gradients, falling back to cyclic coordinate descent on a refining grid
+  (``grid_golden``) when the functional is not smooth enough to difference.
 
 On the half-line and the tripod the objective is minimized along one
 coordinate: ``_line_objective`` is a float function whose distance term
@@ -58,6 +63,7 @@ MAX_ITER = 4000         # proximal-gradient iterations before the fallback
 CD_SWEEPS = 60          # sweeps of the coordinate-descent fallback
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_ULP2 = 2.0 * 2.0 ** -52   # Brent's relative step floor: two ulps of the iterate
 
 
 @dataclass
@@ -107,6 +113,71 @@ def golden_section(g: Callable[[float], float], lo: float, hi: float, tol: float
     xs = [(a, g(a)), (c, gc), (d, gd), (b, g(b))]
     x, v = min(xs, key=lambda p: p[1])
     return x, v, n + 2
+
+
+def brent(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-11):
+    """Minimize a unimodal scalar function on [lo, hi] by Brent's method.
+
+    Golden-section steps that keep the bracket, and parabolic steps through
+    the three best points so far wherever all three values are finite (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 5).  Stops,
+    as ``golden_section`` does, once the bracket is at most ``tol`` wide, and
+    then compares the bracket ends with the best interior point, so a
+    minimum at a bound is returned exactly and ``inf`` plateaus lose every
+    comparison.  Returns (argmin, min, evals).
+    """
+    a, b = float(lo), float(hi)
+    fa = fb = None                      # end values, once evaluated
+    x = w = v = a + (1.0 - _GOLDEN) * (b - a)
+    fx = fw = fv = g(x)
+    n = 1
+    d = e = 0.0                         # the last step and the one before
+    while n < 300:
+        m = 0.5 * (a + b)
+        tol1 = _ULP2 * abs(x) + 0.25 * tol
+        if max(x - a, b - x) <= 2.0 * tol1:
+            break
+        golden = True
+        if abs(e) > tol1 and math.isfinite(fx) and math.isfinite(fw) and math.isfinite(fv):
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                golden = False
+                if x + d - a < 2.0 * tol1 or b - (x + d) < 2.0 * tol1:
+                    d = tol1 if x < m else -tol1
+        if golden:
+            e = a - x if x >= m else b - x
+            d = (1.0 - _GOLDEN) * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = g(u)
+        n += 1
+        if fu <= fx:
+            if u >= x:
+                a, fa = x, fx
+            else:
+                b, fb = x, fx
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a, fa = u, fu
+            else:
+                b, fb = u, fu
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    if fa is None:
+        fa, n = g(a), n + 1
+    if fb is None:
+        fb, n = g(b), n + 1
+    x, v = min([(a, fa), (x, fx), (b, fb)], key=lambda p: p[1])
+    return x, v, n
 
 
 def grid_golden(g: Callable[[float], float], lo: float, hi: float):
@@ -173,15 +244,32 @@ def _line_objective(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point,
 def _solve_half_line(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
     g = _line_objective(f, space, tau, x)
     lo, hi = expand_bracket(g, x.coords[0], 0.0)
-    v, val, n = golden_section(g, lo, hi)
+    v, val, n = brent(g, lo, hi)
     return Point(SpaceKind.HALF_LINE, (v,)), val, n
+
+
+def tripod_edge_search(g: Callable[[float], float], length: float, g0: float, tol: float = 1e-11):
+    """Minimize the strongly convex objective ``g`` along one tripod edge,
+    given its value ``g0 = g(0)`` at the branch point.
+
+    An edge that does not descend from the branch point, ``g(tol) >= g0``
+    with ``g0`` finite, holds its minimizer in ``[0, tol]`` and returns
+    ``(0.0, g0)`` without a search; only a descending edge runs ``brent``.
+    Returns (argmin, min, evals).
+    """
+    if math.isfinite(g0) and g(min(tol, length)) >= g0:
+        return 0.0, g0, 1
+    s, v, n = brent(g, 0.0, length, tol)
+    return s, v, n + 1
 
 
 def _solve_tripod(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
     lines = [_line_objective(f, space, tau, x, e) for e in range(len(space.edge_lengths))]
-    edges = [golden_section(line, 0.0, length) for line, length in zip(lines, space.edge_lengths)]
+    g0 = lines[0](0.0)  # the branch point, shared by every edge
+    edges = [tripod_edge_search(line, length, g0) for line, length in zip(lines, space.edge_lengths)]
     e = min(range(len(edges)), key=lambda e: edges[e][1])  # first edge wins ties
-    return Point(SpaceKind.TRIPOD, (float(e), edges[e][0])), edges[e][1], sum(n for _, _, n in edges)
+    u = Point(SpaceKind.TRIPOD, (float(e), edges[e][0]))
+    return u, edges[e][1], 1 + sum(n for _, _, n in edges)
 
 
 def numeric_grad(fn, coords):
@@ -222,12 +310,10 @@ def _solve_vector(obj, f: FunctionalSpec, space: SpaceHandle, tau: float, x: Poi
         out = (z + w * xv) / (1.0 + w)
         return np.array(space.project(tuple(out)).coords)
 
+    g = numeric_grad(fval, y) if smooth else None
+    smooth = g is not None
     for it in range(1, MAX_ITER + 1):
         if not smooth:
-            break
-        g = numeric_grad(fval, y)
-        if g is None:
-            smooth = False
             break
         y_new = prox_step(y - step * g, step)
         v_new = full(y_new)
@@ -240,12 +326,21 @@ def _solve_vector(obj, f: FunctionalSpec, space: SpaceHandle, tau: float, x: Poi
         if bt >= 60:
             smooth = False
             break
-        move = float(np.max(np.abs(y_new - y)))
+        dy = y_new - y
+        move = float(np.max(np.abs(dy)))
         gain = val - v_new
         y, val = y_new, v_new
-        step = min(step * 1.5, 1e6)
         if move < 0.2 * POINT_TOL and gain < VALUE_TOL:
             break
+        g_new = numeric_grad(fval, y)
+        if g_new is None:
+            smooth = False
+            break
+        # Barzilai-Borwein step from the smooth part's gradients; grow the
+        # step where the measured curvature is not positive
+        curv = float(np.dot(dy, g_new - g))
+        step = min(float(np.dot(dy, dy)) / curv if curv > 0.0 else step * 1.5, 1e6)
+        g = g_new
     if not smooth:
         y, val, extra = _coordinate_descent(full, y, val)
         it += extra

@@ -75,6 +75,7 @@ def default_tau_schedule(h: int, d0: float, d1: float, lam: float) -> float:
 DELTA_S = 1e-2          # arclength step for repair geodesics
 N_PHI_MIN = 8           # nodes on entry/exit pieces
 DT_MIN = 1e-3           # finest time step on entry/exit pieces
+SLOPE_CAP = 10.0        # default vanishing-mode switch threshold
 
 
 @dataclass
@@ -84,7 +85,7 @@ class RecoveryConfig:
     x0_seq: Callable[[int], Point]
     x1_seq: Callable[[int], Point]
     tau: Optional[float] = None     # step; ``default_tau_schedule`` when None
-    slope_cap: float = 10.0         # vanishing mode switch threshold
+    slope_cap: float = SLOPE_CAP    # vanishing mode switch threshold
 
 
 @dataclass

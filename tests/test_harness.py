@@ -15,6 +15,7 @@ from metric_action_lab.curves import action, curve_to_csv, geodesic_curve, minim
 from metric_action_lab.errors import ConfigError, DomainError
 from metric_action_lab.functionals import FunctionalFamily, quadratic, ramp, zero_functional
 from metric_action_lab.harness import (
+    DEFAULTS,
     ExperimentConfig,
     ExperimentReport,
     Verdict,
@@ -601,6 +602,24 @@ def test_example_runs_with_empty_h_list(tmp_path):
     assert rep.verdict is Verdict.INCONCLUSIVE
     csv_path, _ = emit_report(rep, tmp_path, "empty1")
     assert csv_path.read_text().count("\n") == 1  # header only
+
+
+@pytest.mark.parametrize("n_certificate", [-3, 0])
+def test_certified_examples_reject_n_certificate_below_one(n_certificate):
+    # called directly, as the library API, not through a config
+    message = f"config key 'n_certificate' must be at least 1, got {n_certificate}"
+    with pytest.raises(ConfigError, match=message):
+        run_example1([4], n_certificate=n_certificate)
+    with pytest.raises(ConfigError, match=message):
+        run_example2([4], n_certificate=n_certificate, with_optimizer=False)
+
+
+def test_slope_cap_has_one_default():
+    # the library default and the config default are one written value
+    from metric_action_lab.recovery import RecoveryConfig, RecoveryMode
+
+    rcfg = RecoveryConfig(RecoveryMode.VANISHING, None, None, None)
+    assert rcfg.slope_cap is DEFAULTS["slope_cap"]
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Bit-for-bit references for the 1-d searches on the half-line and the tripod.
+"""Bit-for-bit references for the 1-d searches on the half-line and the
+tripod, and Brent's method against golden section.
 
 The resolvent solvers on both spaces and the half-line node-wise sweep
 minimize float objectives of one line coordinate: the resolvents' built on
 ``spaces.distance_along``, the sweep's on the node coordinates themselves.
 The references below are the same objectives written on points, through
 ``distance``: the resolvent objective ``obj(Point)`` and the sweep's
-``local(Point)``.  Every comparison is exact
-(``==``): a kernel that changes one bit fails here.
+``local(Point)``.  Every reference comparison is exact (``==``): a kernel
+that changes one bit fails here.  Brent's values are held to golden
+section's within 1e-15 relative.
 """
 
 import functools
@@ -32,10 +34,12 @@ from metric_action_lab.functionals import (
     strip_closed_forms,
 )
 from metric_action_lab.proximal import (
+    brent,
     expand_bracket,
     golden_section,
     grid_golden,
     resolvent,
+    tripod_edge_search,
 )
 from metric_action_lab.spaces import (
     Point,
@@ -80,9 +84,11 @@ def ref_grid_golden(g, lo, hi):
 
 
 def ref_per_edge(space, g, tol):
+    g0 = g(Point(SpaceKind.TRIPOD, (0.0, 0.0)))
     out = []
     for e, length in enumerate(space.edge_lengths):
-        s, v, n = golden_section(lambda s: g(Point(SpaceKind.TRIPOD, (float(e), s))), 0.0, length, tol)
+        line = lambda s: g(Point(SpaceKind.TRIPOD, (float(e), s)))
+        s, v, n = tripod_edge_search(line, length, g0, tol)
         out.append((Point(SpaceKind.TRIPOD, (float(e), s)), v, n))
     return out
 
@@ -143,7 +149,7 @@ def test_half_line_resolvent_matches_point_reference(f, x0, tau):
     obj = ref_prox_objective(f, HL, tau, x)
     g = lambda v: obj(Point(SpaceKind.HALF_LINE, (v,)))
     lo, hi = expand_bracket(g, x0, 0.0)
-    v, val, n = golden_section(g, lo, hi)
+    v, val, n = brent(g, lo, hi)
     res = resolvent(f, HL, tau, x)
     assert res.method == "golden_section"
     assert res.point == Point(SpaceKind.HALF_LINE, (v,))
@@ -165,7 +171,91 @@ def test_tripod_resolvent_matches_point_reference(space, x_coords):
     assert res.method == "per_edge_golden"
     assert res.point == u
     assert res.value == val
-    assert res.iterations == sum(n for _, _, n in edges)
+    assert res.iterations == 1 + sum(n for _, _, n in edges)
+
+
+def test_tripod_branch_point_without_descending_edge_is_edge_zero():
+    # the minimizer is the branch point itself, so no edge descends and
+    # every edge returns offset 0 at the same value: the first edge wins
+    f = strip_closed_forms(quadratic(TP, TP.point(0, 0.0), 1.0))
+    for e in range(3):
+        res = resolvent(f, TP, 0.2, TP.point(e, 0.0))
+        assert res.point == Point(SpaceKind.TRIPOD, (0.0, 0.0))
+        assert res.iterations == 4
+
+
+# --------------------------------------------------------------------------
+# Brent against golden section
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lo, hi, centre", [(0.5, 0.7, 0.55), (0.0, 0.5, 0.45), (0.45, 1.0, 0.3)])
+def test_brent_inf_plateaus_lose_every_comparison(lo, hi, centre):
+    # an effective domain [lo, hi] inside the bracket [0, 1]: the first
+    # probes land on an inf plateau, so a parabola through them is skipped
+    seen = []
+
+    def g(s):
+        seen.append(s)
+        return (s - centre) ** 2 if lo <= s <= hi else INF
+
+    s, v, _ = brent(g, 0.0, 1.0)
+    assert any(not (lo <= p <= hi) for p in seen[:3])
+    assert abs(s - max(centre, lo)) <= 1e-8 and v == g(s)
+    assert v <= golden_section(g, 0.0, 1.0)[1]
+
+
+def test_brent_returns_a_minimum_at_a_bound_exactly():
+    assert brent(lambda s: (s - 0.2) ** 2, 0.2, 3.0)[:2] == (0.2, 0.0)
+    assert brent(lambda s: -s, -1.0, 2.5)[:2] == (2.5, -2.5)
+    assert brent(lambda s: abs(s - 0.7), 0.0, 1.0)[0] == pytest.approx(0.7, abs=1e-11)
+
+
+def golden_reference_value(f, space, tau, x):
+    """The resolvent value of golden section on the half-line's bracket,
+    or the least over golden section on every tripod edge."""
+    obj = ref_prox_objective(f, space, tau, x)
+    if space.kind is SpaceKind.HALF_LINE:
+        g = lambda v: obj(Point(SpaceKind.HALF_LINE, (v,)))
+        return golden_section(g, *expand_bracket(g, x.coords[0], 0.0))[1]
+    return min(golden_section(lambda s: obj(Point(SpaceKind.TRIPOD, (float(e), s))), 0.0, length)[1]
+               for e, length in enumerate(space.edge_lengths))
+
+
+def test_half_line_resolvents_never_above_golden_section():
+    # smooth objectives; on the ramp's kink both searches place the
+    # minimizer only to within the 1e-11 bracket (test_ramp_kink_within_bracket)
+    rng = np.random.default_rng(20)
+    for _ in range(150):
+        if rng.uniform() < 0.5:
+            f = inverse_square(float(4.0 ** -rng.uniform(0.0, 5.0)))
+        else:
+            f = strip_closed_forms(quadratic(HL, HL.point(float(rng.uniform(0.0, 2.0))),
+                                             float(rng.uniform(0.0, 3.0))))
+        tau, x = float(10.0 ** rng.uniform(-4.0, -0.5)), HL.point(float(rng.uniform(0.05, 2.0)))
+        ref = golden_reference_value(f, HL, tau, x)
+        assert resolvent(f, HL, tau, x).value <= ref + 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("space", [TP, TP_UNEVEN], ids=["tripod", "tripod_uneven"])
+def test_tripod_resolvents_never_above_golden_section(space):
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        f = strip_closed_forms(quadratic(space, random_point(space, rng), float(rng.uniform(0.0, 3.0))))
+        tau, x = float(10.0 ** rng.uniform(-4.0, 0.0)), random_point(space, rng)
+        ref = golden_reference_value(f, space, tau, x)
+        assert resolvent(f, space, tau, x).value <= ref + 1e-15 * abs(ref)
+
+
+def test_ramp_kink_within_bracket():
+    # the objective's one-sided slopes at the kink 1/h are at most h, so a
+    # minimizer placed within the 1e-11 bracket costs at most h * 1e-11
+    rng = np.random.default_rng(22)
+    for _ in range(100):
+        h, tau = float(rng.uniform(1.0, 10.0)), float(10.0 ** rng.uniform(-4.0, -1.0))
+        f, x = ramp(h), HL.point(float(rng.uniform(0.0, 1.5)))
+        exact = ref_prox_objective(f, HL, tau, x)(f.closed_form_prox(tau, x))
+        assert resolvent(strip_closed_forms(f), HL, tau, x).value <= exact + h * 1e-11 + 1e-15 * exact
 
 
 # --------------------------------------------------------------------------

@@ -374,3 +374,41 @@ def test_concave_quadratic_closed_form_prox_matches_numeric(space, lam, rng):
         numeric = resolvent(strip_closed_forms(f), space, tau, x)
         assert exact.method == "closed_form"
         assert max(abs(a - b) for a, b in zip(exact.point.coords, numeric.point.coords)) <= 1e-6
+
+
+@pytest.mark.parametrize("space", [euclidean(2), quantile_1d(4)], ids=["euclidean2", "quantile4"])
+def test_vector_resolvent_matches_closed_form_prox(space, rng):
+    # proximal gradient with Barzilai-Borwein steps on stripped quadratics
+    for _ in range(40):
+        f = quadratic(space, random_point(space, rng), float(rng.uniform(0.0, 3.0)))
+        tau, x = float(10.0 ** rng.uniform(-3.0, 0.0)), random_point(space, rng)
+        res = resolvent(strip_closed_forms(f), space, tau, x)
+        assert res.method == "proximal_gradient"
+        want = f.closed_form_prox(tau, x).coords
+        assert max(abs(a - b) for a, b in zip(res.point.coords, want)) <= 1e-9
+
+
+def test_numeric_resolvent_iteration_counts():
+    """Mean ``iterations`` per call of each numeric solver on a fixed case
+    set, drawn from the ranges of the numeric resolvents of the benchmark's
+    ``numeric_recovery`` workload: steps from 1e-6 to 1e-2, the scaled
+    inverse-square family on [1, 2], and stripped quadratics (lam 1) on the
+    tripod, centre on edge 0, and on quantile_1d(4).  Counts, unlike wall
+    times, do not drift with the host."""
+    rng = np.random.default_rng(0)
+    tp, q4 = tripod(), quantile_1d(4)
+    counts = {"golden_section": [], "per_edge_golden": [], "proximal_gradient": []}
+    for _ in range(60):
+        tau = float(10.0 ** rng.uniform(-6.0, -2.0))
+        f = inverse_square(float(4.0 ** -rng.integers(0, 6)))
+        counts["golden_section"].append(resolvent(f, HL, tau, HL.point(float(rng.uniform(1.0, 2.0)))))
+        f = strip_closed_forms(quadratic(tp, tp.point(0, float(rng.uniform(0.1, 0.3))), 1.0))
+        x = tp.point(int(rng.integers(0, 2)), float(rng.uniform(0.05, 0.9)))
+        counts["per_edge_golden"].append(resolvent(f, tp, tau, x))
+        c = float(rng.uniform(-0.25, 0.25))
+        f = strip_closed_forms(quadratic(q4, q4.point(c, c, c, c), 1.0))
+        counts["proximal_gradient"].append(resolvent(f, q4, tau, random_point(q4, rng)))
+    bounds = {"golden_section": 20, "per_edge_golden": 30, "proximal_gradient": 5}
+    for method, results in counts.items():
+        assert {r.method for r in results} == {method}
+        assert np.mean([r.iterations for r in results]) <= bounds[method], method
