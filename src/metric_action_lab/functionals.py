@@ -12,9 +12,14 @@ the variational sup formula
 
     slope(x) = sup_{y != x}  max(f(x) - f(y) + (lam/2) d(x,y)^2, 0) / d(x,y)
 
-sampled on deterministic concentric shells around ``x`` and then polished by
-local ascent.  The sampled value can only underestimate the true supremum,
-so validators that consume it stay conservative on the side they certify.
+sampled around ``x`` no closer than the floor ``radius * 1e-6``.  Along a
+geodesic from ``x`` the quotient only falls as ``d`` grows (``f - (lam/2) d^2``
+is convex there), so the half-line and the tripod sample that smallest shell
+alone.  Euclidean and quantile vectors sample more shells, and only they
+polish (in two or more dimensions) the best sample by local ascent.  The
+estimate underestimates the supremum, up to rounding, so validators that
+consume it stay conservative on the side they certify; on ``eps / x^2`` the
+floor costs ``1.5 * radius * 1e-6 / x`` relative.
 """
 
 from __future__ import annotations
@@ -118,6 +123,9 @@ class ClosedForm:
 
 @dataclass(frozen=True)
 class SupFormula:
+    """Shells out to ``radius``; ``n_samples`` counts the samples on
+    Euclidean and quantile vectors (the lines use the smallest shell)."""
+
     radius: float = 4.0
     n_samples: int = 256
 
@@ -142,42 +150,34 @@ def _directions(dim: int, n: int) -> np.ndarray:
 
 
 def _sup_candidates(space: SpaceHandle, x: Point, radius: float, n_samples: int):
-    """Deterministic probe points on concentric shells around ``x``."""
-    n_shells = max(4, int(round(math.sqrt(n_samples))))
-    radii = _shell_radii(radius, n_shells)
-    k = space.kind
-    out = []
-    if k in (SpaceKind.EUCLIDEAN, SpaceKind.QUANTILE_1D):
-        unit = math.sqrt(space.weight)
-        n_dirs = max(2, n_samples // n_shells)
-        dirs = _directions(space.dim, n_dirs)
-        base = np.array(x.coords)
-        for r in radii:
-            for u in dirs:
-                y = base + r * unit * u
-                out.append(space.project(tuple(y)))
-    elif k is SpaceKind.HALF_LINE:
+    """Deterministic probe points around ``x``: the smallest shell on the
+    half-line (where the origin stands in for a point beyond it) and the
+    tripod, concentric shells on vectors."""
+    k, r = space.kind, radius * 1e-6
+    if k is SpaceKind.HALF_LINE:
         x0 = x.coords[0]
-        for r in radii:
-            if x0 - r > 0:
-                out.append(Point(k, (x0 - r,)))
-            if x0 - r == 0.0:
-                out.append(Point(k, (0.0,)))
-            out.append(Point(k, (x0 + r,)))
+        out = [Point(k, (x0 + r,))]
         if x0 > 0:
-            out.append(Point(k, (0.0,)))
-    else:  # tripod: move along every branch at each shell radius
+            out.append(Point(k, (max(x0 - r, 0.0),)))
+        return out
+    if k is SpaceKind.TRIPOD:  # move along every branch
         e, off = int(x.coords[0]), x.coords[1]
-        for r in radii:
-            if off + r <= space.edge_lengths[e]:
-                out.append(Point(k, (float(e), off + r)))
-            if r < off:
-                out.append(Point(k, (float(e), off - r)))
-            else:
-                for e2 in range(len(space.edge_lengths)):
-                    if e2 != e and r - off <= space.edge_lengths[e2] and r >= off:
-                        out.append(Point(k, (float(e2), r - off)))
-    return out
+        out = []
+        if off + r <= space.edge_lengths[e]:
+            out.append(Point(k, (float(e), off + r)))
+        if r < off:
+            out.append(Point(k, (float(e), off - r)))
+        else:
+            for e2, length in enumerate(space.edge_lengths):
+                if e2 != e and r - off <= length:
+                    out.append(Point(k, (float(e2), r - off)))
+        return out
+    n_shells = max(4, int(round(math.sqrt(n_samples))))
+    unit = math.sqrt(space.weight)
+    dirs = _directions(space.dim, max(2, n_samples // n_shells))
+    base = np.array(x.coords)
+    radii = _shell_radii(radius, n_shells)
+    return [space.project(tuple(base + r * unit * u)) for r in radii for u in dirs]
 
 
 def _sup_expr(f: FunctionalSpec, space: SpaceHandle, x: Point, fx: float, y: Point) -> float:
@@ -224,45 +224,6 @@ def _polish_vector(f, space, x, fx, y0, radius):
     return val
 
 
-def _polish_ray(f, space, x, fx, y0):
-    """Golden-section ascent along the 1-d branch through the best sample."""
-    d0 = distance(space, x, y0)
-    if d0 <= 0:
-        return 0.0
-
-    def at(r):
-        t = r / d0
-        if t <= 1.0:
-            return geodesic_point(space, x, y0, t)
-        # extend beyond y0 where the space allows it
-        if space.kind is SpaceKind.TRIPOD:
-            e, off = int(y0.coords[0]), y0.coords[1]
-            ex = int(x.coords[0])
-            if e == ex:
-                sgn = 1.0 if off >= x.coords[1] else -1.0
-                return space.project((e, x.coords[1] + sgn * r))
-            return space.project((e, r - x.coords[1]))
-        coords = tuple(a + t * (b - a) for a, b in zip(x.coords, y0.coords))
-        return space.project(coords)
-
-    lo, hi = math.log(max(d0 * 1e-6, 1e-14)), math.log(d0 * 4)
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc = _sup_expr(f, space, x, fx, at(math.exp(c)))
-    fd = _sup_expr(f, space, x, fx, at(math.exp(d)))
-    for _ in range(70):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = _sup_expr(f, space, x, fx, at(math.exp(c)))
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = _sup_expr(f, space, x, fx, at(math.exp(d)))
-    return max(fc, fd)
-
-
 def descending_slope(
     f: FunctionalSpec,
     space: SpaceHandle,
@@ -294,10 +255,9 @@ def descending_slope(
         v = _sup_expr(f, space, x, fx, y)
         if v > best:
             best, best_y = v, y
-    if best_y is not None:
-        if space.kind in (SpaceKind.EUCLIDEAN, SpaceKind.QUANTILE_1D) and space.dim > 1:
-            best = max(best, _polish_vector(f, space, x, fx, best_y, method.radius))
-        best = max(best, _polish_ray(f, space, x, fx, best_y))
+    vector = space.kind in (SpaceKind.EUCLIDEAN, SpaceKind.QUANTILE_1D)
+    if best_y is not None and vector and space.dim > 1:
+        best = max(best, _polish_vector(f, space, x, fx, best_y, method.radius))
     return best
 
 

@@ -107,16 +107,18 @@ CONFIG_KEYS = {
                    "base_curve", "discretization", "tolerances", "liminf", "with_optimizer", "seed"},
     "flow": {"space", "functional", "x", "T", "n_steps"},
     "action": {"space", "functional", "curve_csv", "x0", "x1"},
-    "family": {"name", "params", "eps_law", "scale_law", "limit", "scale_limit"},
     "limit": {"name", "params"},
     "functional": {"name", "params"},
     "base_curve": {"type", "N", "path"},
     "discretization": {"N", "n_certificate"},
     "tolerances": {"margin", "d_inf_tol", "slope_cap"},
     "liminf": {"tail_from", "slack", "tau_law"},
-    # by variant: a space's keys by its kind, a catalogue functional's params by its name
+    # by variant: a space's keys by its kind, a family's by its name (``example1``,
+    # ``example2`` or any catalogue functional), a catalogue functional's params by its name
     "space": {"euclidean": {"kind", "dim"}, "half_line": {"kind"},
               "tripod": {"kind", "edge_lengths"}, "quantile_1d": {"kind", "grid_size"}},
+    "family": {"example1": {"name", "eps_law"}, "example2": {"name"},
+               "catalogue": {"name", "params", "eps_law", "scale_law", "limit", "scale_limit"}},
     "params": {"zero": set(), "quadratic": {"center", "lam"}, "example1": {"eps"},
                "example2": {"h"}, "linear": {"c"}},
 }
@@ -128,8 +130,9 @@ DEFAULTS = {"N": 64, "n_certificate": 1024, "margin": 0.05, "d_inf_tol": 0.02, "
 def config_object(value, key: str, variant: str | None = None) -> ConfigObject:
     """The config value under ``key``: a JSON object whose keys
     ``CONFIG_KEYS[key]``, or ``CONFIG_KEYS[key][variant]`` for a ``space``
-    of one kind and the ``params`` of one functional, lists.  An unknown
-    key is a ``ConfigError`` naming it and the nearest known key."""
+    of one kind, a ``family`` of one name and the ``params`` of one
+    functional, lists.  An unknown key is a ``ConfigError`` naming it and
+    the nearest known key."""
     if not isinstance(value, dict):
         raise ConfigError(f"config key {key!r} must be a JSON object, got {value!r}")
     known = CONFIG_KEYS[key] if variant is None else CONFIG_KEYS[key][variant]
@@ -207,8 +210,8 @@ def functional_from_config(space: SpaceHandle, spec: dict, key: str) -> Function
 
 
 def family_from_config(space: SpaceHandle, fam: dict) -> FunctionalFamily:
-    fam = config_object(fam, "family")
-    name = fam["name"]
+    name = ConfigObject(fam)["name"] if isinstance(fam, dict) else None
+    fam = config_object(fam, "family", name if name in ("example1", "example2") else "catalogue")
     if name == "example2":
         return FunctionalFamily(
             member=lambda h: ramp(float(h)),
@@ -548,9 +551,7 @@ def run_example1(h_list: Sequence[int], n_certificate: int = DEFAULTS["n_certifi
         coarse = 2.0 * sqrt_g(2.0 * seps) * seps + kinetic
         x0h = space.point(seps)
         s_closed = descending_slope(f_h, space, x0h)
-        s_sup = descending_slope(
-            f_h, space, x0h, SupFormula(radius=max(1.0, seps), n_samples=512)
-        )
+        s_sup = descending_slope(f_h, space, x0h, SupFormula(radius=max(1.0, seps)))
         return {
             "eps": eps,
             "x0h": seps,

@@ -92,12 +92,19 @@ def golden_section(g: Callable[[float], float], lo: float, hi: float, tol: float
 
     Tolerates ``inf`` plateaus at the ends of the bracket (the probe points
     simply lose every comparison), which covers objectives with a restricted
-    effective domain.  Returns (argmin, min, evals).
+    effective domain.  A plateau that covers both first probes leaves the
+    domain in an end piece, and the search restarts on the piece whose end
+    value is finite.  Returns (argmin, min, evals).
     """
     a, b = float(lo), float(hi)
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     gc, gd = g(c), g(d)
     n = 2
+    if b - a > tol and not (math.isfinite(gc) or math.isfinite(gd)):
+        ga, gb, n = g(a), g(b), 4
+        if min(ga, gb) < INF:
+            x, v, m = golden_section(g, a, c, tol) if ga <= gb else golden_section(g, d, b, tol)
+            return x, v, n + m
     while b - a > tol:
         if gc <= gd:
             b, d, gd = d, c, gc
@@ -124,7 +131,8 @@ def brent(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-11)
     as ``golden_section`` does, once the bracket is at most ``tol`` wide, and
     then compares the bracket ends with the best interior point, so a
     minimum at a bound is returned exactly and ``inf`` plateaus lose every
-    comparison.  Returns (argmin, min, evals).
+    comparison.  A plateau that covers both first probes is handled as in
+    ``golden_section``.  Returns (argmin, min, evals).
     """
     a, b = float(lo), float(hi)
     fa = fb = None                      # end values, once evaluated
@@ -157,6 +165,11 @@ def brent(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-11)
         u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
         fu = g(u)
         n += 1
+        if n == 2 and not (math.isfinite(fx) or math.isfinite(fu)):
+            fa, fb, n = g(a), g(b), 4   # the first two probes, x < u, met a plateau
+            if min(fa, fb) < INF:
+                s, val, m = brent(g, a, x, tol) if fa <= fb else brent(g, u, b, tol)
+                return s, val, n + m
         if fu <= fx:
             if u >= x:
                 a, fa = x, fx

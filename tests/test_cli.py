@@ -364,12 +364,16 @@ _FLOW = {"space": {"kind": "euclidean", "dim": 1}, "functional": {"name": "zero"
          "unknown config key 'lamb'; did you mean 'lam'?"),
         (["flow"], {**_FLOW, "space": {"kind": "tripod", "edge_length": [1, 1, 1]}},
          "unknown config key 'edge_length'; did you mean 'edge_lengths'?"),
+        # family keys are checked per family name
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "family": {"name": "example1", "params": {"eps": 0.5}}},
+         "unknown config key 'params'"),
     ],
     ids=["discretisation_positive", "discretisation_recovery", "n_certficate", "tau", "n_step", "curve",
          "x0_law_count_positive", "x0_law_count_recovery", "x0_law_true_positive",
          "x0_law_true_recovery", "eps_law_false", "scale_law_true", "tau_law_true", "N_negative",
          "base_curve_N_zero", "n_certificate_negative", "n_certificate_zero", "linear_lam",
-         "half_line_dim_flow", "half_line_dim_positive", "quadratic_lamb", "tripod_edge_length"],
+         "half_line_dim_flow", "half_line_dim_positive", "quadratic_lamb", "tripod_edge_length",
+         "example1_params"],
 )
 def test_cli_rejects_config_when_read(tmp_path, capsys, command, cfg, message):
     path = write_json(tmp_path / "cfg.json", cfg)

@@ -72,6 +72,34 @@ def test_slope_scaled_inverse_square_blows_up():
         assert sup == pytest.approx(expected, rel=1e-2)
 
 
+TR, E2, Q4 = tripod(), euclidean(2), quantile_1d(4)
+
+# case -> (space, functional, whether the sup formula is exact along lines)
+SUP_CONTRACT_CASES = {
+    "half_line_quadratic": (HL, quadratic(HL, HL.point(0.5), 1.0), True),
+    "inverse_square": (HL, inverse_square(1.0), False),
+    "ramp": (HL, ramp(4.0), False),
+    "tripod_quadratic": (TR, quadratic(TR, TR.point(0, 0.5), 1.0), True),
+    "euclidean2_quadratic": (E2, quadratic(E2, E2.point(0.3, -0.2), 1.0), False),
+    "quantile4_quadratic": (Q4, quadratic(Q4, Q4.point(0.0, 0.5, 1.0, 2.0), 1.0), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUP_CONTRACT_CASES))
+def test_sup_formula_never_overestimates_the_closed_form(case, rng):
+    # the documented contract: the sampled supremum is an underestimate;
+    # along a line the quotient of a quadratic is exact at the smallest shell
+    space, f, exact = SUP_CONTRACT_CASES[case]
+    numeric = strip_closed_forms(f)
+    for _ in range(200):
+        x = random_point(space, rng)
+        closed = descending_slope(f, space, x)
+        sup = descending_slope(numeric, space, x, SupFormula())
+        assert sup <= closed * (1.0 + 1e-9), (case, x, sup, closed)
+        if exact:
+            assert sup >= closed * (1.0 - 1e-9), (case, x, sup, closed)
+
+
 def test_slope_outside_domain_is_infinite():
     f = inverse_square(1.0)
     assert descending_slope(f, HL, HL.point(0.0)) == math.inf

@@ -206,6 +206,23 @@ def test_family_from_config_limit_keys():
     assert named.id == "zero" and named.evaluate(E1.point(1.0)) == 0.0
 
 
+@pytest.mark.parametrize(
+    "family, key",
+    [
+        ({"name": "example1", "params": {"eps": 0.5, "colour": 1}, "scale_law": "2",
+          "limit": {"name": "zero"}}, "params"),
+        ({"name": "example1", "eps_law": "1/h", "scale_limit": 2.0}, "scale_limit"),
+        ({"name": "example2", "eps_law": "1/h"}, "eps_law"),
+    ],
+    ids=["example1_params", "example1_scale_limit", "example2_eps_law"],
+)
+def test_family_keys_are_checked_by_family_name(family, key):
+    # the example families read only their name (and example1 its eps_law)
+    with pytest.raises(ConfigError) as info:
+        family_from_config(HL, family)
+    assert str(info.value).startswith(f"unknown config key {key!r}")
+
+
 def test_experiment_config_from_dict():
     cfg = ExperimentConfig.from_dict(
         {

@@ -205,6 +205,20 @@ def test_brent_inf_plateaus_lose_every_comparison(lo, hi, centre):
     assert v <= golden_section(g, 0.0, 1.0)[1]
 
 
+@pytest.mark.parametrize("kernel", [golden_section, brent])
+@pytest.mark.parametrize(
+    "domain, centre",
+    [(lambda s: s >= 0.7, 0.9), (lambda s: s <= 0.3, 0.1)],
+    ids=["right_piece", "left_piece"],
+)
+def test_inf_plateau_over_both_first_probes(kernel, domain, centre):
+    # the plateau covers both first interior probes (0.382 and 0.618 of the
+    # bracket), so the domain is an end piece and the search must find it
+    g = lambda s: (s - centre) ** 2 if domain(s) else INF
+    s, v, _ = kernel(g, 0.0, 1.0)
+    assert abs(s - centre) <= 1e-8 and v == g(s)
+
+
 def test_brent_returns_a_minimum_at_a_bound_exactly():
     assert brent(lambda s: (s - 0.2) ** 2, 0.2, 3.0)[:2] == (0.2, 0.0)
     assert brent(lambda s: -s, -1.0, 2.5)[:2] == (2.5, -2.5)
