@@ -197,7 +197,7 @@ def _functional_rows(seed: int) -> list:
                     if not f.in_domain(x):
                         continue
                     cf = descending_slope(f, sp, x)
-                    sup = descending_slope(f, sp, x, SupFormula(radius=4.0, n_samples=256))
+                    sup = descending_slope(f, sp, x, SupFormula(radius=4.0))
                     gap = max(gap, abs(cf - sup) / max(1.0, cf))
                 rows.append(
                     (sname, fname, "slope_methods_agree", "n=10", gap, gap <= 1e-3)

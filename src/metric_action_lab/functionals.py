@@ -12,14 +12,19 @@ the variational sup formula
 
     slope(x) = sup_{y != x}  max(f(x) - f(y) + (lam/2) d(x,y)^2, 0) / d(x,y)
 
-sampled around ``x`` no closer than the floor ``radius * 1e-6``.  Along a
-geodesic from ``x`` the quotient only falls as ``d`` grows (``f - (lam/2) d^2``
-is convex there), so the half-line and the tripod sample that smallest shell
-alone.  Euclidean and quantile vectors sample more shells, and only they
-polish (in two or more dimensions) the best sample by local ascent.  The
-estimate underestimates the supremum, up to rounding, so validators that
-consume it stay conservative on the side they certify; on ``eps / x^2`` the
-floor costs ``1.5 * radius * 1e-6 / x`` relative.
+probed at the smallest shell ``r = radius * 1e-6`` around ``x``.  Along a
+geodesic from ``x`` the quotient only falls as ``d`` grows (``f - (lam/2)
+d^2`` is convex there; AGS 2008, Thm 2.4.9), so the supremum is one over
+directions at that shell.  The half-line and the tripod probe every
+direction.  Euclidean and quantile vectors take steepest descent: ``dim``
+forward steps give the gradient (on quantile vectors along the suffix
+directions ``(0, .., 0, 1, .., 1)``, which keep the order), and one more
+step goes along the descent direction projected onto the tangent cone
+(``isotonic_repair`` within each block of tied coordinates), ``dim + 2``
+evaluations in all.  Every candidate is a real point and the estimate is
+its true quotient, so it underestimates the supremum up to rounding and
+validators that consume it stay conservative on the side they certify; on
+``eps / x^2`` the shell costs ``1.5 * radius * 1e-6 / x`` relative.
 """
 
 from __future__ import annotations
@@ -28,22 +33,18 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .spaces import (
     Point,
     SpaceHandle,
     SpaceKind,
     distance,
     geodesic_point,
+    isotonic_repair,
 )
 
 INF = math.inf
-
-# fixed seed for the deterministic shell-direction set; reproducibility of
-# sup-formula estimates depends on it
-_DIRECTION_SEED = 20240517
+NEWTON_CAP = 100          # Newton steps of the inverse_square prox
 
 
 @dataclass
@@ -123,11 +124,9 @@ class ClosedForm:
 
 @dataclass(frozen=True)
 class SupFormula:
-    """Shells out to ``radius``; ``n_samples`` counts the samples on
-    Euclidean and quantile vectors (the lines use the smallest shell)."""
+    """The sup formula at the smallest shell, ``radius * 1e-6``."""
 
     radius: float = 4.0
-    n_samples: int = 256
 
 
 # built once: the minimizers take the default path once per node evaluation
@@ -135,49 +134,28 @@ _CLOSED_FORM = ClosedForm()
 _SUP_FORMULA = SupFormula()
 
 
-def _shell_radii(radius: float, n_shells: int) -> list:
-    # log-spaced so the smallest shell resolves local derivative behaviour
-    return [radius * 10.0 ** (-6.0 * (1.0 - i / (n_shells - 1))) for i in range(n_shells)]
-
-
-def _directions(dim: int, n: int) -> np.ndarray:
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    rng = np.random.default_rng(_DIRECTION_SEED)
-    d = rng.normal(size=(n, dim))
-    norms = np.linalg.norm(d, axis=1, keepdims=True)
-    return d / np.maximum(norms, 1e-300)
-
-
-def _sup_candidates(space: SpaceHandle, x: Point, radius: float, n_samples: int):
-    """Deterministic probe points around ``x``: the smallest shell on the
-    half-line (where the origin stands in for a point beyond it) and the
-    tripod, concentric shells on vectors."""
-    k, r = space.kind, radius * 1e-6
+def _sup_candidates(space: SpaceHandle, x: Point, r: float):
+    """Probe points at distance ``r`` around ``x`` on the half-line (where
+    the origin stands in for a point beyond it) and on every branch of the
+    tripod."""
+    k = space.kind
     if k is SpaceKind.HALF_LINE:
         x0 = x.coords[0]
         out = [Point(k, (x0 + r,))]
         if x0 > 0:
             out.append(Point(k, (max(x0 - r, 0.0),)))
         return out
-    if k is SpaceKind.TRIPOD:  # move along every branch
-        e, off = int(x.coords[0]), x.coords[1]
-        out = []
-        if off + r <= space.edge_lengths[e]:
-            out.append(Point(k, (float(e), off + r)))
-        if r < off:
-            out.append(Point(k, (float(e), off - r)))
-        else:
-            for e2, length in enumerate(space.edge_lengths):
-                if e2 != e and r - off <= length:
-                    out.append(Point(k, (float(e2), r - off)))
-        return out
-    n_shells = max(4, int(round(math.sqrt(n_samples))))
-    unit = math.sqrt(space.weight)
-    dirs = _directions(space.dim, max(2, n_samples // n_shells))
-    base = np.array(x.coords)
-    radii = _shell_radii(radius, n_shells)
-    return [space.project(tuple(base + r * unit * u)) for r in radii for u in dirs]
+    e, off = int(x.coords[0]), x.coords[1]
+    out = []
+    if off + r <= space.edge_lengths[e]:
+        out.append(Point(k, (float(e), off + r)))
+    if r < off:
+        out.append(Point(k, (float(e), off - r)))
+    else:
+        for e2, length in enumerate(space.edge_lengths):
+            if e2 != e and r - off <= length:
+                out.append(Point(k, (float(e2), r - off)))
+    return out
 
 
 def _sup_expr(f: FunctionalSpec, space: SpaceHandle, x: Point, fx: float, y: Point) -> float:
@@ -190,38 +168,51 @@ def _sup_expr(f: FunctionalSpec, space: SpaceHandle, x: Point, fx: float, y: Poi
     return max(fx - fy + 0.5 * f.lam * d * d, 0.0) / d
 
 
-def _polish_vector(f, space, x, fx, y0, radius):
-    """Local ascent of the sup-formula expression for vector-like spaces."""
-    base = np.array(y0.coords)
-    val = _sup_expr(f, space, x, fx, y0)
-    step = max(0.05 * radius, 1e-6)
-    for _ in range(80):
-        g = np.zeros(len(base))
-        eps = max(1e-7, 1e-7 * float(np.max(np.abs(base))))
-        for i in range(len(base)):
-            bp, bm = base.copy(), base.copy()
-            bp[i] += eps
-            bm[i] -= eps
-            vp = _sup_expr(f, space, x, fx, space.project(tuple(bp)))
-            vm = _sup_expr(f, space, x, fx, space.project(tuple(bm)))
-            g[i] = (vp - vm) / (2 * eps)
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-12:
-            break
-        improved = False
-        s = step
-        for _ in range(30):
-            cand = space.project(tuple(base + s * g / gn))
-            v = _sup_expr(f, space, x, fx, cand)
-            if v > val + 1e-15:
-                base = np.array(cand.coords)
-                val, improved = v, True
-                step = min(2 * s, radius)
-                break
-            s *= 0.5
-        if not improved:
-            break
-    return val
+def _vector_sup(f: FunctionalSpec, space: SpaceHandle, x: Point, fx: float, r: float) -> float:
+    """Steepest descent at the smallest shell on Euclidean and quantile
+    vectors.
+
+    ``dim`` forward steps difference ``f - (lam/2) d(x, .)^2``, whose
+    gradient at ``x`` is ``f``'s; leaving out the ``lam`` part of the
+    curvature makes the differences exact on quadratics.  One step of
+    length ``r`` goes along the descent direction projected onto the tangent
+    cone, and the estimate is the largest quotient over these ``dim + 1``
+    points.
+    """
+    k, n, lam = space.kind, space.dim, f.lam
+    quantile = k is SpaceKind.QUANTILE_1D
+    s = r * math.sqrt(space.weight)     # coordinate step: distance r along e_i
+    base = x.coords
+    best, diffs = 0.0, []
+    for i in range(n):
+        # on quantile vectors the suffix direction (0, .., 0, 1, .., 1) keeps the order
+        c = list(base)
+        for j in range(i, n if quantile else i + 1):
+            c[j] += s
+        y = Point(k, tuple(c))
+        d = distance(space, x, y)
+        rise = evaluate(f, y) - fx - 0.5 * lam * d * d
+        if d > 0:                       # a step below the coordinate's ulp stays at x
+            best = max(best, max(-rise, 0.0) / d)
+        diffs.append(rise / s)
+    if not all(math.isfinite(v) for v in diffs):
+        return best                     # a forward step left the domain
+    if quantile:
+        # suffix differences sum the partial derivatives from i on; project
+        # -grad onto the tangent cone, nondecreasing within each tied block
+        down = [b - a for a, b in zip(diffs, diffs[1:] + [0.0])]
+        lo = 0
+        for i in range(1, n + 1):
+            if i == n or base[i] - base[i - 1] > s:
+                down[lo:i] = isotonic_repair(down[lo:i])
+                lo = i
+    else:
+        down = [-v for v in diffs]
+    norm = math.sqrt(math.fsum(v * v for v in down))
+    if norm == 0.0:
+        return best
+    y = space.project([b + s * v / norm for b, v in zip(base, down)])
+    return max(best, _sup_expr(f, space, x, fx, y))
 
 
 def descending_slope(
@@ -234,10 +225,10 @@ def descending_slope(
 
     ``ClosedForm`` uses the supplied derivative expression, which returns
     ``inf`` off the domain itself; ``SupFormula`` estimates the variational
-    supremum from shell samples.  Without a ``method`` the closed form is
+    supremum at the smallest shell.  Without a ``method`` the closed form is
     used when ``f`` has one and the sup formula otherwise; this is the slope
     policy of the whole lab.  Returns ``inf`` outside the effective domain
-    and 0 where no sampled point descends.
+    and 0 where no probed point descends.
     """
     if method is None:
         method = _CLOSED_FORM if f.closed_form_slope is not None else _SUP_FORMULA
@@ -248,17 +239,10 @@ def descending_slope(
     fx = evaluate(f, x)
     if not math.isfinite(fx):
         return INF
-    if method.n_samples <= 0:
-        raise ConfigError("SupFormula needs n_samples > 0")
-    best, best_y = 0.0, None
-    for y in _sup_candidates(space, x, method.radius, method.n_samples):
-        v = _sup_expr(f, space, x, fx, y)
-        if v > best:
-            best, best_y = v, y
-    vector = space.kind in (SpaceKind.EUCLIDEAN, SpaceKind.QUANTILE_1D)
-    if best_y is not None and vector and space.dim > 1:
-        best = max(best, _polish_vector(f, space, x, fx, best_y, method.radius))
-    return best
+    r = method.radius * 1e-6
+    if space.kind in (SpaceKind.EUCLIDEAN, SpaceKind.QUANTILE_1D):
+        return _vector_sup(f, space, x, fx, r)
+    return max([_sup_expr(f, space, x, fx, y) for y in _sup_candidates(space, x, r)], default=0.0)
 
 
 def slope_squared(f: FunctionalSpec, space: SpaceHandle, x: Point) -> float:
@@ -350,7 +334,15 @@ def quadratic(space: SpaceHandle, center: Point, lam: float = 1.0) -> Functional
 
 def inverse_square(eps: float = 1.0) -> FunctionalSpec:
     """``eps / x^2`` on the half-line, infinite at the origin (catalogue
-    name ``example1``)."""
+    name ``example1``), with exact slope and prox.
+
+    The prox at step ``tau`` from ``v`` is the root ``y >= v`` of
+    ``p(y) = y^3 (y - v) - 2 eps tau``, which is increasing and convex on
+    ``[v, inf)``.  Newton's method starts at or right of the root, from
+    ``min(v + (2 eps tau)^(1/4), v + 2 eps tau / v^3)``, and falls
+    monotonically; it stops where ``p(y) <= 0`` or the iterate stops
+    falling, and raises ``ConvergenceError`` after ``NEWTON_CAP`` steps.
+    """
 
     # a power that underflows to 0.0 counts as the singularity: a tiny v
     # gives inf instead of a ZeroDivisionError
@@ -364,11 +356,30 @@ def inverse_square(eps: float = 1.0) -> FunctionalSpec:
         v3 = v * v * v
         return INF if v <= 0.0 or v3 == 0.0 else 2.0 * eps / v3
 
+    def prox(tau, x):
+        v, c = x.coords[0], 2.0 * eps * tau
+        v3 = v * v * v
+        y = v + c ** 0.25
+        if v3 > 0.0:
+            y = min(y, v + c / v3)      # c / v3 may overflow to inf
+        for _ in range(NEWTON_CAP):
+            p = (y - v) * y * y * y - c  # (y - v) first: 0 at y = v, even where y^3 overflows
+            if p <= 0.0:
+                break
+            y_next = y - p / (y * y * (4.0 * y - 3.0 * v))
+            if not y_next < y:
+                break
+            y = y_next
+        else:
+            raise ConvergenceError(f"inverse_square prox: no root after {NEWTON_CAP} Newton steps")
+        return Point(SpaceKind.HALF_LINE, (y,))
+
     return FunctionalSpec(
         id=f"inverse_square(eps={eps:g})",
         evaluate=ev,
         lam=0.0,
         closed_form_slope=slope,
+        closed_form_prox=prox,
     )
 
 

@@ -118,7 +118,7 @@ CONFIG_KEYS = {
     "space": {"euclidean": {"kind", "dim"}, "half_line": {"kind"},
               "tripod": {"kind", "edge_lengths"}, "quantile_1d": {"kind", "grid_size"}},
     "family": {"example1": {"name", "eps_law"}, "example2": {"name"},
-               "catalogue": {"name", "params", "eps_law", "scale_law", "limit", "scale_limit"}},
+               "catalogue": {"name", "params", "scale_law", "limit", "scale_limit"}},
     "params": {"zero": set(), "quadratic": {"center", "lam"}, "example1": {"eps"},
                "example2": {"h"}, "linear": {"c"}},
 }
@@ -695,7 +695,7 @@ def run_liminf(cfg: ExperimentConfig, probe: dict) -> ExperimentReport:
         for h in cfg.h_list
     }
     report = liminf_probe(cfg.family, curves, gamma, tail_from=tail_from, slack=slack)
-    report.meta.update(base_meta)
+    report.meta.update(base_meta, seed=cfg.seed)
     return report
 
 

@@ -318,6 +318,15 @@ def test_cli_gamma_liminf(tmp_path):
     assert rc == 0
 
 
+def test_cli_gamma_liminf_records_the_config_seed(tmp_path):
+    # as gamma positive does: the meta carries the config's seed, not 0
+    cfg = dict(_HALF_LINE_X0_LAW, x0_law="0.5 + 1/h", h_list=[8, 16], seed=7,
+               base_curve={"type": "geodesic", "N": 8})
+    rc = main(["gamma", "liminf", "--config", write_json(tmp_path / "cfg.json", cfg), "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads((tmp_path / "gamma_liminf.json").read_text())["meta"]["seed"] == 7
+
+
 _E3 = {"space": {"kind": "euclidean", "dim": 3}, "family": {"name": "zero"}, "x0": [0, 0, 0],
        "x1": [1, 1, 1], "x0_law": "1/h", "h_list": [2, 4], "base_curve": {"type": "geodesic", "N": 8}}
 _FLOW = {"space": {"kind": "euclidean", "dim": 1}, "functional": {"name": "zero"}, "x": 1.0}
@@ -367,13 +376,15 @@ _FLOW = {"space": {"kind": "euclidean", "dim": 1}, "functional": {"name": "zero"
         # family keys are checked per family name
         (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "family": {"name": "example1", "params": {"eps": 0.5}}},
          "unknown config key 'params'"),
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "family": {"name": "quadratic", "eps_law": "1"}},
+         "unknown config key 'eps_law'; did you mean 'scale_law'?"),
     ],
     ids=["discretisation_positive", "discretisation_recovery", "n_certficate", "tau", "n_step", "curve",
          "x0_law_count_positive", "x0_law_count_recovery", "x0_law_true_positive",
          "x0_law_true_recovery", "eps_law_false", "scale_law_true", "tau_law_true", "N_negative",
          "base_curve_N_zero", "n_certificate_negative", "n_certificate_zero", "linear_lam",
          "half_line_dim_flow", "half_line_dim_positive", "quadratic_lamb", "tripod_edge_length",
-         "example1_params"],
+         "example1_params", "catalogue_eps_law"],
 )
 def test_cli_rejects_config_when_read(tmp_path, capsys, command, cfg, message):
     path = write_json(tmp_path / "cfg.json", cfg)

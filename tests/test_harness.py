@@ -213,11 +213,13 @@ def test_family_from_config_limit_keys():
           "limit": {"name": "zero"}}, "params"),
         ({"name": "example1", "eps_law": "1/h", "scale_limit": 2.0}, "scale_limit"),
         ({"name": "example2", "eps_law": "1/h"}, "eps_law"),
+        ({"name": "quadratic", "eps_law": "1"}, "eps_law"),
     ],
-    ids=["example1_params", "example1_scale_limit", "example2_eps_law"],
+    ids=["example1_params", "example1_scale_limit", "example2_eps_law", "catalogue_eps_law"],
 )
 def test_family_keys_are_checked_by_family_name(family, key):
-    # the example families read only their name (and example1 its eps_law)
+    # the example families read only their name (and example1 its eps_law);
+    # no catalogue family reads an eps_law
     with pytest.raises(ConfigError) as info:
         family_from_config(HL, family)
     assert str(info.value).startswith(f"unknown config key {key!r}")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from metric_action_lab import (
     quantile_1d,
     tripod,
 )
-from metric_action_lab.errors import DomainError
+from metric_action_lab import functionals
+from metric_action_lab.errors import ConvergenceError, DomainError
 from metric_action_lab.functionals import (
     FunctionalSpec,
     SupFormula,
@@ -131,6 +133,53 @@ def test_resolvent_inverse_square_interior():
     # stationarity: -2/u^3 + (u - x)/tau = 0
     u = res.point.coords[0]
     assert -2.0 / u**3 + (u - 1.0) / 0.1 == pytest.approx(0.0, abs=1e-5)
+
+
+def _brackets_inverse_square_root(y, x, eps, tau):
+    """Whether ``y`` lies within one ulp of the root ``u >= x`` of
+    ``u^3 (u - x) = 2 eps tau``, in exact rational arithmetic."""
+    def p(u):
+        u = Fraction(u)
+        return u**3 * (u - Fraction(x)) - 2 * Fraction(eps) * Fraction(tau)
+
+    return p(y - math.ulp(y)) <= 0 <= p(y + math.ulp(y))
+
+
+def test_inverse_square_prox_is_the_exact_resolvent():
+    # Newton lands within an ulp of the stationary point; Brent stops at a
+    # 1e-11 bracket, so its points differ by up to ~1e-8 and its values are
+    # never below the prox's beyond rounding
+    rng = np.random.default_rng(17)
+    for _ in range(1000):
+        eps, tau = float(10.0 ** rng.uniform(-6.0, 1.0)), float(10.0 ** rng.uniform(-7.0, 0.0))
+        x = float(10.0 ** rng.uniform(-3.0, 1.0))
+        f = inverse_square(eps)
+        exact = resolvent(f, HL, tau, HL.point(x))
+        assert exact.method == "closed_form"
+        numeric = resolvent(strip_closed_forms(f), HL, tau, HL.point(x)).value
+        assert exact.value <= numeric + 1e-15 * numeric, (eps, tau, x)
+        assert _brackets_inverse_square_root(exact.point.coords[0], x, eps, tau), (eps, tau, x)
+
+
+@pytest.mark.parametrize(
+    "eps, tau, x",
+    [(1.0, 0.1, 0.0), (1e-8, 1e-8, 0.0), (1.0, 0.1, 1e-300),
+     (1.0, 0.1, 1e6), (1e3, 1e3, 1e100), (1.0, 1.0, 1e300), (1e-20, 1e-3, 1.0)],
+    ids=["origin", "origin_small_step", "underflowing_cube", "large_x", "huge_x", "near_max", "below_ulp"],
+)
+def test_inverse_square_prox_edge_cases(eps, tau, x):
+    # at the origin the root is (2 eps tau)^(1/4); where 2 eps tau / x^3 is
+    # below x's ulp the prox is x itself, and x^3 overflowing changes nothing
+    y = inverse_square(eps).closed_form_prox(tau, HL.point(x)).coords[0]
+    assert _brackets_inverse_square_root(y, x, eps, tau)
+    if x >= 1.0:
+        assert y == x
+
+
+def test_inverse_square_prox_says_when_newton_stops_early(monkeypatch):
+    monkeypatch.setattr(functionals, "NEWTON_CAP", 1)
+    with pytest.raises(ConvergenceError):
+        resolvent(inverse_square(1.0), HL, 1.0, HL.point(1.0))
 
 
 def test_resolvent_value_never_exceeds_anchor_value(any_space, rng):
@@ -400,7 +449,7 @@ def test_numeric_resolvent_iteration_counts():
     counts = {"golden_section": [], "per_edge_golden": [], "proximal_gradient": []}
     for _ in range(60):
         tau = float(10.0 ** rng.uniform(-6.0, -2.0))
-        f = inverse_square(float(4.0 ** -rng.integers(0, 6)))
+        f = strip_closed_forms(inverse_square(float(4.0 ** -rng.integers(0, 6))))
         counts["golden_section"].append(resolvent(f, HL, tau, HL.point(float(rng.uniform(1.0, 2.0)))))
         f = strip_closed_forms(quadratic(tp, tp.point(0, float(rng.uniform(0.1, 0.3))), 1.0))
         x = tp.point(int(rng.integers(0, 2)), float(rng.uniform(0.05, 0.9)))
