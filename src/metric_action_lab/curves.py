@@ -15,12 +15,13 @@ outside the effective domain of ``f`` has.
 ``minimize_action`` picks its solver by geometry.  On the Euclidean,
 quantile and tripod spaces it takes projected Newton steps on the whole
 curve (on the tripod in edge charts, see ``_newton``): the kinetic Hessian
-is exactly tridiagonal in the nodes, and the potential adds one
-central-difference block per node.  The half-line keeps coarse-to-fine
-node-wise sweeps (a bracketing grid plus golden-section refinement),
-because its catalogue slopes are discontinuous, kinked or singular: on the
-ramp's step central differences see a zero gradient, so Newton would take
-the geodesic for stationary.  The sweep searches node coordinates as floats;
+is exactly tridiagonal in the nodes, the potential adds one
+central-difference block per node, and each step is one dense solve of
+that Hessian restricted to the nodes' move bases.  The half-line keeps
+coarse-to-fine node-wise sweeps (a bracketing grid plus golden-section
+refinement), because its catalogue slopes are discontinuous, kinked or
+singular: on the ramp's step central differences see a zero gradient, so
+Newton would take the geodesic for stationary.  The sweep searches node coordinates as floats;
 ``action``, run on the whole curve before the first sweep and after each,
 checks the points' tags.  Both solvers report ``sweeps``,
 ``converged`` (a ``bool``) and ``residual`` (a ``float``) in their ``info``.
@@ -409,14 +410,15 @@ def _newton_step(g, space: SpaceHandle, X: np.ndarray, times: np.ndarray, sigma:
 
     The kinetic part ``sum_k |x_{k+1} - sigma_k x_k|^2 / (m dt_k)``, ``m`` the
     space's ``weight``, ``sigma_k = -1`` for a tripod interval across the
-    branch point and 1 otherwise, has an exact gradient and a block
-    tridiagonal Hessian with couplings ``-sigma_k c_k``, ``c_k = 2 / (m dt_k)``.
-    The potential ``sum_k w_k g(x_k)`` adds a ``d x d`` block per node from
-    central differences at ``at(i, x)``, its negative eigenvalues clipped to
-    zero so that the step descends.  A node moves in the span of its basis:
-    the ``_face_basis`` on quantile vectors; none for a tripod node at the
-    branch point whose gradient points off its edge.  The reduced system
-    keeps the block-tridiagonal form and is solved once.
+    branch point and 1 otherwise, has an exact gradient and a Hessian with
+    ``(c_{k-1} + c_k) I`` on the diagonal and couplings ``-sigma_k c_k I``,
+    ``c_k = 2 / (m dt_k)``.  The potential ``sum_k w_k g(x_k)`` adds a
+    ``d x d`` block per node from central differences at ``at(i, x)``, its
+    negative eigenvalues clipped to zero so that the step descends.  A node
+    moves in the span of its basis: the ``_face_basis`` on quantile vectors;
+    none for a tripod node at the branch point whose gradient points off its
+    edge.  The bases sit on the block diagonal of one matrix ``B``, and the
+    step is ``B z`` with ``z`` solving the reduced system ``B^T K B z = B^T G``.
     """
     X_in = X[1:-1]
     n, d = X_in.shape
@@ -426,45 +428,22 @@ def _newton_step(g, space: SpaceHandle, X: np.ndarray, times: np.ndarray, sigma:
     pot_grad, pot_hess = _potential_derivatives(g, at, X_in)
     G = c[:-1, None] * (X_in - sigma[:-1, None] * X[:-2]) + c[1:, None] * (X_in - sigma[1:, None] * X[2:])
     G += w[:, None] * pot_grad
+    coupling = (sigma * c)[1:-1]
+    K = np.kron(np.diag(c[:-1] + c[1:]) - np.diag(coupling, 1) - np.diag(coupling, -1), np.eye(d))
     vals, vecs = np.linalg.eigh(w[:, None, None] * pot_hess)
-    blocks = (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.transpose(0, 2, 1)
-    blocks += (c[:-1] + c[1:])[:, None, None] * np.eye(d)
+    i = np.arange(n)  # the reshape is a view, so the potential blocks land on K's diagonal
+    K.reshape(n, d, n, d)[i, :, i, :] += (vecs * np.maximum(vals, 0.0)[:, None, :]) @ vecs.transpose(0, 2, 1)
     if space.kind is SpaceKind.QUANTILE_1D:
         bases = [_face_basis(x, grad) for x, grad in zip(X_in, G)]
     elif space.kind is SpaceKind.TRIPOD:
         bases = [np.eye(1)[:, :0] if x[0] == 0.0 and grad[0] > 0.0 else np.eye(1) for x, grad in zip(X_in, G)]
     else:
         bases = [np.eye(d)] * n
-    coupling = sigma * c
-    z = _solve_block_tridiagonal(
-        [b.T @ block @ b for b, block in zip(bases, blocks)],
-        [-coupling[i + 1] * bases[i].T @ bases[i + 1] for i in range(n - 1)],
-        [b.T @ grad for b, grad in zip(bases, G)],
-    )
-    return np.array([b @ zi for b, zi in zip(bases, z)])
-
-
-def _solve_block_tridiagonal(diag: list, upper: list, rhs: list) -> list:
-    """Block Thomas algorithm for a symmetric positive definite system.
-
-    ``diag[i]`` is the diagonal block of node ``i``, ``upper[i]`` couples
-    node ``i`` to node ``i + 1`` (blocks may be rectangular) and ``rhs[i]``
-    is the right-hand side of node ``i``.
-    """
-    n = len(diag)
-    factors, partial = [], []
-    for i in range(n):
-        A, b = diag[i], rhs[i]
-        if i:
-            A = A - upper[i - 1].T @ factors[i - 1]
-            b = b - upper[i - 1].T @ partial[i - 1]
-        if i < n - 1:
-            factors.append(np.linalg.solve(A, upper[i]))
-        partial.append(np.linalg.solve(A, b))
-    x = partial[:]
-    for i in range(n - 2, -1, -1):
-        x[i] = partial[i] - factors[i] @ x[i + 1]
-    return x
+    cols = np.cumsum([0] + [b.shape[1] for b in bases])
+    B = np.zeros((n * d, cols[-1]))
+    for k, b in enumerate(bases):
+        B[k * d:(k + 1) * d, cols[k]:cols[k + 1]] = b
+    return (B @ np.linalg.solve(B.T @ K @ B, B.T @ G.ravel())).reshape(n, d)
 
 
 def _potential_derivatives(g, at, X: np.ndarray):

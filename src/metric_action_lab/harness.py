@@ -100,11 +100,12 @@ def parallel_map(fn: Callable, items: Sequence) -> list:
 # --------------------------------------------------------------------------
 
 # The keys each config object may carry.  One experiment config serves
-# ``gamma positive|liminf|example1|example2`` and ``recovery``, so a key that
-# any of them reads is known to all of them.
+# ``gamma positive|liminf`` and ``recovery``, so a key that any of them reads
+# is known to all of them; ``gamma example1|example2`` each take only the
+# ``certified`` keys of their kind.
 CONFIG_KEYS = {
     "experiment": {"space", "family", "x0", "x1", "x0_law", "x1_law", "h_list", "mode", "eps_law",
-                   "base_curve", "discretization", "tolerances", "liminf", "with_optimizer", "seed"},
+                   "base_curve", "discretization", "tolerances", "liminf"},
     "flow": {"space", "functional", "x", "T", "n_steps"},
     "action": {"space", "functional", "curve_csv", "x0", "x1"},
     "limit": {"name", "params"},
@@ -113,8 +114,11 @@ CONFIG_KEYS = {
     "discretization": {"N", "n_certificate"},
     "tolerances": {"margin", "d_inf_tol", "slope_cap"},
     "liminf": {"tail_from", "slack", "tau_law"},
-    # by variant: a space's keys by its kind, a family's by its name (``example1``,
-    # ``example2`` or any catalogue functional), a catalogue functional's params by its name
+    # by variant: a certified example's keys by its kind, a space's by its kind, a
+    # family's by its name (``example1``, ``example2`` or any catalogue functional),
+    # a catalogue functional's params by its name
+    "certified": {"example1": {"h_list", "discretization", "tolerances", "eps_law"},
+                  "example2": {"h_list", "discretization", "tolerances", "with_optimizer"}},
     "space": {"euclidean": {"kind", "dim"}, "half_line": {"kind"},
               "tripod": {"kind", "edge_lengths"}, "quantile_1d": {"kind", "grid_size"}},
     "family": {"example1": {"name", "eps_law"}, "example2": {"name"},
@@ -129,10 +133,10 @@ DEFAULTS = {"N": 64, "n_certificate": 1024, "margin": 0.05, "d_inf_tol": 0.02, "
 
 def config_object(value, key: str, variant: str | None = None) -> ConfigObject:
     """The config value under ``key``: a JSON object whose keys
-    ``CONFIG_KEYS[key]``, or ``CONFIG_KEYS[key][variant]`` for a ``space``
-    of one kind, a ``family`` of one name and the ``params`` of one
-    functional, lists.  An unknown key is a ``ConfigError`` naming it and
-    the nearest known key."""
+    ``CONFIG_KEYS[key]``, or ``CONFIG_KEYS[key][variant]`` for a certified
+    example or a ``space`` of one kind, a ``family`` of one name and the
+    ``params`` of one functional, lists.  An unknown key is a
+    ``ConfigError`` naming it and the nearest known key."""
     if not isinstance(value, dict):
         raise ConfigError(f"config key {key!r} must be a JSON object, got {value!r}")
     known = CONFIG_KEYS[key] if variant is None else CONFIG_KEYS[key][variant]
@@ -265,7 +269,6 @@ class ExperimentConfig:
     margin: float
     d_inf_tol: float
     slope_cap: float
-    seed: int
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -275,6 +278,7 @@ class ExperimentConfig:
         x0 = config_point(space, obj["x0"], "x0")
         x1 = config_point(space, obj["x1"], "x1")
         settings = experiment_settings(obj)
+        config_object(obj.get("liminf", {}), "liminf")  # read by ``run_liminf``
         try:
             mode = RecoveryMode(obj.get("mode", "resolvent"))
         except ValueError:
@@ -307,7 +311,6 @@ class ExperimentConfig:
             margin=settings["margin"],
             d_inf_tol=settings["d_inf_tol"],
             slope_cap=settings["slope_cap"],
-            seed=config_number(obj.get("seed", 0), "seed", int),
         )
 
 
@@ -451,7 +454,6 @@ def run_positive(cfg: ExperimentConfig) -> ExperimentReport:
         meta={
             "experiment": "positive",
             "mode": cfg.mode.value,
-            "seed": cfg.seed,
             "repair": "geodesic",
             "margin": cfg.margin,
             "d_inf_tol": cfg.d_inf_tol,
@@ -511,7 +513,7 @@ def _certified_report(
         if row["pass"] and witness is None:
             witness = {"h": row["h"], "lower_bound": row[bound], "target": target}
     verdict = Verdict.VIOLATED if witness and all(r["pass"] for r in rows) else Verdict.INCONCLUSIVE
-    meta = {**meta, "margin": margin, "repair": "geodesic", "seed": 0}
+    meta = {**meta, "margin": margin, "repair": "geodesic"}
     return ExperimentReport(columns, rows, verdict, witness, meta)
 
 
@@ -674,7 +676,7 @@ def liminf_probe(
         columns=LIMINF_COLUMNS,
         rows=rows,
         verdict=Verdict.CONSISTENT if ok else Verdict.INCONCLUSIVE,
-        meta={"experiment": "liminf", "tail_from": tail_from, "slack": slack, "seed": 0},
+        meta={"experiment": "liminf", "tail_from": tail_from, "slack": slack},
     )
 
 
@@ -695,7 +697,7 @@ def run_liminf(cfg: ExperimentConfig, probe: dict) -> ExperimentReport:
         for h in cfg.h_list
     }
     report = liminf_probe(cfg.family, curves, gamma, tail_from=tail_from, slack=slack)
-    report.meta.update(base_meta, seed=cfg.seed)
+    report.meta.update(base_meta)
     return report
 
 
@@ -710,8 +712,8 @@ def run_gamma(kind: str, obj: dict) -> ExperimentReport:
 
 def certified_args(kind: str, obj: dict) -> dict:
     """The arguments of ``run_example1`` or ``run_example2`` (``kind``) in
-    the experiment config ``obj``."""
-    obj = config_object(obj, "experiment")
+    the config ``obj``, whose keys ``CONFIG_KEYS["certified"][kind]`` lists."""
+    obj = config_object(obj, "certified", kind)
     h_list = config_h_list(obj["h_list"])
     settings = experiment_settings(obj)
     args = {"h_list": h_list, "n_certificate": settings["n_certificate"],

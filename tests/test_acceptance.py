@@ -274,7 +274,6 @@ def test_criterion_10_determinism_across_threads(tmp_path):
                 "h_list": [4, 16, 64],
                 "discretization": {"n_certificate": 512, "N": 32},
                 "with_optimizer": False,
-                "seed": 0,
             }
         )
     )

@@ -318,13 +318,31 @@ def test_cli_gamma_liminf(tmp_path):
     assert rc == 0
 
 
-def test_cli_gamma_liminf_records_the_config_seed(tmp_path):
-    # as gamma positive does: the meta carries the config's seed, not 0
+def test_cli_gamma_liminf_rejects_a_seed(tmp_path, capsys):
+    # no experiment draws a random number, so a config seed would change nothing
     cfg = dict(_HALF_LINE_X0_LAW, x0_law="0.5 + 1/h", h_list=[8, 16], seed=7,
                base_curve={"type": "geodesic", "N": 8})
     rc = main(["gamma", "liminf", "--config", write_json(tmp_path / "cfg.json", cfg), "--out", str(tmp_path)])
-    assert rc == 0
-    assert json.loads((tmp_path / "gamma_liminf.json").read_text())["meta"]["seed"] == 7
+    assert rc == 2
+    assert capsys.readouterr().err == "metric-action-lab: unknown config key 'seed'\n"
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        (["gamma", "example2"], {"h_list": [4], "with_optimizer": False, "mode": "nonsense", "family": 5,
+                                 "base_curve": {"type": "bogus", "nope": 1}, "liminf": {"zzz": 1}}, "mode"),
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "with_optimizer": "maybe"}, "with_optimizer"),
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "liminf": {"zzz": 1}}, "zzz"),
+    ],
+    ids=["example2_experiment_keys", "positive_with_optimizer", "positive_liminf_key"],
+)
+def test_cli_rejects_keys_the_command_never_reads(tmp_path, capsys, command, cfg, key):
+    path = write_json(tmp_path / "cfg.json", cfg)
+    rc = main(command + ["--config", path, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"metric-action-lab: unknown config key {key!r}") and err.count("\n") == 1
 
 
 _E3 = {"space": {"kind": "euclidean", "dim": 3}, "family": {"name": "zero"}, "x0": [0, 0, 0],
@@ -378,13 +396,15 @@ _FLOW = {"space": {"kind": "euclidean", "dim": 1}, "functional": {"name": "zero"
          "unknown config key 'params'"),
         (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "family": {"name": "quadratic", "eps_law": "1"}},
          "unknown config key 'eps_law'; did you mean 'scale_law'?"),
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "base_curve": {"type": "bogus"}},
+         "unknown base curve type 'bogus'"),
     ],
     ids=["discretisation_positive", "discretisation_recovery", "n_certficate", "tau", "n_step", "curve",
          "x0_law_count_positive", "x0_law_count_recovery", "x0_law_true_positive",
          "x0_law_true_recovery", "eps_law_false", "scale_law_true", "tau_law_true", "N_negative",
          "base_curve_N_zero", "n_certificate_negative", "n_certificate_zero", "linear_lam",
          "half_line_dim_flow", "half_line_dim_positive", "quadratic_lamb", "tripod_edge_length",
-         "example1_params", "catalogue_eps_law"],
+         "example1_params", "catalogue_eps_law", "base_curve_type"],
 )
 def test_cli_rejects_config_when_read(tmp_path, capsys, command, cfg, message):
     path = write_json(tmp_path / "cfg.json", cfg)

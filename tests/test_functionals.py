@@ -217,6 +217,24 @@ def test_quadratic_on_tripod_slope():
     assert sup == pytest.approx(1.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("center", [(0, 0.5), (1, 0.3), (2, 1.5)])
+def test_tripod_sup_formula_across_the_branch_point(center):
+    # offsets below the smallest shell (4e-6) probe the other edges through the branch point
+    sp = tripod((1, 0.5, 2))
+    f = quadratic(sp, sp.point(*center), 1.0)
+    stripped = strip_closed_forms(f)
+    for e in range(3):
+        for off in np.linspace(0.0, 3.9e-6, 14):
+            x = sp.point(e, float(off))
+            assert descending_slope(stripped, sp, x) == pytest.approx(descending_slope(f, sp, x), rel=1e-9)
+
+
+def test_closed_form_slope_needs_a_closed_form():
+    f = strip_closed_forms(quadratic(E1, E1.point(0.0), 1.0))
+    with pytest.raises(ConfigError, match="has no closed-form slope"):
+        descending_slope(f, E1, E1.point(1.0), ClosedForm())
+
+
 def test_quadratic_on_quantile_slope(rng):
     sp = quantile_1d(4)
     c = sp.point(0.0, 0.5, 1.0, 2.0)

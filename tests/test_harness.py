@@ -235,12 +235,10 @@ def test_experiment_config_from_dict():
             "x0_law": "1/h",
             "x1_law": "1",
             "h_list": [2, 4],
-            "seed": 7,
         }
     )
     assert cfg.x0_seq(4).coords == (0.25,)
     assert cfg.x1_seq(4).coords == (1.0,)
-    assert cfg.seed == 7
 
 
 @pytest.mark.parametrize(
@@ -292,7 +290,6 @@ _VALID_CONFIG = {
     "base_curve": {"type": "geodesic", "N": 8},
     "discretization": {"N": 8},
     "tolerances": {"margin": 0.05, "d_inf_tol": 0.02, "slope_cap": 10.0},
-    "seed": 0,
 }
 
 

@@ -14,7 +14,7 @@ from metric_action_lab import (
     quantile_1d,
     tripod,
 )
-from metric_action_lab import functionals
+from metric_action_lab import functionals, proximal
 from metric_action_lab.errors import ConvergenceError, DomainError
 from metric_action_lab.functionals import (
     FunctionalSpec,
@@ -180,6 +180,22 @@ def test_inverse_square_prox_says_when_newton_stops_early(monkeypatch):
     monkeypatch.setattr(functionals, "NEWTON_CAP", 1)
     with pytest.raises(ConvergenceError):
         resolvent(inverse_square(1.0), HL, 1.0, HL.point(1.0))
+
+
+def test_resolvent_says_when_the_line_search_stops_short(monkeypatch):
+    # a line search that ends 1e-3 off the minimum: the optimality probe sees it
+    brent = proximal.brent
+
+    def short(g, lo, hi, tol=1e-11):
+        x, _, n = brent(g, lo, hi, tol)
+        return x + 1e-3, g(x + 1e-3), n
+
+    monkeypatch.setattr(proximal, "brent", short)
+    f = strip_closed_forms(quadratic(HL, HL.point(2.0), 1.0))
+    with pytest.raises(ConvergenceError) as info:
+        resolvent(f, HL, 0.01, HL.point(1.0))
+    assert info.value.best.method == "golden_section"
+    assert info.value.best.residual > 1e-7
 
 
 def test_resolvent_value_never_exceeds_anchor_value(any_space, rng):

@@ -290,6 +290,18 @@ def test_vanishing_ride_resolvent_failure_raises_flow_error(monkeypatch):
         build_recovery(inverse_square(1.0), cfg, 2, eps=lambda h: 0.5)
 
 
+def test_vanishing_mode_rejects_an_endpoint_outside_the_domain():
+    # inverse_square is infinite at 0, so no ride can start there
+    cfg = RecoveryConfig(
+        mode=RecoveryMode.VANISHING,
+        base_curve=geodesic_curve(HL, HL.point(0.0), HL.point(1.0), 16),
+        x0_seq=lambda h: HL.point(0.0),
+        x1_seq=lambda h: HL.point(1.0),
+    )
+    with pytest.raises(PreconditionError, match="start endpoint has infinite value"):
+        build_recovery(inverse_square(1.0), cfg, 2, eps=lambda h: 0.5)
+
+
 def test_vanishing_mode_schedule_error_on_impossible_cap():
     from metric_action_lab.errors import ScheduleError
 
