@@ -130,7 +130,6 @@ class SupFormula:
 
 
 # built once: the minimizers take the default path once per node evaluation
-_CLOSED_FORM = ClosedForm()
 _SUP_FORMULA = SupFormula()
 
 
@@ -227,11 +226,16 @@ def descending_slope(
     ``inf`` off the domain itself; ``SupFormula`` estimates the variational
     supremum at the smallest shell.  Without a ``method`` the closed form is
     used when ``f`` has one and the sup formula otherwise; this is the slope
-    policy of the whole lab.  Returns ``inf`` outside the effective domain
-    and 0 where no probed point descends.
+    policy of the whole lab.  It stays here, so that every slope goes
+    through this function: ``perfbench/tracer.py`` counts slopes by wrapping
+    it.  The default returns the closed form before any other test, since
+    the minimizers take it once per probe.  Returns ``inf`` outside the
+    effective domain and 0 where no probed point descends.
     """
     if method is None:
-        method = _CLOSED_FORM if f.closed_form_slope is not None else _SUP_FORMULA
+        if (closed_form := f.closed_form_slope) is not None:
+            return closed_form(x)
+        method = _SUP_FORMULA
     if isinstance(method, ClosedForm):
         if f.closed_form_slope is None:
             raise ConfigError(f"functional {f.id!r} has no closed-form slope")

@@ -269,6 +269,10 @@ class ExperimentConfig:
     margin: float
     d_inf_tol: float
     slope_cap: float
+    # the ``liminf`` section, read by ``run_liminf``
+    tail_from: int
+    slack: float
+    tau_law: Callable[[int], float]
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -278,7 +282,11 @@ class ExperimentConfig:
         x0 = config_point(space, obj["x0"], "x0")
         x1 = config_point(space, obj["x1"], "x1")
         settings = experiment_settings(obj)
-        config_object(obj.get("liminf", {}), "liminf")  # read by ``run_liminf``
+        h_list = config_h_list(obj["h_list"])
+        probe = config_object(obj.get("liminf", {}), "liminf")
+        tail_from = config_number(probe.get("tail_from", int(max(h_list, default=0))), "tail_from", int)
+        slack = config_number(probe.get("slack", 0.01), "slack")
+        tau_law = parse_law(probe.get("tau_law", "1/(h*h)"))
         try:
             mode = RecoveryMode(obj.get("mode", "resolvent"))
         except ValueError:
@@ -303,7 +311,7 @@ class ExperimentConfig:
             x1=x1,
             x0_seq=endpoint_law(space, obj.get("x0_law", obj["x0"]), "x0_law"),
             x1_seq=endpoint_law(space, obj.get("x1_law", obj["x1"]), "x1_law"),
-            h_list=config_h_list(obj["h_list"]),
+            h_list=h_list,
             mode=mode,
             base_curve_spec=config_object(obj.get("base_curve", {"type": "geodesic"}), "base_curve"),
             eps_law=eps_law,
@@ -311,6 +319,9 @@ class ExperimentConfig:
             margin=settings["margin"],
             d_inf_tol=settings["d_inf_tol"],
             slope_cap=settings["slope_cap"],
+            tail_from=tail_from,
+            slack=slack,
+            tau_law=tau_law,
         )
 
 
@@ -680,23 +691,17 @@ def liminf_probe(
     )
 
 
-def run_liminf(cfg: ExperimentConfig, probe: dict) -> ExperimentReport:
-    """``liminf_probe`` on the member resolvents of the base curve.
-
-    ``probe`` is the config's ``liminf`` object: the resolvent steps
-    ``tau_law``, the tail start ``tail_from`` and the ``slack``.
-    """
+def run_liminf(cfg: ExperimentConfig) -> ExperimentReport:
+    """``liminf_probe`` on the member resolvents of the base curve, with
+    the config's ``liminf`` settings: the resolvent steps ``tau_law``, the
+    tail start ``tail_from`` and the ``slack``."""
     gamma, base_meta = resolve_base_curve(cfg)
-    probe = config_object(probe, "liminf")
-    tail_from = probe.get("tail_from", int(max(cfg.h_list, default=0)))
-    tail_from = config_number(tail_from, "tail_from", int)
-    slack = config_number(probe.get("slack", 0.01), "slack")
-    tau = parse_law(probe.get("tau_law", "1/(h*h)"))
     curves = {
-        h: gamma.mapped(lambda p, _h=h: resolvent(cfg.family.member(_h), cfg.space, tau(_h), p).point)
+        h: gamma.mapped(
+            lambda p, _h=h: resolvent(cfg.family.member(_h), cfg.space, cfg.tau_law(_h), p).point)
         for h in cfg.h_list
     }
-    report = liminf_probe(cfg.family, curves, gamma, tail_from=tail_from, slack=slack)
+    report = liminf_probe(cfg.family, curves, gamma, tail_from=cfg.tail_from, slack=cfg.slack)
     report.meta.update(base_meta)
     return report
 
@@ -705,7 +710,7 @@ def run_gamma(kind: str, obj: dict) -> ExperimentReport:
     """The ``gamma <kind>`` experiment of the experiment config ``obj``."""
     if kind in ("positive", "liminf"):
         cfg = ExperimentConfig.from_dict(obj)
-        return run_positive(cfg) if kind == "positive" else run_liminf(cfg, obj.get("liminf", {}))
+        return run_positive(cfg) if kind == "positive" else run_liminf(cfg)
     args = certified_args(kind, obj)
     return run_example1(**args) if kind == "example1" else run_example2(**args)
 

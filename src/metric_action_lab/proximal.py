@@ -94,32 +94,48 @@ def golden_section(g: Callable[[float], float], lo: float, hi: float, tol: float
     simply lose every comparison), which covers objectives with a restricted
     effective domain.  A plateau that covers both first probes leaves the
     domain in an end piece, and the search restarts on the piece whose end
-    value is finite.  Returns (argmin, min, evals).
+    value is finite.  At the end the best of the bracket ends and the two
+    probes wins.  Every value is kept: an end that moves onto a probe takes
+    its value, so ``g`` is called at most once per point.  Returns (argmin,
+    min, evals), ``evals`` counting the calls of ``g``.
     """
     a, b = float(lo), float(hi)
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    gc, gd = g(c), g(d)
-    n = 2
-    if b - a > tol and not (math.isfinite(gc) or math.isfinite(gd)):
-        ga, gb, n = g(a), g(b), 4
-        if min(ga, gb) < INF:
-            x, v, m = golden_section(g, a, c, tol) if ga <= gb else golden_section(g, d, b, tol)
-            return x, v, n + m
-    while b - a > tol:
+    ga = gb = None                      # end values, once evaluated
+    n = 0
+    while True:
+        c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+        gc, gd = g(c), g(d)
+        n += 2
+        if not (b - a > tol and not (math.isfinite(gc) or math.isfinite(gd))):
+            break
+        if ga is None:
+            ga, n = g(a), n + 1
+        if gb is None:
+            gb, n = g(b), n + 1
+        if not min(ga, gb) < INF:
+            break
+        if ga <= gb:                    # restart on the end piece with a finite end
+            b, gb = c, gc
+        else:
+            a, ga = d, gd
+    for _ in range(299):                # enough for a bracket 1e62 times tol
+        if not b - a > tol:
+            break
         if gc <= gd:
-            b, d, gd = d, c, gc
+            b, gb, d, gd = d, gd, c, gc
             c = b - _GOLDEN * (b - a)
             gc = g(c)
         else:
-            a, c, gc = c, d, gd
+            a, ga, c, gc = c, gc, d, gd
             d = a + _GOLDEN * (b - a)
             gd = g(d)
         n += 1
-        if n > 300:
-            break
-    xs = [(a, g(a)), (c, gc), (d, gd), (b, g(b))]
-    x, v = min(xs, key=lambda p: p[1])
-    return x, v, n + 2
+    if ga is None:
+        ga, n = g(a), n + 1
+    if gb is None:
+        gb, n = g(b), n + 1
+    x, v = min([(a, ga), (c, gc), (d, gd), (b, gb)], key=lambda p: p[1])
+    return x, v, n
 
 
 def brent(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-11):

@@ -122,12 +122,27 @@ class SpaceHandle:
         return Point(self.kind, coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
-    """A point of some :class:`SpaceHandle`, tagged with the space kind."""
+    """A point of some :class:`SpaceHandle`, tagged with the space kind.
+
+    A value: frozen, compared and hashed by its fields, with two slots and
+    no ``__dict__``.  ``__init__`` writes the slots through their
+    descriptors; the generated frozen ``__init__`` goes through
+    ``object.__setattr__`` per field, which makes a point almost twice as
+    slow to build, and the 1-d searches build one per probe.
+    """
 
     space_kind: SpaceKind
     coords: tuple
+
+    def __init__(self, space_kind: SpaceKind, coords: tuple):
+        _set_space_kind(self, space_kind)
+        _set_coords(self, coords)
+
+
+_set_space_kind = Point.space_kind.__set__
+_set_coords = Point.coords.__set__
 
 
 def euclidean(dim: int) -> SpaceHandle:
@@ -189,12 +204,13 @@ def distance(space: SpaceHandle, p: Point, q: Point) -> float:
 def point_along(space: SpaceHandle, edge: int = 0) -> Callable[[float], Point]:
     """``s -> p_s``, the point at coordinate ``s`` of one line: the
     half-line, or edge ``edge`` of a tripod."""
-    if space.kind is SpaceKind.HALF_LINE:
-        return lambda v: Point(SpaceKind.HALF_LINE, (v,))
-    if space.kind is not SpaceKind.TRIPOD:
-        raise DomainError(f"no line coordinate on a {space.kind.value} space")
+    k = space.kind      # looked up once: an Enum member lookup costs ~0.1 us
+    if k is SpaceKind.HALF_LINE:
+        return lambda v: Point(k, (v,))
+    if k is not SpaceKind.TRIPOD:
+        raise DomainError(f"no line coordinate on a {k.value} space")
     e = float(edge)
-    return lambda s: Point(SpaceKind.TRIPOD, (e, s))
+    return lambda s: Point(k, (e, s))
 
 
 def distance_along(space: SpaceHandle, q: Point, edge: int = 0) -> Callable[[float], float]:

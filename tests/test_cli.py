@@ -327,6 +327,30 @@ def test_cli_gamma_liminf_rejects_a_seed(tmp_path, capsys):
     assert capsys.readouterr().err == "metric-action-lab: unknown config key 'seed'\n"
 
 
+_ZERO_E1 = {"space": {"kind": "euclidean", "dim": 1}, "family": {"name": "zero"}, "x0": 0.0, "x1": 1.0,
+            "h_list": [2, 4], "base_curve": {"type": "geodesic", "N": 8}}
+
+
+@pytest.mark.parametrize("command", [["gamma", "positive"], ["gamma", "liminf"], ["recovery"]],
+                         ids=["positive", "liminf", "recovery"])
+@pytest.mark.parametrize(
+    "liminf, message",
+    [
+        ({"tau_law": True, "slack": "big"}, "config key 'slack' must be a finite number, got 'big'"),
+        ({"tau_law": True}, "law True is not a number or a string"),
+        ({"tail_from": 2.5}, "config key 'tail_from' must be an integer, got 2.5"),
+    ],
+    ids=["slack_and_tau_law", "tau_law", "tail_from"],
+)
+def test_cli_reads_the_liminf_section_with_the_config(tmp_path, capsys, command, liminf, message):
+    # every command that takes an experiment config checks its liminf values,
+    # not only ``gamma liminf``, and before any curve is built
+    path = write_json(tmp_path / "cfg.json", dict(_ZERO_E1, liminf=liminf))
+    rc = main(command + ["--config", path, "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"metric-action-lab: {message}\n"
+
+
 @pytest.mark.parametrize(
     "command, cfg, key",
     [

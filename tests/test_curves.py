@@ -464,3 +464,37 @@ def test_resample_preserves_geometry():
     c = line_curve(E1, 10, lambda t: t)
     fine = resample_curve(c, 37)
     assert uniform_distance(c, fine) <= 1e-12
+
+
+def test_every_half_line_sweep_slope_goes_through_descending_slope(monkeypatch):
+    # the benchmark's tracer counts slopes by wrapping each module binding of
+    # ``descending_slope``; a sweep that evaluated the closed form past it
+    # would hide its slopes from the trace
+    import sys
+    from dataclasses import replace
+
+    from metric_action_lab import functionals
+
+    counts = {"descending_slope": 0, "closed_form": 0}
+    original = functionals.descending_slope
+
+    def counted(*args, **kwargs):
+        counts["descending_slope"] += 1
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "metric_action_lab" or name.startswith("metric_action_lab."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    f = ramp(8.0)
+    slope = f.closed_form_slope
+
+    def closed_form(x):
+        counts["closed_form"] += 1
+        return slope(x)
+
+    HL = half_line()
+    minimize_action(replace(f, closed_form_slope=closed_form), HL, HL.point(0.0), HL.point(1.0), 16)
+    assert counts["closed_form"] > 1000
+    assert counts["descending_slope"] == counts["closed_form"]

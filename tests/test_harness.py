@@ -239,6 +239,16 @@ def test_experiment_config_from_dict():
     )
     assert cfg.x0_seq(4).coords == (0.25,)
     assert cfg.x1_seq(4).coords == (1.0,)
+    # the liminf defaults: the tail is the last index, tau = 1/h^2
+    assert (cfg.tail_from, cfg.slack, cfg.tau_law(4)) == (4, 0.01, 1.0 / 16)
+
+
+def test_experiment_config_reads_the_liminf_section():
+    cfg = ExperimentConfig.from_dict(
+        {"space": {"kind": "euclidean", "dim": 1}, "family": {"name": "zero"}, "x0": 0.0, "x1": 1.0,
+         "h_list": [2, 4], "liminf": {"tail_from": 2, "slack": 0.5, "tau_law": "1/h"}}
+    )
+    assert (cfg.tail_from, cfg.slack, cfg.tau_law(4)) == (2, 0.5, 0.25)
 
 
 @pytest.mark.parametrize(
@@ -569,6 +579,13 @@ def test_example2_optimizer_never_beats_certificate():
     for row in rep.rows:
         assert row["optimizer_upper_bound"] >= 1.95
         assert row["optimizer_upper_bound"] >= row["amgm_lower_bound"] - 1e-9
+
+
+def test_example2_sweep_upper_bounds_to_the_last_bit():
+    # the golden CSV compares 12 digits; this pins the half-line sweep in full
+    rep = run_example2([4, 8], n_certificate=256, n_search=16)
+    assert [row["optimizer_upper_bound"] for row in rep.rows] == [2.1000080118307016, 3.0666775715974346]
+    assert [row["optimizer_converged"] for row in rep.rows] == [False, False]
 
 
 def test_example2_json_rows_carry_the_optimizer_flag(tmp_path):

@@ -6,9 +6,10 @@ minimize float objectives of one line coordinate: the resolvents' built on
 ``spaces.distance_along``, the sweep's on the node coordinates themselves.
 The references below are the same objectives written on points, through
 ``distance``: the resolvent objective ``obj(Point)`` and the sweep's
-``local(Point)``.  Every reference comparison is exact (``==``): a kernel
-that changes one bit fails here.  Brent's values are held to golden
-section's within 1e-15 relative.
+``local(Point)``.  Golden section's reference is its loop as it was
+before it kept the values of its bracket ends.  Every reference
+comparison is exact (``==``): a kernel that changes one bit fails here.
+Brent's values are held to golden section's within 1e-15 relative.
 """
 
 import functools
@@ -26,6 +27,7 @@ from metric_action_lab.curves import (
 from metric_action_lab.errors import DomainError, SpaceMismatchError
 from metric_action_lab.functionals import (
     INF,
+    descending_slope,
     evaluate,
     inverse_square,
     quadratic,
@@ -75,11 +77,42 @@ def ref_local(space, f, p_prev, p_next, dt0, dt1, w):
     return local
 
 
+def ref_golden_section(g, lo, hi, tol=1e-11):
+    """Golden section as it was before it kept its end values: it evaluates
+    both bracket ends again at the end, and restarts on a plateau's end
+    piece by recursion."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    c, d = b - golden * (b - a), a + golden * (b - a)
+    gc, gd = g(c), g(d)
+    n = 2
+    if b - a > tol and not (math.isfinite(gc) or math.isfinite(gd)):
+        ga, gb, n = g(a), g(b), 4
+        if min(ga, gb) < INF:
+            x, v, m = ref_golden_section(g, a, c, tol) if ga <= gb else ref_golden_section(g, d, b, tol)
+            return x, v, n + m
+    while b - a > tol:
+        if gc <= gd:
+            b, d, gd = d, c, gc
+            c = b - golden * (b - a)
+            gc = g(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + golden * (b - a)
+            gd = g(d)
+        n += 1
+        if n > 300:
+            break
+    xs = [(a, g(a)), (c, gc), (d, gd), (b, g(b))]
+    x, v = min(xs, key=lambda p: p[1])
+    return x, v, n + 2
+
+
 def ref_grid_golden(g, lo, hi):
     grid = np.linspace(lo, hi, 17)
     vals = [g(v) for v in grid]
     j = int(np.argmin(vals))
-    x, v, _ = golden_section(g, grid[max(j - 1, 0)], grid[min(j + 1, 16)])
+    x, v, _ = ref_golden_section(g, grid[max(j - 1, 0)], grid[min(j + 1, 16)])
     return x, v
 
 
@@ -219,6 +252,38 @@ def test_inf_plateau_over_both_first_probes(kernel, domain, centre):
     assert abs(s - centre) <= 1e-8 and v == g(s)
 
 
+def golden_cases(rng):
+    """Seeded ``(g, lo, hi)``: smooth and kinked objectives, a step like the
+    ramp's slope, minima at the bounds, and ``inf`` plateaus over both first
+    probes (twice in a row for the nested ones)."""
+    for _ in range(40):
+        lo, width = rng.uniform(-2.0, 2.0), rng.uniform(1e-6, 5.0)
+        m, k = lo + rng.uniform(-0.2, 1.2) * width, rng.uniform(0.1, 10.0)
+        yield lambda s, m=m, k=k: k * (s - m) ** 2 + math.cos(s), lo, lo + width
+        yield lambda s, m=m, k=k: k * abs(s - m) + 0.1 * s * s, lo, lo + width
+        yield lambda s, m=m, k=k: (s - m) ** 2 + (k if s < m + 0.1 * width else 0.0), lo, lo + width
+        for frac in (0.2, 0.05, 0.8, 0.97):     # 0.05 and 0.97 leave a plateau inside the end piece
+            edge = lo + frac * width
+            centre = lo + rng.uniform(0.0, 1.0) * width
+            domain = (lambda s, e=edge: s <= e) if frac < 0.5 else (lambda s, e=edge: s >= e)
+            yield lambda s, c=centre, ok=domain: (s - c) ** 2 if ok(s) else INF, lo, lo + width
+    yield lambda s: INF, 0.0, 1.0
+    yield lambda s: 1.0, 0.0, 1e-12
+
+
+def test_golden_section_matches_its_reference_bit_for_bit(rng):
+    for g, lo, hi in golden_cases(rng):
+        assert golden_section(g, lo, hi)[:2] == ref_golden_section(g, lo, hi)[:2]
+
+
+def test_golden_section_evaluates_every_point_once_and_counts_its_calls(rng):
+    for g, lo, hi in golden_cases(rng):
+        seen = []
+        n = golden_section(lambda s: seen.append(s) or g(s), lo, hi)[2]
+        assert n == len(seen)
+        assert len(set(seen)) == len(seen)      # no bracket end is evaluated again
+
+
 def test_brent_returns_a_minimum_at_a_bound_exactly():
     assert brent(lambda s: (s - 0.2) ** 2, 0.2, 3.0)[:2] == (0.2, 0.0)
     assert brent(lambda s: -s, -1.0, 2.5)[:2] == (2.5, -2.5)
@@ -293,8 +358,8 @@ def test_half_line_node_update_matches_point_reference(f, nodes):
     lo = max(min(nodes) - span, 0.0)
     hi = max(nodes) + span
     v, value = ref_grid_golden(lambda u: local(Point(SpaceKind.HALF_LINE, (u,))), lo, hi)
-    g = functools.partial(slope_squared, f, HL)
-    s, newv, oldv = _update_node_half_line(g, *nodes, dt0, dt1, w, span)
+    slope = functools.partial(descending_slope, f, HL)
+    s, newv, oldv = _update_node_half_line(slope, *nodes, dt0, dt1, w, span)
     assert s == v
     assert newv == value
     assert oldv == local(p)

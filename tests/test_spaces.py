@@ -160,3 +160,27 @@ def test_tripod_point_validation():
 def test_branch_point_identification():
     sp = tripod()
     assert distance(sp, sp.point(0, 0.0), sp.point(2, 0.0)) == 0.0
+
+
+def test_point_is_a_value():
+    import dataclasses
+
+    from metric_action_lab.spaces import Point, SpaceKind
+
+    p = Point(SpaceKind.HALF_LINE, (0.5,))
+    q = half_line().point(0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.coords = (1.0,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.space_kind = SpaceKind.EUCLIDEAN
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p != Point(SpaceKind.EUCLIDEAN, (0.5,)) and p != Point(SpaceKind.HALF_LINE, (0.25,))
+    moved = dataclasses.replace(p, coords=(2.0,))
+    assert moved == Point(SpaceKind.HALF_LINE, (2.0,)) and p.coords == (0.5,)
+    assert Point(space_kind=SpaceKind.HALF_LINE, coords=(0.5,)) == p
+    assert repr(p) == "Point(space_kind=<SpaceKind.HALF_LINE: 'half_line'>, coords=(0.5,))"
+    assert not hasattr(p, "__dict__")
+    # a new attribute has no slot; by Python version, a frozen dataclass with
+    # slots raises TypeError or AttributeError for it
+    with pytest.raises((AttributeError, TypeError)):
+        p.extra = 1
