@@ -16,15 +16,15 @@ probed at the smallest shell ``r = radius * 1e-6`` around ``x``.  Along a
 geodesic from ``x`` the quotient only falls as ``d`` grows (``f - (lam/2)
 d^2`` is convex there; AGS 2008, Thm 2.4.9), so the supremum is one over
 directions at that shell.  The half-line and the tripod probe every
-direction.  Euclidean and quantile vectors take steepest descent: ``dim``
-forward steps give the gradient (on quantile vectors along the suffix
-directions ``(0, .., 0, 1, .., 1)``, which keep the order), and one more
-step goes along the descent direction projected onto the tangent cone
-(``isotonic_repair`` within each block of tied coordinates), ``dim + 2``
-evaluations in all.  Every candidate is a real point and the estimate is
-its true quotient, so it underestimates the supremum up to rounding and
-validators that consume it stay conservative on the side they certify; on
-``eps / x^2`` the shell costs ``1.5 * radius * 1e-6 / x`` relative.
+direction.  Euclidean and quantile vectors take steepest descent: the
+``dim`` order-keeping forward steps of ``tangent_gradient`` (which gives the
+vector resolvent its gradient too) and one more step along the descent
+direction projected onto the tangent cone (``isotonic_repair`` within each
+block of tied coordinates), ``dim + 2`` evaluations in all.  Every
+candidate is a real point and the estimate is its true quotient, so it
+underestimates the supremum up to rounding and validators that consume it
+stay conservative on the side they certify; on ``eps / x^2`` the shell
+costs ``1.5 * radius * 1e-6 / x`` relative.
 """
 
 from __future__ import annotations
@@ -167,46 +167,59 @@ def _sup_expr(f: FunctionalSpec, space: SpaceHandle, x: Point, fx: float, y: Poi
     return max(fx - fy + 0.5 * f.lam * d * d, 0.0) / d
 
 
-def _vector_sup(f: FunctionalSpec, space: SpaceHandle, x: Point, fx: float, r: float) -> float:
-    """Steepest descent at the smallest shell on Euclidean and quantile
-    vectors.
-
-    ``dim`` forward steps difference ``f - (lam/2) d(x, .)^2``, whose
-    gradient at ``x`` is ``f``'s; leaving out the ``lam`` part of the
-    curvature makes the differences exact on quadratics.  One step of
-    length ``r`` goes along the descent direction projected onto the tangent
-    cone, and the estimate is the largest quotient over these ``dim + 1``
-    points.
+def tangent_gradient(f: FunctionalSpec, space: SpaceHandle, x: Point, fx: float, s: float):
+    """Gradient of ``f`` at ``x`` on vectors from ``dim`` forward steps of
+    coordinate length ``s`` along ``e_i``, or on quantile vectors along the
+    suffix directions ``(0, .., 0, 1, .., 1)``, which keep the order, so no
+    step is projected; there the partial is ``D_i - D_{i+1}`` for the
+    differences ``D`` (``D_dim = 0``).  The steps difference ``f - (lam/2)
+    d(x, .)^2``: ``f``'s gradient, exact differences on quadratics.
+    Returns the partials (``None`` if a step leaves the domain) and each
+    step's ``(d, rise)``.  The resolvent's step grows with ``max |x_i|``,
+    or ``f``'s rounding swamps it (at the sup formula's, E^2 from ``(1e12,
+    2e12)`` lands 7e-3 of the move off the closed form); the sup formula's
+    stays at its shell, since one that grows swallows the gaps of 3 at
+    1e12 its tied-block test reads (the slope reads 73% low).
     """
     k, n, lam = space.kind, space.dim, f.lam
     quantile = k is SpaceKind.QUANTILE_1D
-    s = r * math.sqrt(space.weight)     # coordinate step: distance r along e_i
-    base = x.coords
-    best, diffs = 0.0, []
+    steps = []
     for i in range(n):
-        # on quantile vectors the suffix direction (0, .., 0, 1, .., 1) keeps the order
-        c = list(base)
+        c = list(x.coords)
         for j in range(i, n if quantile else i + 1):
             c[j] += s
         y = Point(k, tuple(c))
         d = distance(space, x, y)
-        rise = evaluate(f, y) - fx - 0.5 * lam * d * d
-        if d > 0:                       # a step below the coordinate's ulp stays at x
-            best = max(best, max(-rise, 0.0) / d)
-        diffs.append(rise / s)
-    if not all(math.isfinite(v) for v in diffs):
-        return best                     # a forward step left the domain
+        steps.append((d, evaluate(f, y) - fx - 0.5 * lam * d * d))
+    diffs = [rise / s for _, rise in steps]
+    if not all(map(math.isfinite, diffs)):
+        return None, steps
     if quantile:
-        # suffix differences sum the partial derivatives from i on; project
-        # -grad onto the tangent cone, nondecreasing within each tied block
-        down = [b - a for a, b in zip(diffs, diffs[1:] + [0.0])]
+        diffs = [a - b for a, b in zip(diffs, diffs[1:] + [0.0])]
+    return diffs, steps
+
+
+def _vector_sup(f: FunctionalSpec, space: SpaceHandle, x: Point, fx: float, r: float) -> float:
+    """Steepest descent at the smallest shell on vectors: the largest
+    quotient over ``tangent_gradient``'s ``dim`` steps and one more along
+    the descent direction projected onto the tangent cone.  The step,
+    distance ``r`` along ``e_i``, is floored at 64 ulps of ``max |x_i|``
+    (beyond about 5e8): a shorter step rounds back to ``x`` and reads 0.
+    """
+    base = x.coords
+    s = max(r, 64.0 * math.ulp(max(map(abs, base)))) * math.sqrt(space.weight)
+    grad, steps = tangent_gradient(f, space, x, fx, s)
+    best = max([0.0, *(max(-rise, 0.0) / d for d, rise in steps if d > 0)])
+    if grad is None:
+        return best                     # a forward step left the domain
+    down = [-v for v in grad]
+    if space.kind is SpaceKind.QUANTILE_1D:
+        # onto the tangent cone: nondecreasing within each tied block
         lo = 0
-        for i in range(1, n + 1):
-            if i == n or base[i] - base[i - 1] > s:
+        for i in range(1, len(base) + 1):
+            if i == len(base) or base[i] - base[i - 1] > s:
                 down[lo:i] = isotonic_repair(down[lo:i])
                 lo = i
-    else:
-        down = [-v for v in diffs]
     norm = math.sqrt(math.fsum(v * v for v in down))
     if norm == 0.0:
         return best

@@ -18,6 +18,8 @@ method converges to the unique minimizer.  Solvers by space:
   the smooth part and Barzilai-Borwein steps ``|dy|^2 / <dy, dg>`` from its
   gradients, falling back to cyclic coordinate descent on a refining grid
   (``grid_golden``) when the functional is not smooth enough to difference.
+  The gradient is ``functionals.tangent_gradient``'s: ``dim`` forward steps
+  that keep the order, so none is projected.
 
 On the half-line and the tripod the objective is minimized along one
 coordinate: ``_line_objective`` is a float function whose distance term
@@ -46,6 +48,7 @@ from .functionals import (
     descending_slope,
     evaluate,
     lam_neg,
+    tangent_gradient,
 )
 from .spaces import (
     Point,
@@ -301,67 +304,46 @@ def _solve_tripod(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
     return u, edges[e][1], 1 + sum(n for _, _, n in edges)
 
 
-def numeric_grad(fn, coords):
-    """Central-difference gradient of ``fn`` at ``coords``; ``None`` when a
-    probe value is not finite."""
-    g = np.zeros(len(coords))
-    for i in range(len(coords)):
-        eps = 1e-6 * max(abs(coords[i]), 1.0)
-        cp, cm = list(coords), list(coords)
-        cp[i] += eps
-        cm[i] -= eps
-        vp, vm = fn(cp), fn(cm)
-        if not (math.isfinite(vp) and math.isfinite(vm)):
-            return None
-        g[i] = (vp - vm) / (2 * eps)
-    return g
-
-
 def _solve_vector(obj, f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
     """Proximal-gradient with backtracking; coordinate descent fallback."""
     xv = np.array(x.coords)
-
-    def fval(coords) -> float:
-        return evaluate(f, space.project(tuple(coords)))
-
-    def full(coords) -> float:
-        return obj(space.project(tuple(coords)))
-
-    y = xv.copy()
-    step = tau
-    val = full(y)
-    it = 0
-    smooth = math.isfinite(val)
+    h = 4e-6 * math.sqrt(space.weight)  # times max(1, max |u_i|): f's rounding grows with it
 
     def prox_step(z, s):
         # exact prox of the coupling term d(., x)^2 / (2 tau) in coordinates
         w = s / (tau * space.weight)
-        out = (z + w * xv) / (1.0 + w)
-        return np.array(space.project(tuple(out)).coords)
+        return space.project(tuple((z + w * xv) / (1.0 + w)))
 
-    g = numeric_grad(fval, y) if smooth else None
+    def gradient(u):
+        g = tangent_gradient(f, space, u, evaluate(f, u), h * max(1.0, max(map(abs, u.coords))))[0]
+        return None if g is None else np.array(g)
+
+    u = space.project(x.coords)
+    step, val, it = tau, obj(u), 0
+    g = gradient(u) if math.isfinite(val) else None
     smooth = g is not None
     for it in range(1, MAX_ITER + 1):
         if not smooth:
             break
-        y_new = prox_step(y - step * g, step)
-        v_new = full(y_new)
+        y = np.array(u.coords)
+        u_new = prox_step(y - step * g, step)
+        v_new = obj(u_new)
         bt = 0
         while v_new > val + 1e-15 and bt < 60:
             step *= 0.5
-            y_new = prox_step(y - step * g, step)
-            v_new = full(y_new)
+            u_new = prox_step(y - step * g, step)
+            v_new = obj(u_new)
             bt += 1
         if bt >= 60:
             smooth = False
             break
-        dy = y_new - y
+        dy = np.array(u_new.coords) - y
         move = float(np.max(np.abs(dy)))
         gain = val - v_new
-        y, val = y_new, v_new
+        u, val = u_new, v_new
         if move < 0.2 * POINT_TOL and gain < VALUE_TOL:
             break
-        g_new = numeric_grad(fval, y)
+        g_new = gradient(u)
         if g_new is None:
             smooth = False
             break
@@ -371,9 +353,10 @@ def _solve_vector(obj, f: FunctionalSpec, space: SpaceHandle, tau: float, x: Poi
         step = min(float(np.dot(dy, dy)) / curv if curv > 0.0 else step * 1.5, 1e6)
         g = g_new
     if not smooth:
-        y, val, extra = _coordinate_descent(full, y, val)
+        y, val, extra = _coordinate_descent(lambda c: obj(space.project(tuple(c))), u.coords, val)
         it += extra
-    return space.project(tuple(y)), val, it
+        u = space.project(tuple(y))
+    return u, val, it
 
 
 def _coordinate_descent(full, y, val):

@@ -35,6 +35,7 @@ threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -107,12 +108,16 @@ class SpaceHandle:
         """Repair raw coordinates into a valid point (metric projection).
 
         Half-line clamps at zero, quantile vectors are isotonically
-        projected, tripod offsets are clamped into their edge.
+        projected, tripod offsets are clamped into their edge.  Nondecreasing
+        quantile coordinates come back as they are, bit-identical to
+        pool-adjacent-violators, which would divide each by 1.
         """
         coords = tuple(float(c) for c in coords)
         if self.kind is SpaceKind.HALF_LINE:
             return Point(self.kind, (max(coords[0], 0.0),))
         if self.kind is SpaceKind.QUANTILE_1D:
+            if all(map(operator.le, coords, coords[1:])):
+                return Point(self.kind, coords)
             return Point(self.kind, tuple(isotonic_repair(coords)))
         if self.kind is SpaceKind.TRIPOD:
             e = int(round(coords[0]))
@@ -143,6 +148,8 @@ class Point:
 
 _set_space_kind = Point.space_kind.__set__
 _set_coords = Point.coords.__set__
+
+_TRIPOD, _QUANTILE_1D = SpaceKind.TRIPOD, SpaceKind.QUANTILE_1D  # an Enum member lookup costs ~0.1 us
 
 
 def euclidean(dim: int) -> SpaceHandle:
@@ -190,10 +197,17 @@ def _check_tags(space: SpaceHandle, *points: Point):
 
 
 def distance(space: SpaceHandle, p: Point, q: Point) -> float:
-    """Metric distance between two points of ``space``."""
-    _check_tags(space, p, q)
-    if space.kind is not SpaceKind.TRIPOD:
-        return math.dist(p.coords, q.coords) / math.sqrt(space.weight)
+    """Metric distance between two points of ``space``; ``_check_tags``
+    runs only to raise.  Bit for bit ``|u - v| / sqrt(weight)``: off
+    quantile vectors the division by ``sqrt(1) = 1.0``, which is exact, is
+    left out."""
+    k = space.kind
+    if p.space_kind is not k or q.space_kind is not k:
+        _check_tags(space, p, q)
+    if k is _QUANTILE_1D:
+        return math.dist(p.coords, q.coords) / math.sqrt(space.dim)
+    if k is not _TRIPOD:
+        return math.dist(p.coords, q.coords)
     # tripod: through the branch point unless both points share an edge
     (ep, op), (eq, oq) = p.coords, q.coords
     if int(ep) == int(eq):

@@ -279,3 +279,57 @@ def test_closed_form_slope_makes_no_evaluate_call():
     c = geodesic_curve(E1, E1.point(0.0), E1.point(1.0), 8)
     assert action(c, spy, c.start, c.end).potential == pytest.approx(9.0)
     assert calls == []
+
+
+def test_vector_sup_formula_reads_partials_at_large_coordinates():
+    # a forward step of r * 1e-6 rounds back to a coordinate near 1e12 and
+    # would read a partial derivative of 0; the step is floored at 64 ulps
+    e2 = euclidean(2)
+    f = quadratic(e2, e2.point(0.0, 0.0), 1.0)
+    x = e2.point(1e12, 3.0)
+    closed = descending_slope(f, e2, x)
+    sup = descending_slope(strip_closed_forms(f), e2, x, SupFormula())
+    assert 0.99 * closed <= sup <= closed, (sup, closed)
+    q4 = quantile_1d(4)
+    f = quadratic(q4, q4.point(*[1e12] * 4), 1.0)
+    x = q4.point(*(1e12 + d for d in (-4.0, -1.0, 2.0, 8.0)))
+    closed = descending_slope(f, q4, x)
+    sup = descending_slope(strip_closed_forms(f), q4, x, SupFormula())
+    assert abs(sup - closed) <= 1e-4 * closed, (sup, closed)
+
+
+@pytest.mark.parametrize("space", [euclidean(3), quantile_1d(4)], ids=["euclidean3", "quantile4"])
+def test_tangent_gradient_projects_nothing_and_evaluates_through_the_tracer(space, rng, monkeypatch):
+    # the benchmark's tracer counts evaluations by wrapping each module
+    # binding of ``evaluate``; every step keeps the order, so none is projected
+    import sys
+
+    from metric_action_lab import functionals
+    from metric_action_lab.spaces import SpaceHandle
+
+    counts = {"evaluate": 0, "project": 0}
+    original, project = functionals.evaluate, SpaceHandle.project
+
+    def counted_evaluate(*args, **kwargs):
+        counts["evaluate"] += 1
+        return original(*args, **kwargs)
+
+    def counted_project(*args, **kwargs):
+        counts["project"] += 1
+        return project(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "metric_action_lab" or name.startswith("metric_action_lab."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted_evaluate)
+    monkeypatch.setattr(SpaceHandle, "project", counted_project)
+    centre, x = random_point(space, rng), random_point(space, rng)
+    f = strip_closed_forms(quadratic(space, centre, 2.0))
+    fx = original(f, x)
+    grad, steps = functionals.tangent_gradient(f, space, x, fx, 1e-5)
+    assert counts == {"evaluate": space.dim, "project": 0}
+    assert len(steps) == space.dim
+    # the differences are exact on quadratics: grad_i = lam (x_i - c_i) / weight
+    want = [2.0 * (a - b) / space.weight for a, b in zip(x.coords, centre.coords)]
+    assert grad == pytest.approx(want, rel=1e-6, abs=1e-8)

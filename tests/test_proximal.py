@@ -477,3 +477,25 @@ def test_numeric_resolvent_iteration_counts():
     for method, results in counts.items():
         assert {r.method for r in results} == {method}
         assert np.mean([r.iterations for r in results]) <= bounds[method], method
+
+
+_BIG = 1e12
+# space, x, centre: coordinates around 1e12, where f's rounding swamps a
+# short difference step and, on quantile vectors, a central step of 1e6
+# breaks the order across gaps of 3
+LARGE_COORDINATE_CASES = {
+    "euclidean2_far": (euclidean(2), (_BIG, 2 * _BIG), (0.0, 0.0)),
+    "euclidean2_near": (euclidean(2), (_BIG + 5, _BIG - 3), (_BIG, _BIG)),
+    "quantile4_far": (quantile_1d(4), (_BIG, 1.5 * _BIG, 2 * _BIG, 3 * _BIG), (0.0,) * 4),
+    "quantile4_near": (quantile_1d(4), tuple(_BIG + d for d in (-4.0, -1.0, 2.0, 8.0)), (_BIG,) * 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_COORDINATE_CASES))
+def test_vector_resolvent_at_large_coordinates_meets_the_closed_form(case):
+    space, xc, cc = LARGE_COORDINATE_CASES[case]
+    f, x, tau = quadratic(space, space.point(*cc), 1.0), space.point(*xc), 0.1
+    want = f.closed_form_prox(tau, x)
+    res = resolvent(strip_closed_forms(f), space, tau, x)
+    assert res.method == "proximal_gradient"
+    assert distance(space, res.point, want) <= 1e-6 * distance(space, x, want), (res.point, want)

@@ -17,6 +17,7 @@ from metric_action_lab import (
     tripod,
 )
 from metric_action_lab.errors import DomainError, SpaceMismatchError
+from metric_action_lab.spaces import Point
 
 
 def test_euclidean_distance_pythagoras():
@@ -41,6 +42,8 @@ def test_space_tag_mismatch_raises():
     other = half_line().point(1.0)
     with pytest.raises(SpaceMismatchError):
         distance(sp, sp.point(0.0), other)
+    with pytest.raises(SpaceMismatchError):
+        distance(sp, other, sp.point(0.0))
 
 
 def test_geodesic_midpoints():
@@ -184,3 +187,47 @@ def test_point_is_a_value():
     # slots raises TypeError or AttributeError for it
     with pytest.raises((AttributeError, TypeError)):
         p.extra = 1
+
+
+_coordinate = st.one_of(st.floats(-10, 10), st.sampled_from([0.0, -0.0, 1.0, math.nan]))
+
+
+@given(
+    st.lists(_coordinate, min_size=2, max_size=8),
+    st.sampled_from(["as_drawn", "sorted", "tied"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_quantile_project_matches_the_full_projection_bit_for_bit(values, order):
+    # already nondecreasing coordinates skip pool-adjacent-violators, which
+    # would return each of them divided by 1
+    if order == "sorted":
+        values = sorted(v for v in values if not math.isnan(v))
+    elif order == "tied":
+        values = sorted(v for v in values if not math.isnan(v))
+        values = values[:1] + values + values[-1:]
+    if len(values) < 2:
+        return
+    sp = quantile_1d(len(values))
+    got = sp.project(values)
+    want = Point(sp.kind, tuple(isotonic_repair(values)))
+    assert got.space_kind is want.space_kind
+    assert [c.hex() for c in got.coords] == [c.hex() for c in want.coords]
+
+
+def _reference_distance(space, p, q):
+    """``|u - v| / sqrt(weight)`` and the tripod's branch rule, as written."""
+    if space.kind.value != "tripod":
+        return math.dist(p.coords, q.coords) / math.sqrt(space.weight)
+    (ep, op), (eq, oq) = p.coords, q.coords
+    return abs(op - oq) if int(ep) == int(eq) else op + oq
+
+
+@pytest.mark.parametrize(
+    "space", [euclidean(3), half_line(), tripod(), quantile_1d(4)], ids=lambda sp: sp.kind.value
+)
+def test_distance_matches_its_reference_bit_for_bit(space, rng):
+    for _ in range(500):
+        scale = float(10.0 ** rng.uniform(-6, 6))
+        p, q = random_point(space, rng, scale), random_point(space, rng, scale)
+        for a, b in ((p, q), (q, p), (p, p)):
+            assert distance(space, a, b).hex() == _reference_distance(space, a, b).hex()
