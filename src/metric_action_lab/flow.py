@@ -47,7 +47,7 @@ def flow_times(f: FunctionalSpec, space: SpaceHandle, x: Point, times) -> Sample
     times = np.asarray(times, dtype=float)
     pts = [x]
     for k in range(len(times) - 1):
-        dt = times[k + 1] - times[k]
+        dt = float(times[k + 1] - times[k])
         try:
             res = resolvent(f, space, dt, pts[-1])
         except MetricActionError as exc:

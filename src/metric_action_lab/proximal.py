@@ -8,12 +8,15 @@ which is strongly convex whenever ``tau < 1 / (2 lam^-)``, so any descent
 method converges to the unique minimizer.  Solvers by space:
 
 * half-line: Brent's method (``brent``: golden-section steps that keep the
-  bracket, plus parabolic steps) on an automatically expanded bracket;
+  bracket, plus parabolic steps) on an automatically expanded bracket.  The
+  objective is convex along the line, so two probes with the same finite
+  value hold a minimizer between them: the search stops once its values
+  tie, or once its bracket is 1e-11 wide;
 * tripod: the objective is strongly convex along every edge, so an edge
   that does not descend from the branch point holds its minimizer there
-  and needs no search; Brent runs only on a descending edge.  Then compare
-  edge minima (first edge wins exact ties; the iterations add up over the
-  edges and the shared branch-point value);
+  and needs no search; Brent, with the same stop rule, runs only on a
+  descending edge.  Then compare edge minima (first edge wins exact ties;
+  the iterations add up over the edges and the shared branch-point value);
 * Euclidean and quantile vectors: proximal-gradient with backtracking on
   the smooth part and Barzilai-Borwein steps ``|dy|^2 / <dy, dg>`` from its
   gradients, falling back to cyclic coordinate descent on a refining grid
@@ -142,16 +145,28 @@ def golden_section(g: Callable[[float], float], lo: float, hi: float, tol: float
 
 
 def brent(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-11):
-    """Minimize a unimodal scalar function on [lo, hi] by Brent's method.
+    """Minimize a convex scalar function on [lo, hi] by Brent's method.
 
     Golden-section steps that keep the bracket, and parabolic steps through
     the three best points so far wherever all three values are finite (Brent,
-    *Algorithms for Minimization without Derivatives*, 1973, ch. 5).  Stops,
-    as ``golden_section`` does, once the bracket is at most ``tol`` wide, and
-    then compares the bracket ends with the best interior point, so a
-    minimum at a bound is returned exactly and ``inf`` plateaus lose every
-    comparison.  A plateau that covers both first probes is handled as in
-    ``golden_section``.  Returns (argmin, min, evals).
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 5).  Two
+    rules assume ``g`` convex (the half-line and tripod prox objectives are):
+
+    * a probe whose finite value ties with the best one's closes the
+      bracket to the two of them, since a convex function that takes one
+      value at two points has a minimizer between them;
+    * where the parabola fails and the best point lies within two step
+      floors (``tol1``) of a bracket end, the step towards the far end is
+      twice that distance (at least two floors, at most the golden step),
+      so one worse probe closes the bracket.
+
+    Once the parabola lands on the minimizer, its neighbours tie or close
+    the bracket at once, where golden steps would walk the far end in to the
+    ``tol`` width.  Stops once the bracket is at most ``tol`` wide (to the
+    relative step floor), and then compares the bracket ends with the best
+    interior point, so a minimum at a bound is returned exactly and ``inf``
+    plateaus lose every comparison.  A plateau that covers both first probes
+    is handled as in ``golden_section``.  Returns (argmin, min, evals).
     """
     a, b = float(lo), float(hi)
     fa = fb = None                      # end values, once evaluated
@@ -181,6 +196,9 @@ def brent(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-11)
         if golden:
             e = a - x if x >= m else b - x
             d = (1.0 - _GOLDEN) * e
+            near = min(x - a, b - x)
+            if near <= 2.0 * tol1:      # one step towards the far end closes the bracket
+                d = math.copysign(min(max(2.0 * near, 2.0 * tol1), abs(d)), e)
         u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
         fu = g(u)
         n += 1
@@ -189,6 +207,11 @@ def brent(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-11)
             if min(fa, fb) < INF:
                 s, val, m = brent(g, a, x, tol) if fa <= fb else brent(g, u, b, tol)
                 return s, val, n + m
+        if fu == fx < INF:              # a tie: convex g has a minimizer between u and x
+            if u >= x:
+                b, fb = u, fu
+            else:
+                a, fa = u, fu
         if fu <= fx:
             if u >= x:
                 a, fa = x, fx
@@ -392,7 +415,9 @@ def resolvent(
 
     Uses the closed-form prox when the functional carries one; otherwise
     dispatches to the space-appropriate solver.  Raises ``ConvergenceError``
-    (with the best iterate attached) if the optimality probe fails.
+    (with the best iterate attached) if the optimality probe fails: a move
+    of 1e-7 or 1e-5 times ``max(1, max |u_i|)`` (on the tripod, the offset)
+    along any coordinate lowers the value by more than 1e-7.
     """
     _require_tau(tau, f.lam)
     obj = _objective(f, space, tau, x)
@@ -423,10 +448,12 @@ def resolvent(
 
 def _probe_points(space: SpaceHandle, u: Point, delta: float):
     if space.kind is SpaceKind.TRIPOD:
+        delta *= max(1.0, u.coords[1])          # the offset, not the edge index
         pts = [space.project((u.coords[0], u.coords[1] + delta))]
         if u.coords[1] - delta >= 0:
             pts.append(Point(space.kind, (u.coords[0], u.coords[1] - delta)))
         return pts
+    delta *= max(1.0, max(map(abs, u.coords)))  # the vector solver's scale
     out = []
     for i in range(len(u.coords)):
         for s in (delta, -delta):

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -23,7 +24,9 @@ from metric_action_lab.functionals import (
     ramp,
     zero_functional,
 )
+from metric_action_lab.proximal import resolvent
 
+FLOW = importlib.import_module("metric_action_lab.flow")  # the package's ``flow`` is the function
 HL = half_line()
 E1 = euclidean(1)
 QUAD = quadratic(E1, E1.point(0.0), 1.0)
@@ -84,6 +87,22 @@ def test_flow_times_nonuniform_grid():
     traj = flow_times(QUAD, E1, E1.point(1.0), times)
     assert len(traj.points) == len(times)
     assert traj.end.coords[0] == pytest.approx(math.exp(-1.0), abs=5e-2)
+
+
+def test_flow_steps_reach_the_resolvent_as_python_floats(monkeypatch):
+    # a numpy step would make every line-objective value and Brent iterate
+    # downstream a numpy scalar
+    steps = []
+
+    def spy(f, space, tau, x):
+        steps.append(tau)
+        return resolvent(f, space, tau, x)
+
+    monkeypatch.setattr(FLOW, "resolvent", spy)
+    flow(QUAD, E1, E1.point(1.0), 1.0, 4)
+    flow_times(QUAD, E1, E1.point(1.0), np.geomspace(1e-3, 1.0, 5))
+    assert len(steps) == 8
+    assert all(type(tau) is float for tau in steps)
 
 
 def test_evi_quadratic_at_minimizer():

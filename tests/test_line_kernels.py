@@ -290,6 +290,63 @@ def test_brent_returns_a_minimum_at_a_bound_exactly():
     assert brent(lambda s: abs(s - 0.7), 0.0, 1.0)[0] == pytest.approx(0.7, abs=1e-11)
 
 
+def seeded_quadratics(m_lo=0.0, m_hi=1.0, count=500):
+    """``c + K (s - m)^2`` on [0, 1], K log-uniform in [1, 1e6]."""
+    rng = np.random.default_rng(23)
+    for _ in range(count):
+        c, k, m = rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(0.0, 6.0), rng.uniform(m_lo, m_hi)
+        yield lambda s, c=c, k=k, m=m: c + k * (s - m) ** 2
+
+
+def test_brent_stops_once_its_values_tie():
+    # the parabola lands on the minimizer within a few probes; the probes
+    # next to it then read the same value, and the tie closes the bracket.
+    # Minimizers stay 0.05 inside the bracket: nearer a bound, Brent first
+    # walks towards it by golden steps until a parabolic step is less than
+    # half the step before last.
+    counts = [brent(g, 0.0, 1.0)[2] for g in seeded_quadratics(0.05, 0.95)]
+    assert max(counts) <= 8
+
+
+def flat_bottoms(count=200):
+    """Convex ``g`` on [0, 1] with squared or linear walls that takes its
+    minimum 0 on a whole interval, with that interval."""
+    rng = np.random.default_rng(24)
+    for _ in range(count):
+        c, r = rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-3.0, -0.5)
+        k, p = 10.0 ** rng.uniform(0.0, 4.0), int(rng.integers(1, 3))
+        yield (lambda s, c=c, r=r, k=k, p=p: k * max(0.0, abs(s - c) - r) ** p), (c - r, c + r)
+
+
+def convex_cases():
+    return list(seeded_quadratics()) + [g for g, _ in flat_bottoms()]
+
+
+def test_brent_never_above_golden_section():
+    for g in convex_cases():
+        ref = golden_section(g, 0.0, 1.0)[1]
+        assert brent(g, 0.0, 1.0)[1] <= ref + 1e-15 * abs(ref)
+
+
+def test_brent_evaluates_every_point_once_and_counts_its_calls():
+    # neither a tie nor a step towards the far end lands on a known point
+    for g in convex_cases():
+        seen = []
+        n = brent(lambda s: seen.append(s) or g(s), 0.0, 1.0)[2]
+        assert n == len(seen)
+        assert len(set(seen)) == len(seen)
+
+
+def test_brent_returns_a_point_of_a_flat_bottom():
+    # two probes inside the minimizing set tie, and a convex function has a
+    # minimizer between them, so the search ends there; golden steps to the
+    # 1e-11 width would take 38 to 58 evaluations
+    for g, (lo_min, hi_min) in flat_bottoms():
+        s, v, n = brent(g, 0.0, 1.0)
+        assert lo_min <= s <= hi_min and v == 0.0
+        assert n <= 20
+
+
 def golden_reference_value(f, space, tau, x):
     """The resolvent value of golden section on the half-line's bracket,
     or the least over golden section on every tripod edge."""

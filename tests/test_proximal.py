@@ -499,3 +499,18 @@ def test_vector_resolvent_at_large_coordinates_meets_the_closed_form(case):
     res = resolvent(strip_closed_forms(f), space, tau, x)
     assert res.method == "proximal_gradient"
     assert distance(space, res.point, want) <= 1e-6 * distance(space, x, want), (res.point, want)
+
+
+@pytest.mark.parametrize("case", ["euclidean2_far", "quantile4_far"])
+def test_probe_sees_a_wrong_resolvent_at_large_coordinates(case, monkeypatch):
+    # a solver that stops 32% of the move short of the closed form; the
+    # probe's deltas grow with max(1, max |u_i|), so they do not round back
+    # to u at 1e12.  They are 1e5 and 1e7 there: a "near" case, whose whole
+    # move is below 10, is beyond them.
+    space, xc, cc = LARGE_COORDINATE_CASES[case]
+    f, x, tau = quadratic(space, space.point(*cc), 1.0), space.point(*xc), 0.1
+    want = f.closed_form_prox(tau, x)
+    off = space.project(tuple(w + 0.32 * (a - w) for w, a in zip(want.coords, x.coords)))
+    monkeypatch.setattr(proximal, "_solve_vector", lambda obj, *_: (off, obj(off), 1))
+    with pytest.raises(ConvergenceError):
+        resolvent(strip_closed_forms(f), space, tau, x)
