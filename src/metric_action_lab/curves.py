@@ -2,8 +2,8 @@
 
 A sampled curve, the lab's only curve type, is a strictly increasing time
 grid with one point per node; a flow is one on its own time grid.  A curve
-read from CSV, concatenated or given to ``minimize_action`` as ``init`` must
-be on [0, 1].  The discretized action of a curve under a functional ``f`` is
+read from CSV or concatenated must be on [0, 1].  The discretized action of
+a curve under a functional ``f`` is
 
     sum_k d(p_k, p_{k+1})^2 / dt_k            (midpoint speeds, exact AM-GM)
   + trapezoid of slope(f)^2 over the nodes    (potential term)
@@ -12,22 +12,13 @@ and it is infinite when the endpoints miss their prescribed anchors beyond
 ``ENDPOINT_TOL`` or when any node has infinite slope, which every node
 outside the effective domain of ``f`` has.
 
-``minimize_action`` picks its solver by geometry.  On the Euclidean,
-quantile and tripod spaces it takes projected Newton steps on the whole
-curve (on the tripod in edge charts, see ``_newton``): the kinetic Hessian
-is exactly tridiagonal in the nodes, the potential adds one
-central-difference block per node, and each step is one dense solve of
-that Hessian restricted to the nodes' move bases.  The half-line keeps
-coarse-to-fine node-wise sweeps (a bracketing grid plus golden-section
-refinement), because its catalogue slopes are discontinuous, kinked or
-singular: on the ramp's step central differences see a zero gradient, so
-Newton would take the geodesic for stationary.  The sweep reads the time
-grid and the node coordinates as Python floats and searches each node's
-coordinate on them, so its probes run float arithmetic, not numpy-scalar
-arithmetic, and build a point only to take the slope; ``action``, run on
-the whole curve before the first sweep and after each, checks the points'
-tags.  Both solvers report ``sweeps``,
-``converged`` (a ``bool``) and ``residual`` (a ``float``) in their ``info``.
+``minimize_action`` is one solver on every space: projected Newton steps
+on the whole curve from the geodesic (on the tripod in edge charts, see
+``_newton``).  The kinetic Hessian is exactly tridiagonal in the nodes, the
+potential adds one central-difference block per node, and each step is one
+dense solve of that Hessian restricted to the nodes' move bases.  It
+reports ``sweeps`` (the Newton steps), ``converged`` (a ``bool``) and
+``residual`` (a ``float``) in its ``info``.
 """
 
 from __future__ import annotations
@@ -37,13 +28,12 @@ import functools
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConcatenationError, DomainError, InitializationError
 from .functionals import INF, FunctionalSpec, descending_slope, slope_squared
-from .proximal import grid_golden
 from .spaces import (
     Point,
     SpaceHandle,
@@ -54,7 +44,6 @@ from .spaces import (
 )
 
 ENDPOINT_TOL = 1e-9
-GAIN_TOL = 1e-10        # a sweep that gains less than this ends a node-wise search
 RESIDUAL_TOL = 1e-9     # a search whose residual falls below this has converged
 FD_STEP = 1e-5          # relative central-difference step of the Newton search
 
@@ -154,7 +143,7 @@ def action(c: SampledCurve, f: FunctionalSpec, x0: Point, x1: Point) -> ActionVa
     )
     speeds = metric_speed(c)
     kinetic = float(np.sum(speeds**2 * np.diff(c.times)))
-    weights = node_weights(np.diff(c.times))
+    weights = node_weights(np.diff(c.times)).tolist()  # Python floats: no numpy scalar in the values
     potential = 0.0
     for k, p in enumerate(c.points):
         s = descending_slope(f, c.space, p)
@@ -234,121 +223,45 @@ def uniform_distance(a: SampledCurve, b: SampledCurve) -> float:
 # --------------------------------------------------------------------------
 
 
-def _update_node_half_line(slope, a: float, v: float, b: float, dt0, dt1, w, span: float):
-    """Grid-then-golden minimum of the local objective of a half-line node at
-    coordinate ``v`` between neighbours at ``a`` and ``b``: the kinetic terms
-    of its two intervals plus its trapezoid share of ``slope^2``, as a
-    function of its coordinate, on a bracket around it and its neighbours.
-    Returns the new coordinate, its value and the value at ``v``."""
-
-    kind = SpaceKind.HALF_LINE          # an Enum member lookup per probe costs ~0.1 us
-
-    def local(s: float) -> float:
-        sp = slope(Point(kind, (s,)))
-        if not math.isfinite(sp):
-            return INF
-        return (s - a) ** 2 / dt0 + (s - b) ** 2 / dt1 + w * (sp * sp)
-
-    lo = max(min(a, b, v) - span, 0.0)
-    hi = max(a, b, v) + span
-    s, value, _, _ = grid_golden(local, lo, hi)
-    return s, value, local(v)
-
-
-def resample_curve(curve: SampledCurve, n_intervals: int) -> SampledCurve:
-    """Resample on a uniform grid by geodesic interpolation."""
-    times = np.linspace(0.0, 1.0, n_intervals + 1)
-    return SampledCurve(times, [curve.at(float(t)) for t in times], curve.space)
-
-
 def minimize_action(
     f: FunctionalSpec,
     space: SpaceHandle,
     x0: Point,
     x1: Point,
     N: int,
-    init: Optional[SampledCurve] = None,
     max_iter: int = 400,
 ) -> tuple:
-    """Search for a low-action curve joining ``x0`` to ``x1``.
+    """Search for a low-action curve joining ``x0`` to ``x1`` on ``N`` intervals.
 
-    ``N`` is the number of intervals of the final grid; the search starts
-    from ``init`` (on [0, 1]) resampled to ``N`` intervals, or from the
-    geodesic.  The solver depends on the geometry:
-
-    * Euclidean, quantile and tripod spaces: projected Newton steps on the
-      whole curve, at most ``max_iter`` of them (see ``_newton``);
-    * half-line: node-wise sweeps (a minimization per interior node), on a
-      coarse grid first when there is no ``init``, refining by geodesic
-      resampling up to ``N`` intervals; the last grid gets at most
-      ``max_iter`` sweeps.
+    Projected Newton steps on the whole curve (see ``_newton``), at most
+    ``max_iter`` of them, starting from the geodesic, on every space.  On
+    the half-line the nodes move in the flat chart and ``space.project``
+    clamps them at 0.
 
     Returns ``(curve, ActionValue, info)``.  ``info["sweeps"]`` counts the
-    Newton steps or the sweeps.  ``info["residual"]`` is the largest
-    coordinate move of the full projected Newton step at the returned curve
-    (Newton) or the largest node move of the last sweep (half-line), and
-    ``info["converged"]`` says that it is below ``RESIDUAL_TOL``.  A sweep
-    search that ends because the last sweep gained less than ``GAIN_TOL``
-    has not converged.  An unconverged search still returns its best curve.
+    Newton steps (the key keeps its name because ``perfbench/tracer.py``
+    reads it), ``info["residual"]`` is the largest coordinate move of the
+    full projected Newton step at the returned curve, and
+    ``info["converged"]`` says that it is below ``RESIDUAL_TOL``.  An
+    unconverged search still returns its best curve.
+
+    Newton reads the slope through central differences, so it needs a slope
+    that is smooth enough to difference.  On a slope with jumps (the ramp
+    of example 2, whose step central differences see as flat) it stops near
+    the geodesic; the only config that reaches this is a catalogue family
+    with an ``example2`` ``limit`` and a ``minimize_action`` base curve
+    (``run_example2`` runs its own node-wise search).  With sup-formula
+    slopes it stops short of ``RESIDUAL_TOL``, on the half-line as
+    elsewhere.
     """
-    sweep = space.kind is SpaceKind.HALF_LINE
-    levels = [N]
-    if init is not None:
-        if not math.isfinite(action(_on_unit_interval(init), f, x0, x1).total):
-            raise InitializationError("initial curve has infinite action")
-        cur = resample_curve(init, N)
-    else:
-        while sweep and levels[0] > 8:
-            levels.insert(0, (levels[0] + 1) // 2)
-        cur = geodesic_curve(space, x0, x1, levels[0])
-        if not math.isfinite(action(cur, f, x0, x1).total):
-            raise InitializationError("geodesic initialization has infinite action")
-    if sweep:
-        return _sweep_nodes(f, space, x0, x1, cur, levels, max_iter)
+    cur = geodesic_curve(space, x0, x1, N)
+    if not math.isfinite(action(cur, f, x0, x1).total):
+        raise InitializationError("geodesic initialization has infinite action")
     return _newton(f, space, x0, x1, cur, max_iter)
 
 
-def _sweep_nodes(f, space, x0, x1, cur, levels, max_iter):
-    """Coarse-to-fine node-wise sweeps on the half-line."""
-    slope = functools.partial(descending_slope, f, space)
-    kind = space.kind
-    span0 = max(distance(space, x0, x1), 1.0)
-    sweeps_done = 0
-    moved = INF
-    for n_level in levels:
-        if len(cur.points) - 1 != n_level:
-            cur = resample_curve(cur, n_level)
-        level_sweeps = max_iter if n_level >= levels[-1] else 80
-        span = max(0.5 * span0 / n_level, 1e-4)
-        prev_total = action(cur, f, x0, x1).total
-        # Python floats: numpy scalars would make every probe's arithmetic slower
-        xs = [float(p.coords[0]) for p in cur.points]
-        times = cur.times.tolist()
-        for sweep in range(level_sweeps):
-            sweeps_done += 1
-            moved = 0.0
-            for i in range(1, len(xs) - 1):
-                dt0 = times[i] - times[i - 1]
-                dt1 = times[i + 1] - times[i]
-                w = 0.5 * (dt0 + dt1)
-                s, newv, oldv = _update_node_half_line(slope, xs[i - 1], xs[i], xs[i + 1], dt0, dt1, w, 4 * span)
-                if newv <= oldv:
-                    moved = max(moved, abs(s - xs[i]))
-                    xs[i] = s
-                    cur.points[i] = Point(kind, (s,))
-            total = action(cur, f, x0, x1).total
-            last_gain = prev_total - total
-            prev_total = total
-            if moved < RESIDUAL_TOL or (sweep > 3 and last_gain < GAIN_TOL):
-                break
-
-    final = action(cur, f, x0, x1)
-    info = {"sweeps": sweeps_done, "converged": moved < RESIDUAL_TOL, "residual": moved}
-    return cur, final, info
-
-
 def _newton(f, space, x0, x1, cur, max_iter):
-    """Projected Newton on the whole curve of a Euclidean, quantile or tripod space.
+    """Projected Newton on the whole curve.
 
     The variables are a point's coordinates, or on the tripod its offset,
     each node keeping its edge during a step; first a node at the branch

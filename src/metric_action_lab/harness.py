@@ -24,6 +24,7 @@ work is pure Python and holds the GIL.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ import numpy as np
 
 from . import __version__
 from .curves import (
+    RESIDUAL_TOL,
     SampledCurve,
     action,
     curve_from_csv,
@@ -65,7 +67,7 @@ from .laws import (
     config_point,
     parse_law,
 )
-from .proximal import resolvent
+from .proximal import grid_golden, resolvent
 from .recovery import SLOPE_CAP, RecoveryConfig, RecoveryMode, RecoveryOutput, build_recovery
 from .spaces import Point, SpaceHandle, SpaceKind, euclidean, half_line, quantile_1d, tripod
 from .spaces import distance as space_distance
@@ -612,7 +614,7 @@ def run_example2(h_list: Sequence[int], n_certificate: int = DEFAULTS["n_certifi
         upper, converged = math.inf, None
         if with_optimizer:
             searches = [
-                minimize_action(f_h, space, x0, x1, n_search, init=init, max_iter=60)[1:]
+                _sweep_nodes(f_h, space, x0, x1, init)[1:]
                 for init in _example2_inits(space, inv, n_search)
             ]
             val, info = min(searches, key=lambda s: s[0].total)  # first search wins ties
@@ -643,6 +645,71 @@ def _example2_inits(space, inv, n_search):
         else:
             pts.append(space.point(inv + (1.0 - inv) * (t - 0.1) / 0.9))
     yield SampledCurve(times, pts, space)
+
+
+# The ramp search of ``run_example2``, and nothing else, runs node-wise
+# sweeps, not ``minimize_action``: on the ramp's step central differences
+# see a zero gradient, so Newton would take the geodesic for stationary (on
+# ramp(16) at N=64 it stops at 15.0, where the sweep finds 3.14).
+
+GAIN_TOL = 1e-10        # a sweep that gains less than this ends a node-wise search
+MAX_SWEEPS = 60         # sweeps of a node-wise search
+
+
+def _update_node_half_line(slope, a: float, v: float, b: float, dt0, dt1, w, span: float):
+    """Grid-then-golden minimum of the local objective of a half-line node at
+    coordinate ``v`` between neighbours at ``a`` and ``b``: the kinetic terms
+    of its two intervals plus its trapezoid share of ``slope^2``, as a
+    function of its coordinate, on a bracket around it and its neighbours.
+    Returns the new coordinate, its value and the value at ``v``."""
+
+    kind = SpaceKind.HALF_LINE          # an Enum member lookup per probe costs ~0.1 us
+
+    def local(s: float) -> float:
+        sp = slope(Point(kind, (s,)))
+        if not math.isfinite(sp):
+            return math.inf
+        return (s - a) ** 2 / dt0 + (s - b) ** 2 / dt1 + w * (sp * sp)
+
+    lo = max(min(a, b, v) - span, 0.0)
+    hi = max(a, b, v) + span
+    s, value, _, _ = grid_golden(local, lo, hi)
+    return s, value, local(v)
+
+
+def _sweep_nodes(f, space, x0, x1, cur):
+    """Node-wise sweeps on the half-line from the curve ``cur``, at most
+    ``MAX_SWEEPS`` of them: each interior node of ``cur`` in turn moves, in
+    place, to the minimum of its local objective.  The search stops when no
+    node moves by ``RESIDUAL_TOL`` (converged) or, after the fourth sweep,
+    when a sweep gains less than ``GAIN_TOL`` (not converged).  Returns
+    ``(curve, ActionValue, info)`` as ``minimize_action`` does."""
+    slope = functools.partial(descending_slope, f, space)
+    kind = space.kind
+    n_intervals = len(cur.points) - 1
+    span = max(0.5 * max(space_distance(space, x0, x1), 1.0) / n_intervals, 1e-4)
+    prev_total = action(cur, f, x0, x1).total
+    # Python floats: numpy scalars would make every probe's arithmetic slower
+    xs = [float(p.coords[0]) for p in cur.points]
+    times = cur.times.tolist()
+    for sweeps in range(1, MAX_SWEEPS + 1):
+        moved = 0.0
+        for i in range(1, len(xs) - 1):
+            dt0 = times[i] - times[i - 1]
+            dt1 = times[i + 1] - times[i]
+            w = 0.5 * (dt0 + dt1)
+            s, newv, oldv = _update_node_half_line(slope, xs[i - 1], xs[i], xs[i + 1], dt0, dt1, w, 4 * span)
+            if newv <= oldv:
+                moved = max(moved, abs(s - xs[i]))
+                xs[i] = s
+                cur.points[i] = Point(kind, (s,))
+        total = action(cur, f, x0, x1).total
+        if moved < RESIDUAL_TOL or (sweeps > 4 and prev_total - total < GAIN_TOL):
+            break
+        prev_total = total
+    final = action(cur, f, x0, x1)
+    info = {"sweeps": sweeps, "converged": moved < RESIDUAL_TOL, "residual": moved}
+    return cur, final, info
 
 
 # --------------------------------------------------------------------------

@@ -166,13 +166,16 @@ def brent(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-11)
     relative step floor), and then compares the bracket ends with the best
     interior point, so a minimum at a bound is returned exactly and ``inf``
     plateaus lose every comparison.  A plateau that covers both first probes
-    is handled as in ``golden_section``.  Returns (argmin, min, evals).
+    is handled as in ``golden_section``: the search restarts on the end
+    piece with a finite end and keeps the end values it knows, so ``g`` is
+    called at most once per point.  Returns (argmin, min, evals), ``evals``
+    counting the calls of ``g``.
     """
     a, b = float(lo), float(hi)
     fa = fb = None                      # end values, once evaluated
     x = w = v = a + (1.0 - _GOLDEN) * (b - a)
     fx = fw = fv = g(x)
-    n = 1
+    n = start = 1                       # evaluations so far, and at the last (re)start
     d = e = 0.0                         # the last step and the one before
     while n < 300:
         m = 0.5 * (a + b)
@@ -202,11 +205,19 @@ def brent(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-11)
         u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
         fu = g(u)
         n += 1
-        if n == 2 and not (math.isfinite(fx) or math.isfinite(fu)):
-            fa, fb, n = g(a), g(b), 4   # the first two probes, x < u, met a plateau
-            if min(fa, fb) < INF:
-                s, val, m = brent(g, a, x, tol) if fa <= fb else brent(g, u, b, tol)
-                return s, val, n + m
+        if n == start + 1 and not (math.isfinite(fx) or math.isfinite(fu)):
+            if fa is None:              # the first two probes, x < u, met a plateau
+                fa, fb, n = g(a), g(b), n + 2
+            if min(fa, fb) < INF:       # restart on the end piece with a finite end
+                if fa <= fb:
+                    b, fb = x, fx
+                else:
+                    a, fa = u, fu
+                x = w = v = a + (1.0 - _GOLDEN) * (b - a)
+                fx = fw = fv = g(x)
+                n = start = n + 1
+                d = e = 0.0
+                continue
         if fu == fx < INF:              # a tie: convex g has a minimizer between u and x
             if u >= x:
                 b, fb = u, fu

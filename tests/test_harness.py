@@ -589,14 +589,14 @@ def test_example2_sweep_upper_bounds_to_the_last_bit():
 
 
 def test_example2_json_rows_carry_the_optimizer_flag(tmp_path):
-    from metric_action_lab.harness import _example2_inits
+    from metric_action_lab.harness import _example2_inits, _sweep_nodes
 
     rep = run_example2([4], n_certificate=64, n_search=8)
     csv_path, json_path = emit_report(rep, tmp_path, "ex2")
     row = json.loads(json_path.read_text())["rows"][0]
     # the flag of the search that gave the bound
     searches = [
-        minimize_action(ramp(4.0), HL, HL.point(0.0), HL.point(1.0), 8, init=init, max_iter=60)
+        _sweep_nodes(ramp(4.0), HL, HL.point(0.0), HL.point(1.0), init)
         for init in _example2_inits(HL, 0.25, 8)
     ]
     _, best, info = min(searches, key=lambda s: s[1].total)
@@ -620,7 +620,7 @@ def test_minimize_action_base_curve_reports_convergence(tmp_path):
     )
     _, json_path = emit_report(run_positive(cfg), tmp_path, "pos")
     _, _, info = minimize_action(cfg.family.limit, HL, cfg.x0, cfg.x1, 8)
-    assert json.loads(json_path.read_text())["meta"]["base_curve_converged"] is info["converged"]
+    assert json.loads(json_path.read_text())["meta"]["base_curve_converged"] is info["converged"] is True
 
 
 def test_verdict_soundness_gate():
