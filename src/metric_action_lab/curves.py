@@ -255,12 +255,13 @@ def minimize_action(
     elsewhere.
     """
     cur = geodesic_curve(space, x0, x1, N)
-    if not math.isfinite(action(cur, f, x0, x1).total):
+    value = action(cur, f, x0, x1)
+    if not math.isfinite(value.total):
         raise InitializationError("geodesic initialization has infinite action")
-    return _newton(f, space, x0, x1, cur, max_iter)
+    return _newton(f, space, x0, x1, cur, value, max_iter)
 
 
-def _newton(f, space, x0, x1, cur, max_iter):
+def _newton(f, space, x0, x1, cur, value, max_iter):
     """Projected Newton on the whole curve.
 
     The variables are a point's coordinates, or on the tripod its offset,
@@ -272,11 +273,11 @@ def _newton(f, space, x0, x1, cur, max_iter):
     coordinate move of the full projected step, is zero exactly at a
     stationary curve.  The search stops when it falls below ``RESIDUAL_TOL``,
     after ``max_iter`` steps, or when no step length keeps the action from rising.
+    ``value`` is the ``ActionValue`` of ``cur``; each curve's action is computed once.
     """
     g = functools.partial(slope_squared, f, space)
     tripod = space.kind is SpaceKind.TRIPOD
     chart = slice(1, None) if tripod else slice(None)
-    value = action(cur, f, x0, x1).total
     steps, residual = 0, 0.0
     while len(cur.points) > 2:
         C = np.array([p.coords for p in cur.points])
@@ -311,17 +312,16 @@ def _newton(f, space, x0, x1, cur, max_iter):
         for _ in range(40):
             inner = [project(i, row) for i, row in enumerate(X[1:-1] - step)]
             candidate = SampledCurve(cur.times, [cur.start, *inner, cur.end], space)
-            total = action(candidate, f, x0, x1).total
-            if total <= value:
+            trial = action(candidate, f, x0, x1)
+            if trial.total <= value.total:
                 break
             step = 0.5 * step
         else:
             break
-        cur, value = candidate, total
+        cur, value = candidate, trial
         steps += 1
-    final = action(cur, f, x0, x1)
     info = {"sweeps": steps, "converged": residual < RESIDUAL_TOL, "residual": residual}
-    return cur, final, info
+    return cur, value, info
 
 
 def _newton_step(g, space: SpaceHandle, X: np.ndarray, times: np.ndarray, sigma: np.ndarray, at) -> np.ndarray:

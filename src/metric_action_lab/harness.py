@@ -9,10 +9,10 @@ violation when such a certificate beats the target by the configured
 margin.
 
 The harness owns the config format: ``CONFIG_KEYS`` declares the keys of
-every config object, ``DEFAULTS`` the default of every discretization and
-tolerance setting, and ``ExperimentConfig.from_dict``, ``run_gamma``,
-``flow_config`` and ``action_config`` read every key of the configs the
-command line takes; the CLI only dispatches to them.
+every config object, by mode, kind or type where they differ, ``DEFAULTS``
+the default of every optional setting, and ``ExperimentConfig.from_dict``,
+``run_gamma``, ``flow_config`` and ``action_config`` read every key they
+accept; the CLI only dispatches to them.
 
 Reports serialize to a CSV table (one row per index) plus a JSON summary.
 Identical configurations produce byte-identical files.  ``load_config``
@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -102,43 +102,47 @@ def parallel_map(fn: Callable, items: Sequence) -> list:
 # --------------------------------------------------------------------------
 
 # The keys each config object may carry.  One experiment config serves
-# ``gamma positive|liminf`` and ``recovery``, so a key that any of them reads
-# is known to all of them; ``gamma example1|example2`` each take only the
-# ``certified`` keys of their kind.
+# ``gamma positive|liminf`` and ``recovery``.  By variant: its keys and
+# ``tolerances`` by ``mode`` (only ``vanishing`` reads ``eps_law`` and
+# ``slope_cap``); a certified example's keys, ``discretization`` and
+# ``tolerances`` by its kind; a ``base_curve``'s by its ``type``; a space's by
+# its kind; a family's by its name (``example1``, ``example2`` or catalogue),
+# or in vanishing mode by its base's; a catalogue functional's params by name.
+_EXPERIMENT = {"space", "family", "x0", "x1", "x0_law", "x1_law", "h_list", "mode", "base_curve",
+               "tolerances", "liminf"}
 CONFIG_KEYS = {
-    "experiment": {"space", "family", "x0", "x1", "x0_law", "x1_law", "h_list", "mode", "eps_law",
-                   "base_curve", "discretization", "tolerances", "liminf"},
+    "experiment": {"resolvent": _EXPERIMENT, "flow": _EXPERIMENT, "vanishing": _EXPERIMENT | {"eps_law"}},
     "flow": {"space", "functional", "x", "T", "n_steps"},
     "action": {"space", "functional", "curve_csv", "x0", "x1"},
     "limit": {"name", "params"},
     "functional": {"name", "params"},
-    "base_curve": {"type", "N", "path"},
-    "discretization": {"N", "n_certificate"},
-    "tolerances": {"margin", "d_inf_tol", "slope_cap"},
     "liminf": {"tail_from", "slack", "tau_law"},
-    # by variant: a certified example's keys by its kind, a space's by its kind, a
-    # family's by its name (``example1``, ``example2`` or any catalogue functional),
-    # a catalogue functional's params by its name
+    "base_curve": {"geodesic": {"type", "N"}, "minimize_action": {"type", "N"}, "csv": {"type", "path"}},
+    "tolerances": {"resolvent": {"margin", "d_inf_tol"}, "flow": {"margin", "d_inf_tol"},
+                   "vanishing": {"margin", "d_inf_tol", "slope_cap"},
+                   "example1": {"margin"}, "example2": {"margin"}},
+    "discretization": {"example1": {"n_certificate"}, "example2": {"N", "n_certificate"}},
     "certified": {"example1": {"h_list", "discretization", "tolerances", "eps_law"},
                   "example2": {"h_list", "discretization", "tolerances", "with_optimizer"}},
     "space": {"euclidean": {"kind", "dim"}, "half_line": {"kind"},
               "tripod": {"kind", "edge_lengths"}, "quantile_1d": {"kind", "grid_size"}},
     "family": {"example1": {"name", "eps_law"}, "example2": {"name"},
-               "catalogue": {"name", "params", "scale_law", "limit", "scale_limit"}},
+               "catalogue": {"name", "params", "scale_law", "limit", "scale_limit"},
+               "vanishing example1": {"name"}, "vanishing catalogue": {"name", "params"}},
     "params": {"zero": set(), "quadratic": {"center", "lam"}, "example1": {"eps"},
                "example2": {"h"}, "linear": {"c"}},
 }
 
-# the default of each ``discretization`` and ``tolerances`` setting
-DEFAULTS = {"N": 64, "n_certificate": 1024, "margin": 0.05, "d_inf_tol": 0.02, "slope_cap": SLOPE_CAP}
+# the default of each grid size ``N``, certificate size, tolerance and example-1 ``eps_law``
+DEFAULTS = {"N": 64, "n_certificate": 1024, "margin": 0.05, "d_inf_tol": 0.02, "slope_cap": SLOPE_CAP,
+            "eps_law": "1/h"}
 
 
 def config_object(value, key: str, variant: str | None = None) -> ConfigObject:
     """The config value under ``key``: a JSON object whose keys
-    ``CONFIG_KEYS[key]``, or ``CONFIG_KEYS[key][variant]`` for a certified
-    example or a ``space`` of one kind, a ``family`` of one name and the
-    ``params`` of one functional, lists.  An unknown key is a
-    ``ConfigError`` naming it and the nearest known key."""
+    ``CONFIG_KEYS[key]``, or ``CONFIG_KEYS[key][variant]`` for a key with
+    variants, lists.  An unknown key is a ``ConfigError`` naming it and the
+    nearest known key."""
     if not isinstance(value, dict):
         raise ConfigError(f"config key {key!r} must be a JSON object, got {value!r}")
     known = CONFIG_KEYS[key] if variant is None else CONFIG_KEYS[key][variant]
@@ -152,21 +156,25 @@ def config_object(value, key: str, variant: str | None = None) -> ConfigObject:
     return ConfigObject(value)
 
 
-def experiment_settings(obj: dict) -> dict:
-    """The ``discretization`` counts and ``tolerances`` of an experiment
-    config, each defaulted from ``DEFAULTS``."""
-    disc = config_object(obj.get("discretization", {}), "discretization")
-    tol = config_object(obj.get("tolerances", {}), "tolerances")
-    out = {k: config_count(disc.get(k, DEFAULTS[k]), k) for k in ("N", "n_certificate")}
-    for k in ("margin", "d_inf_tol", "slope_cap"):
-        out[k] = config_number(tol.get(k, DEFAULTS[k]), k)
-    return out
+def config_variant(value, key: str, tag: str, default: str | None, unknown: str) -> str | None:
+    """The variant of ``CONFIG_KEYS[key]`` that the config object ``value`` names
+    under ``tag`` (``default`` when absent, required when ``None``); naming none
+    raises ``ConfigError(unknown.format(name))``.  A non-object gives ``default``."""
+    if not isinstance(value, dict):
+        return default
+    name = ConfigObject(value)[tag] if default is None else value.get(tag, default)
+    if not (isinstance(name, str) and name in CONFIG_KEYS[key]):
+        raise ConfigError(unknown.format(name))
+    return name
+
+
+def config_setting(obj: dict, key: str, read: Callable = config_number):
+    """The setting ``key`` of the config object ``obj``, ``DEFAULTS[key]`` when absent."""
+    return read(obj.get(key, DEFAULTS[key]), key)
 
 
 def space_from_config(spec: dict) -> SpaceHandle:
-    kind = ConfigObject(spec)["kind"] if isinstance(spec, dict) else None
-    if isinstance(spec, dict) and not (isinstance(kind, str) and kind in CONFIG_KEYS["space"]):
-        raise ConfigError(f"unknown space kind {kind!r}")
+    kind = config_variant(spec, "space", "kind", None, "unknown space kind {!r}")
     spec = config_object(spec, "space", kind)
     if kind == "euclidean":
         return euclidean(config_number(spec.get("dim", 1), "dim", int))
@@ -176,6 +184,16 @@ def space_from_config(spec: dict) -> SpaceHandle:
         lengths = as_coords(spec.get("edge_lengths", [1.0, 1.0, 1.0]))
         return tripod([config_number(l, "edge_lengths") for l in lengths])
     return quantile_1d(config_number(spec["grid_size"], "grid_size", int))
+
+
+def base_curve_from_config(spec) -> dict:
+    """The ``base_curve`` object ``spec`` with its defaults: ``{type, N}``
+    (``N`` defaults to ``DEFAULTS["N"]``), or ``{type, path}`` for ``csv``."""
+    kind = config_variant(spec, "base_curve", "type", "geodesic", "unknown base curve type {!r}")
+    spec = config_object(spec, "base_curve", kind)
+    if kind == "csv":
+        return {"type": kind, "path": spec["path"]}
+    return {"type": kind, "N": config_setting(spec, "N", config_count)}
 
 
 def build_functional(space: SpaceHandle, name: str, params: dict | None = None) -> FunctionalSpec:
@@ -215,23 +233,33 @@ def functional_from_config(space: SpaceHandle, spec: dict, key: str) -> Function
     return build_functional(space, spec["name"], spec.get("params"))
 
 
-def family_from_config(space: SpaceHandle, fam: dict) -> FunctionalFamily:
+def family_from_config(space: SpaceHandle, fam: dict, eps_law: Optional[Callable] = None) -> FunctionalFamily:
+    """The family of the ``family`` object ``fam``.  With a vanishing scale
+    law ``eps_law``, the family ``eps_law(h) * base`` with the zero limit,
+    ``base`` the functional ``fam`` names; ``example2`` has no such base."""
     name = ConfigObject(fam)["name"] if isinstance(fam, dict) else None
-    fam = config_object(fam, "family", name if name in ("example1", "example2") else "catalogue")
+    variant = name if name in ("example1", "example2") else "catalogue"
+    if eps_law is not None:
+        if variant == "example2":
+            raise ConfigError("vanishing mode needs a scalable base functional and eps_law")
+        fam = config_object(fam, "family", f"vanishing {variant}")
+        base = build_functional(space, name, fam.get("params"))
+        return FunctionalFamily(lambda h: base.scaled(eps_law(h)), zero_functional(space), base)
+    fam = config_object(fam, "family", variant)
     if name == "example2":
         return FunctionalFamily(
             member=lambda h: ramp(float(h)),
             limit=zero_functional(space),
         )
     if name == "example1":
-        eps = parse_law(fam.get("eps_law", "1/h"))
+        eps = parse_law(fam.get("eps_law", DEFAULTS["eps_law"]))
         return FunctionalFamily(
             member=lambda h: inverse_square(eps(h)),
             limit=zero_functional(space),
             base=inverse_square(1.0),
         )
     base = build_functional(space, name, fam.get("params"))
-    if "scale_law" in fam and fam["scale_law"] is not None:
+    if fam.get("scale_law") is not None:
         law = parse_law(fam["scale_law"])
         member = lambda h: base.scaled(law(h))
     else:
@@ -265,9 +293,8 @@ class ExperimentConfig:
     x1_seq: Callable[[int], Point]
     h_list: list
     mode: RecoveryMode
-    base_curve_spec: dict
-    eps_law: Optional[Callable[[int], float]]
-    n_intervals: int
+    base_curve_spec: dict           # as ``base_curve_from_config`` checked it
+    eps_law: Optional[Callable[[int], float]]   # vanishing mode only
     margin: float
     d_inf_tol: float
     slope_cap: float
@@ -278,34 +305,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        obj = config_object(obj, "experiment")
+        mode = config_variant(obj, "experiment", "mode", "resolvent",
+                              "config key 'mode' must be resolvent, flow or vanishing, got {!r}")
+        obj = config_object(obj, "experiment", mode)
         space = space_from_config(obj["space"])
-        family = family_from_config(space, obj["family"])
+        eps_law = parse_law(obj["eps_law"]) if mode == "vanishing" else None
+        family = family_from_config(space, obj["family"], eps_law)
         x0 = config_point(space, obj["x0"], "x0")
         x1 = config_point(space, obj["x1"], "x1")
-        settings = experiment_settings(obj)
+        tol = config_object(obj.get("tolerances", {}), "tolerances", mode)
         h_list = config_h_list(obj["h_list"])
         probe = config_object(obj.get("liminf", {}), "liminf")
         tail_from = config_number(probe.get("tail_from", int(max(h_list, default=0))), "tail_from", int)
         slack = config_number(probe.get("slack", 0.01), "slack")
         tau_law = parse_law(probe.get("tau_law", "1/(h*h)"))
-        try:
-            mode = RecoveryMode(obj.get("mode", "resolvent"))
-        except ValueError:
-            raise ConfigError(
-                f"config key 'mode' must be resolvent, flow or vanishing, got {obj['mode']!r}"
-            ) from None
-        eps_law = None if obj.get("eps_law") is None else parse_law(obj["eps_law"])
-        if mode is RecoveryMode.VANISHING:
-            # members are eps(h) * base with a vanishing scale, limit is zero
-            base = family.base
-            if base is None or eps_law is None:
-                raise ConfigError("vanishing mode needs a scalable base functional and eps_law")
-            family = FunctionalFamily(
-                member=lambda h: base.scaled(eps_law(h)),
-                limit=zero_functional(space),
-                base=base,
-            )
         return cls(
             space=space,
             family=family,
@@ -314,13 +327,12 @@ class ExperimentConfig:
             x0_seq=endpoint_law(space, obj.get("x0_law", obj["x0"]), "x0_law"),
             x1_seq=endpoint_law(space, obj.get("x1_law", obj["x1"]), "x1_law"),
             h_list=h_list,
-            mode=mode,
-            base_curve_spec=config_object(obj.get("base_curve", {"type": "geodesic"}), "base_curve"),
+            mode=RecoveryMode(mode),
+            base_curve_spec=base_curve_from_config(obj.get("base_curve", {})),
             eps_law=eps_law,
-            n_intervals=settings["N"],
-            margin=settings["margin"],
-            d_inf_tol=settings["d_inf_tol"],
-            slope_cap=settings["slope_cap"],
+            margin=config_setting(tol, "margin"),
+            d_inf_tol=config_setting(tol, "d_inf_tol"),
+            slope_cap=config_setting(tol, "slope_cap"),
             tail_from=tail_from,
             slack=slack,
             tau_law=tau_law,
@@ -377,16 +389,12 @@ def resolve_base_curve(cfg: ExperimentConfig) -> tuple:
     """The experiment's base curve and the report ``meta`` entries it adds:
     ``base_curve_converged`` for a ``minimize_action`` curve, none otherwise."""
     spec = cfg.base_curve_spec
-    kind = spec.get("type", "geodesic")
-    n = config_count(spec.get("N", cfg.n_intervals), "N")
-    if kind == "geodesic":
-        return geodesic_curve(cfg.space, cfg.x0, cfg.x1, n), {}
-    if kind == "minimize_action":
-        curve, _, info = minimize_action(cfg.family.limit, cfg.space, cfg.x0, cfg.x1, n)
-        return curve, {"base_curve_converged": info["converged"]}
-    if kind == "csv":
+    if spec["type"] == "csv":
         return load_curve(spec["path"], cfg.space), {}
-    raise ConfigError(f"unknown base curve type {kind!r}")
+    if spec["type"] == "geodesic":
+        return geodesic_curve(cfg.space, cfg.x0, cfg.x1, spec["N"]), {}
+    curve, _, info = minimize_action(cfg.family.limit, cfg.space, cfg.x0, cfg.x1, spec["N"])
+    return curve, {"base_curve_converged": info["converged"]}
 
 
 def experiment_recovery(cfg: ExperimentConfig, gamma: SampledCurve, h: int) -> RecoveryOutput:
@@ -536,7 +544,7 @@ EXAMPLE1_COLUMNS = ["h", "eps", "x0h", "certified_lower_bound", "coarse_lower_bo
 
 
 def run_example1(h_list: Sequence[int], n_certificate: int = DEFAULTS["n_certificate"],
-                 eps_law="1/h", margin: float = DEFAULTS["margin"]) -> ExperimentReport:
+                 eps_law=DEFAULTS["eps_law"], margin: float = DEFAULTS["margin"]) -> ExperimentReport:
     """Scaled inverse-square family: certified obstruction to convergence.
 
     The moving start point sits where the scaled slope blows up; every
@@ -763,12 +771,13 @@ def run_liminf(cfg: ExperimentConfig) -> ExperimentReport:
     the config's ``liminf`` settings: the resolvent steps ``tau_law``, the
     tail start ``tail_from`` and the ``slack``."""
     gamma, base_meta = resolve_base_curve(cfg)
-    curves = {
-        h: gamma.mapped(
-            lambda p, _h=h: resolvent(cfg.family.member(_h), cfg.space, cfg.tau_law(_h), p).point)
-        for h in cfg.h_list
-    }
-    report = liminf_probe(cfg.family, curves, gamma, tail_from=cfg.tail_from, slack=cfg.slack)
+    members, curves = {}, {}
+    for h in cfg.h_list:
+        f_h = members[h] = cfg.family.member(h)
+        tau = cfg.tau_law(h)
+        curves[h] = gamma.mapped(lambda p: resolvent(f_h, cfg.space, tau, p).point)
+    family = replace(cfg.family, member=members.__getitem__)
+    report = liminf_probe(family, curves, gamma, tail_from=cfg.tail_from, slack=cfg.slack)
     report.meta.update(base_meta)
     return report
 
@@ -786,14 +795,14 @@ def certified_args(kind: str, obj: dict) -> dict:
     """The arguments of ``run_example1`` or ``run_example2`` (``kind``) in
     the config ``obj``, whose keys ``CONFIG_KEYS["certified"][kind]`` lists."""
     obj = config_object(obj, "certified", kind)
-    h_list = config_h_list(obj["h_list"])
-    settings = experiment_settings(obj)
-    args = {"h_list": h_list, "n_certificate": settings["n_certificate"],
-            "margin": settings["margin"]}
+    disc = config_object(obj.get("discretization", {}), "discretization", kind)
+    tol = config_object(obj.get("tolerances", {}), "tolerances", kind)
+    args = {"h_list": config_h_list(obj["h_list"]), "margin": config_setting(tol, "margin"),
+            "n_certificate": config_setting(disc, "n_certificate", config_count)}
     if kind == "example1":
-        return dict(args, eps_law=obj.get("eps_law", "1/h"))
+        return dict(args, eps_law=obj.get("eps_law", DEFAULTS["eps_law"]))
     with_optimizer = config_bool(obj.get("with_optimizer", True), "with_optimizer")
-    return dict(args, n_search=settings["N"], with_optimizer=with_optimizer)
+    return dict(args, n_search=config_setting(disc, "N", config_count), with_optimizer=with_optimizer)
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 
 from metric_action_lab.cli import main
 from metric_action_lab.curves import curve_to_csv, geodesic_curve
+from metric_action_lab.errors import ConfigError
+from metric_action_lab.harness import ExperimentConfig, certified_args
 from metric_action_lab.spaces import half_line
 
 
@@ -378,9 +380,9 @@ _FLOW = {"space": {"kind": "euclidean", "dim": 1}, "functional": {"name": "zero"
     "command, cfg, message",
     [
         (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "discretisation": {"N": 8}},
-         "unknown config key 'discretisation'; did you mean 'discretization'?"),
+         "unknown config key 'discretisation'"),
         (["recovery"], {**_HALF_LINE_X0_LAW, "discretisation": {"N": 8}},
-         "unknown config key 'discretisation'; did you mean 'discretization'?"),
+         "unknown config key 'discretisation'"),
         (["gamma", "example2"], {"h_list": [4], "discretization": {"n_certficate": 8}},
          "unknown config key 'n_certficate'; did you mean 'n_certificate'?"),
         (["gamma", "liminf"], {**_HALF_LINE_X0_LAW, "liminf": {"tau": "1/h"}},
@@ -397,7 +399,7 @@ _FLOW = {"space": {"kind": "euclidean", "dim": 1}, "functional": {"name": "zero"
          "law True is not a number or a string"),
         (["gamma", "liminf"], {**_HALF_LINE_X0_LAW, "liminf": {"tau_law": True}},
          "law True is not a number or a string"),
-        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "discretization": {"N": -5}},
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "base_curve": {"type": "minimize_action", "N": -5}},
          "config key 'N' must be at least 1, got -5"),
         (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "base_curve": {"type": "geodesic", "N": 0}},
          "config key 'N' must be at least 1, got 0"),
@@ -435,3 +437,54 @@ def test_cli_rejects_config_when_read(tmp_path, capsys, command, cfg, message):
     rc = main(command + ["--config", path, "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err == f"metric-action-lab: {message}\n"
+
+
+_VANISHING = {"space": {"kind": "half_line"}, "family": {"name": "example1"}, "x0": 1.0, "x1": 2.0,
+              "h_list": [2], "mode": "vanishing", "eps_law": "pow(4, -h)",
+              "base_curve": {"type": "geodesic", "N": 8}}
+_QUADRATIC_HL = {"name": "quadratic", "params": {"center": 0.0}}
+
+
+def _unread_in_modes(name, extra, key):
+    return [(f"{m}_{name}", "positive", {**_HALF_LINE_X0_LAW, "mode": m, **extra}, key)
+            for m in ("resolvent", "flow")]
+
+
+# keys that earlier versions accepted and no reader of the config read
+_UNREAD = [
+    *_unread_in_modes("eps_law", {"eps_law": "1/h"}, "eps_law"),
+    *_unread_in_modes("slope_cap", {"tolerances": {"slope_cap": 5.0}}, "slope_cap"),
+    *_unread_in_modes("n_certificate", {"discretization": {"n_certificate": 64}}, "discretization"),
+    *_unread_in_modes("N_beside_base_curve_N", {"base_curve": {"type": "geodesic", "N": 8},
+                                                "discretization": {"N": 16}}, "discretization"),
+    *_unread_in_modes("path_off_csv", {"base_curve": {"type": "minimize_action", "path": "c.csv"}}, "path"),
+    *_unread_in_modes("N_of_csv", {"base_curve": {"type": "csv", "path": "c.csv", "N": 8}}, "N"),
+    ("vanishing_scale_law", "positive", {**_VANISHING, "family": {**_QUADRATIC_HL, "scale_law": "2"}},
+     "scale_law"),
+    ("vanishing_limit", "positive", {**_VANISHING, "family": {**_QUADRATIC_HL, "limit": {"name": "zero"}}},
+     "limit"),
+    ("vanishing_scale_limit", "positive", {**_VANISHING, "family": {**_QUADRATIC_HL, "scale_limit": 2.0}},
+     "scale_limit"),
+    ("vanishing_example1_eps_law", "positive",
+     {**_VANISHING, "family": {"name": "example1", "eps_law": "1/h"}}, "eps_law"),
+    ("example1_N", "example1", {"h_list": [4], "discretization": {"N": 16}}, "N"),
+    ("example1_d_inf_tol", "example1", {"h_list": [4], "tolerances": {"d_inf_tol": 0.1}}, "d_inf_tol"),
+    ("example1_slope_cap", "example1", {"h_list": [4], "tolerances": {"slope_cap": 5.0}}, "slope_cap"),
+    ("example2_d_inf_tol", "example2", {"h_list": [4], "tolerances": {"d_inf_tol": 0.1}}, "d_inf_tol"),
+    ("example2_slope_cap", "example2", {"h_list": [4], "tolerances": {"slope_cap": 5.0}}, "slope_cap"),
+]
+
+
+@pytest.mark.parametrize("kind, cfg, key", [case[1:] for case in _UNREAD], ids=[case[0] for case in _UNREAD])
+def test_keys_no_reader_reads_are_rejected(tmp_path, capsys, kind, cfg, key):
+    message = f"unknown config key {key!r}"
+    with pytest.raises(ConfigError) as info:
+        if kind == "positive":
+            ExperimentConfig.from_dict(cfg)
+        else:
+            certified_args(kind, cfg)
+    assert str(info.value).startswith(message)
+    rc = main(["gamma", kind, "--config", write_json(tmp_path / "cfg.json", cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"metric-action-lab: {message}") and err.count("\n") == 1

@@ -416,6 +416,32 @@ def test_minimize_action_tripod_leaves_the_branch_point_for_the_centre_edge():
     assert val.total <= 3.530182010599  # the node-wise sweep's value
 
 
+@pytest.mark.parametrize(
+    "space, f, x0, x1",
+    [
+        (HL, inverse_square(0.01), HL.point(0.2), HL.point(1.0)),
+        (tripod(), quadratic(tripod(), tripod().point(1, 0.6), 3.0), tripod().point(0, 0.2),
+         tripod().point(2, 0.2)),
+    ],
+    ids=["half_line", "tripod"],
+)
+def test_minimize_action_evaluates_each_curve_once(monkeypatch, space, f, x0, x1):
+    # the geodesic's and the accepted candidate's ActionValue are kept, not recomputed
+    import metric_action_lab.curves as curves
+
+    seen = []
+
+    def counted(c, *args):
+        seen.append((c.times.tobytes(), tuple(p.coords for p in c.points)))
+        return action(c, *args)
+
+    monkeypatch.setattr(curves, "action", counted)
+    curve, val, info = minimize_action(f, space, x0, x1, 16)
+    assert info["sweeps"] > 0 and len(seen) > info["sweeps"]
+    assert len(set(seen)) == len(seen)
+    assert val == action(curve, f, x0, x1)
+
+
 def test_minimize_action_reports_stop_before_convergence():
     # Newton needs 4 steps here (test_minimize_action_inverse_square_beats_the_sweep)
     f = inverse_square(0.01)

@@ -1,6 +1,9 @@
 import copy
+import dataclasses
+import importlib.util
 import json
 import math
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from metric_action_lab import euclidean, half_line
 from metric_action_lab.curves import action, curve_to_csv, geodesic_curve, minimize_action
 from metric_action_lab.errors import ConfigError, DomainError
-from metric_action_lab.functionals import FunctionalFamily, quadratic, ramp, zero_functional
+from metric_action_lab.functionals import FunctionalFamily, inverse_square, quadratic, ramp, zero_functional
 from metric_action_lab.harness import (
     DEFAULTS,
     ExperimentConfig,
@@ -30,6 +33,7 @@ from metric_action_lab.harness import (
     resolve_base_curve,
     run_example1,
     run_example2,
+    run_liminf,
     run_positive,
     space_from_config,
 )
@@ -273,8 +277,30 @@ _READERS = {
 }
 
 
-@pytest.mark.parametrize("name", ["README.md", *sorted(p.name for p in DATA.glob("*.config.json"))])
+def _load_benchmark_workloads():
+    """The benchmark's ``perfbench/workloads.py`` as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+_WORKLOADS = _load_benchmark_workloads()
+
+
+@pytest.mark.parametrize("name", [
+    "README.md",
+    *sorted(p.name for p in DATA.glob("*.config.json")),
+    # the benchmark's generated configs, so a stricter key set cannot fail its runs unseen
+    *(f"perfbench/{workload}/{seed}" for workload in sorted(_WORKLOADS.WHY) for seed in range(3)),
+])
 def test_shipped_configs_load(name):
+    if name.startswith("perfbench/"):
+        _, workload, seed = name.split("/")
+        specs = _WORKLOADS.generate(workload, int(seed))
+        assert len(_WORKLOADS.build(specs)) == len(specs)
+        return
     if name != "README.md":
         (reader,) = [r for prefix, r in _READERS.items() if name.startswith(prefix)]
         reader(load_config(DATA / name))
@@ -283,7 +309,7 @@ def test_shipped_configs_load(name):
     section = readme.split("### Experiment config (JSON)", 1)[1]
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
     cfg = ExperimentConfig.from_dict(json.loads(block))
-    assert cfg.h_list == [8, 16, 32, 64] and cfg.n_intervals == 64
+    assert cfg.h_list == [8, 16, 32, 64] and cfg.base_curve_spec == {"type": "minimize_action", "N": 64}
 
 
 _VALID_CONFIG = {
@@ -296,9 +322,21 @@ _VALID_CONFIG = {
     "x1_law": ["1"],
     "h_list": [8, 16],
     "mode": "resolvent",
-    "eps_law": "1/h",
     "base_curve": {"type": "geodesic", "N": 8},
-    "discretization": {"N": 8},
+    "tolerances": {"margin": 0.05, "d_inf_tol": 0.02},
+    "liminf": {"tail_from": 8, "slack": 0.01, "tau_law": "1/(h*h)"},
+}
+
+# the keys only vanishing mode reads, on a family with a scalable base
+_VALID_VANISHING = {
+    **_VALID_CONFIG,
+    "space": {"kind": "half_line"},
+    "family": {"name": "quadratic", "params": {"center": 0.0, "lam": 1.0}},
+    "x0": 1.0,
+    "x1": [2.0],
+    "x0_law": "1 + 1/h",
+    "mode": "vanishing",
+    "eps_law": "1/h",
     "tolerances": {"margin": 0.05, "d_inf_tol": 0.02, "slope_cap": 10.0},
 }
 
@@ -335,9 +373,11 @@ _json_values = st.recursive(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(list(_value_paths(_VALID_CONFIG))), _json_values)
-def test_experiment_config_raises_only_documented_errors(path, value):
-    obj = copy.deepcopy(_VALID_CONFIG)
+@given(st.sampled_from([(base, path) for base in (_VALID_CONFIG, _VALID_VANISHING)
+                        for path in _value_paths(base)]), _json_values)
+def test_experiment_config_raises_only_documented_errors(base_path, value):
+    base, path = base_path
+    obj = copy.deepcopy(base)
     parent = obj
     for k in path[:-1]:
         parent = parent[k]
@@ -349,23 +389,31 @@ def test_experiment_config_raises_only_documented_errors(path, value):
 
 
 @pytest.mark.parametrize(
-    "path, value, message",
+    "base, path, value, message",
     [
-        (("discretisation",), {"N": 8}, "unknown config key 'discretisation'; did you mean 'discretization'?"),
-        (("space", "dimm"), 1, "unknown config key 'dimm'; did you mean 'dim'?"),
-        (("family", "params", "lamb"), 1.0, "unknown config key 'lamb'; did you mean 'lam'?"),
-        (("tolerances", "colour"), 1.0, "unknown config key 'colour'"),
-        (("x0_law",), ["1/h", "1"], "config key 'x0_law' must give one law per coordinate (1), got 2"),
-        (("x1_law",), True, "law True is not a number or a string"),
-        (("eps_law",), False, "law False is not a number or a string"),
-        (("discretization", "N"), 0, "config key 'N' must be at least 1, got 0"),
-        (("discretization", "n_certificate"), -3, "config key 'n_certificate' must be at least 1, got -3"),
+        (_VALID_CONFIG, ("discretisation",), {"N": 8}, "unknown config key 'discretisation'"),
+        (_VALID_CONFIG, ("space", "dimm"), 1, "unknown config key 'dimm'; did you mean 'dim'?"),
+        (_VALID_CONFIG, ("family", "params", "lamb"), 1.0, "unknown config key 'lamb'; did you mean 'lam'?"),
+        (_VALID_CONFIG, ("tolerances", "colour"), 1.0, "unknown config key 'colour'"),
+        (_VALID_CONFIG, ("x0_law",), ["1/h", "1"],
+         "config key 'x0_law' must give one law per coordinate (1), got 2"),
+        (_VALID_CONFIG, ("x1_law",), True, "law True is not a number or a string"),
+        (_VALID_VANISHING, ("eps_law",), False, "law False is not a number or a string"),
+        (_VALID_CONFIG, ("base_curve", "N"), 0, "config key 'N' must be at least 1, got 0"),
+        # nothing in an experiment config reads a certificate size, and the base grid
+        # has one home, ``base_curve.N``
+        (_VALID_CONFIG, ("discretization",), {"n_certificate": -3}, "unknown config key 'discretization'"),
+        (_VALID_CONFIG, ("base_curve", "type"), "spline", "unknown base curve type 'spline'"),
+        (_VALID_CONFIG, ("mode",), ["flow"],
+         "config key 'mode' must be resolvent, flow or vanishing, got ['flow']"),
+        (_VALID_VANISHING, ("tolerances", "slope_cap"), "10",
+         "config key 'slope_cap' must be a finite number, got '10'"),
     ],
     ids=["discretisation", "dimm", "lamb", "colour", "x0_law_count", "x1_law_true", "eps_law_false",
-         "N_zero", "n_certificate_negative"],
+         "N_zero", "n_certificate_negative", "base_curve_type", "mode_list", "slope_cap_string"],
 )
-def test_experiment_config_rejects_when_read(path, value, message):
-    obj = copy.deepcopy(_VALID_CONFIG)
+def test_experiment_config_rejects_when_read(base, path, value, message):
+    obj = copy.deepcopy(base)
     parent = obj
     for k in path[:-1]:
         parent = parent[k]
@@ -380,7 +428,7 @@ def test_experiment_config_rejects_when_read(path, value, message):
 # --------------------------------------------------------------------------
 
 
-def quadratic_positive_config(h_list=(8, 16, 32, 64)):
+def quadratic_positive_config(h_list=(8, 16, 32, 64), mode="resolvent"):
     return ExperimentConfig.from_dict(
         {
             "space": {"kind": "euclidean", "dim": 1},
@@ -390,9 +438,8 @@ def quadratic_positive_config(h_list=(8, 16, 32, 64)):
             "x0_law": "1/h",
             "x1_law": "1",
             "h_list": list(h_list),
-            "mode": "resolvent",
+            "mode": mode,
             "base_curve": {"type": "minimize_action", "N": 64},
-            "discretization": {"N": 64},
             "tolerances": {"margin": 0.05, "d_inf_tol": 0.02},
         }
     )
@@ -480,9 +527,7 @@ def test_positive_csv_base_curve(tmp_path):
 
 
 def test_positive_quadratic_flow_mode():
-    cfg = quadratic_positive_config()
-    cfg.mode = __import__("metric_action_lab").RecoveryMode.FLOW
-    rep = run_positive(cfg)
+    rep = run_positive(quadratic_positive_config(mode="flow"))
     assert rep.verdict is Verdict.CONSISTENT
     assert rep.rows[-1]["gap"] <= 0.05
     assert rep.rows[-1]["d_inf"] <= 0.02
@@ -615,7 +660,6 @@ def test_minimize_action_base_curve_reports_convergence(tmp_path):
             "x1": 1.0,
             "h_list": [2],
             "base_curve": {"type": "minimize_action", "N": 8},
-            "discretization": {"N": 8},
         }
     )
     _, json_path = emit_report(run_positive(cfg), tmp_path, "pos")
@@ -645,6 +689,17 @@ def test_certified_examples_reject_n_certificate_below_one(n_certificate):
         run_example1([4], n_certificate=n_certificate)
     with pytest.raises(ConfigError, match=message):
         run_example2([4], n_certificate=n_certificate, with_optimizer=False)
+
+
+def test_eps_law_has_one_default(monkeypatch):
+    # run_example1, a gamma example1 config and an example1 family share one written default
+    import inspect
+
+    assert inspect.signature(run_example1).parameters["eps_law"].default is DEFAULTS["eps_law"]
+    monkeypatch.setitem(DEFAULTS, "eps_law", "2/h")
+    assert certified_args("example1", {"h_list": [4]})["eps_law"] == "2/h"
+    fam = family_from_config(HL, {"name": "example1"})
+    assert fam.member(4).evaluate(HL.point(1.0)) == inverse_square(0.5).evaluate(HL.point(1.0))
 
 
 def test_slope_cap_has_one_default():
@@ -698,6 +753,20 @@ def test_liminf_ramp_family_straight_curve():
     for row in rep.rows:
         # potential toll of the straight curve under the ramp: about h
         assert row["difference"] == pytest.approx(row["h"], rel=0.2)
+
+
+def test_run_liminf_builds_each_member_once():
+    cfg = ExperimentConfig.from_dict(
+        {"space": {"kind": "euclidean", "dim": 1},
+         "family": {"name": "quadratic", "params": {"center": 0.0}, "scale_law": "1 + 1/h"},
+         "x0": 0.0, "x1": 1.0, "h_list": [2, 4], "base_curve": {"type": "geodesic", "N": 8}}
+    )
+    built = []
+    member = cfg.family.member
+    counted = dataclasses.replace(cfg, family=dataclasses.replace(
+        cfg.family, member=lambda h: built.append(h) or member(h)))
+    assert run_liminf(counted).rows == run_liminf(cfg).rows
+    assert built == [2, 4]
 
 
 # --------------------------------------------------------------------------
