@@ -36,28 +36,20 @@ from . import __version__
 from .curves import action, curve_to_csv, format_table, metric_speed
 from .errors import MetricActionError
 from .flow import check_contraction, check_energy_identity, check_evi, flow, slack
-from .functionals import (
-    FunctionalFamily,
-    SupFormula,
-    check_lambda_convexity,
-    descending_slope,
-    evaluate,
-    inverse_square,
-    linear_half_line,
-    quadratic,
-    ramp,
-    zero_functional,
-)
+from .functionals import SupFormula, check_lambda_convexity, descending_slope, evaluate
 from .harness import (
     ExperimentConfig,
     Verdict,
     action_config,
+    build_functional,
     emit_report,
     experiment_recovery,
+    family_from_config,
     flow_config,
     load_config,
     resolve_base_curve,
     run_gamma,
+    space_from_config,
     write_json,
 )
 from .proximal import (
@@ -69,25 +61,21 @@ from .proximal import (
     resolvent_convergence_probe,
 )
 from .recovery import piece_diagnostics
-from .spaces import (
-    check_cat0,
-    distance,
-    euclidean,
-    geodesic_point,
-    half_line,
-    quantile_1d,
-    random_point,
-    tripod,
-)
+from .spaces import check_cat0, distance, geodesic_point, random_point
+
+# space name -> (space config, ``{name: params}`` of the functionals after ``zero``);
+# the first functional, times ``1 + 1/h``, is the resolvent convergence check's family
+CATALOGUE = {
+    "half_line": ({"kind": "half_line"}, {"quadratic": {"center": 1.0}, "linear": {"c": 2.0},
+                                          "example1": {"eps": 0.5}, "example2": {"h": 4.0}}),
+    "euclidean2": ({"kind": "euclidean", "dim": 2}, {"quadratic": {"center": [0.5, -0.5]}}),
+    "tripod": ({"kind": "tripod"}, {"quadratic": {"center": [0, 0.5]}}),
+    "quantile5": ({"kind": "quantile_1d", "grid_size": 5}, {"quadratic": {"center": [0, 1, 2, 3, 4]}}),
+}
 
 
 def _validation_spaces():
-    return [
-        ("half_line", half_line()),
-        ("euclidean2", euclidean(2)),
-        ("tripod", tripod()),
-        ("quantile5", quantile_1d(5)),
-    ]
+    return [(name, space_from_config(spec)) for name, (spec, _) in CATALOGUE.items()]
 
 
 def _space_rows(seed: int) -> list:
@@ -114,20 +102,8 @@ def _space_rows(seed: int) -> list:
 
 
 def _catalogue_for(space_name, sp):
-    out = [("zero", zero_functional(sp))]
-    if space_name == "half_line":
-        center = sp.point(1.0)
-        out.append(("quadratic", quadratic(sp, center, 1.0)))
-        out.append(("linear", linear_half_line(2.0)))
-        out.append(("example1", inverse_square(0.5)))
-        out.append(("example2", ramp(4.0)))
-    elif space_name == "euclidean2":
-        out.append(("quadratic", quadratic(sp, sp.point(0.5, -0.5), 1.0)))
-    elif space_name == "tripod":
-        out.append(("quadratic", quadratic(sp, sp.point(0, 0.5), 1.0)))
-    else:
-        out.append(("quadratic", quadratic(sp, sp.point(*range(sp.dim)), 1.0)))
-    return out
+    functionals = {"zero": None, **CATALOGUE[space_name][1]}
+    return [(name, build_functional(sp, name, params)) for name, params in functionals.items()]
 
 
 def _prox_rows(seed: int, n_samples: int = 20) -> list:
@@ -169,8 +145,8 @@ def _prox_rows(seed: int, n_samples: int = 20) -> list:
                     bar = max(bar, 1e-4)
                 rows.append((sname, fname, check, f"n={n_samples}", val, val <= bar))
         # member resolvents must approach the limit resolvent
-        base = _catalogue_for(sname, sp)[1][1]
-        fam = FunctionalFamily(member=lambda h: base.scaled(1.0 + 1.0 / h), limit=base)
+        name, params = next(iter(CATALOGUE[sname][1].items()))
+        fam = family_from_config(sp, {"name": name, "params": params, "scale_law": "1 + 1/h"})
         x = random_point(sp, rng)
         dists = resolvent_convergence_probe(fam, sp, 0.2, x, [2, 16, 128, 1024])
         ok = dists[-1] <= 1e-3 and all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
@@ -207,8 +183,8 @@ def _functional_rows(seed: int) -> list:
 
 def _flow_rows(seed: int) -> list:
     rows = []
-    sp = euclidean(1)
-    f = quadratic(sp, sp.point(0.0), 1.0)
+    sp = space_from_config({"kind": "euclidean", "dim": 1})
+    f = build_functional(sp, "quadratic", {"center": 0.0})
     x0, x1 = sp.point(1.0), sp.point(-0.5)
     dt = 1e-3
     r = check_contraction(f, sp, x0, x1, 1.0, 1000)

@@ -44,6 +44,7 @@ from .spaces import (
 )
 
 ENDPOINT_TOL = 1e-9
+JUNCTION_TOL = 1e-8     # the endpoint gap a concatenation junction may have
 RESIDUAL_TOL = 1e-9     # a search whose residual falls below this has converged
 FD_STEP = 1e-5          # relative central-difference step of the Newton search
 
@@ -175,7 +176,7 @@ def amgm_lower_bound(c: SampledCurve, potential_at: Callable[[Point], float]) ->
     return total
 
 
-def concatenate_rescale(pieces: Sequence[Piece], endpoint_tol: float = ENDPOINT_TOL) -> SampledCurve:
+def concatenate_rescale(pieces: Sequence[Piece]) -> SampledCurve:
     """Concatenate segments, each on [0, 1], with given durations; rescale to [0, 1].
 
     Zero-duration segments are dropped after their endpoints are checked.
@@ -191,7 +192,7 @@ def concatenate_rescale(pieces: Sequence[Piece], endpoint_tol: float = ENDPOINT_
     for i in range(len(pieces) - 1):
         a, b = pieces[i], pieces[i + 1]
         gap = distance(a.curve.space, a.curve.end, b.curve.start)
-        if gap > endpoint_tol:
+        if gap > JUNCTION_TOL:
             raise ConcatenationError(
                 f"junction {i} ({a.label or i} -> {b.label or i + 1}): endpoint gap {gap:.3e}"
             )

@@ -16,15 +16,15 @@ probed at the smallest shell ``r = radius * 1e-6`` around ``x``.  Along a
 geodesic from ``x`` the quotient only falls as ``d`` grows (``f - (lam/2)
 d^2`` is convex there; AGS 2008, Thm 2.4.9), so the supremum is one over
 directions at that shell.  The half-line and the tripod probe every
-direction.  Euclidean and quantile vectors take steepest descent: the
-``dim`` order-keeping forward steps of ``tangent_gradient`` (which gives the
-vector resolvent its gradient too) and one more step along the descent
-direction projected onto the tangent cone (``isotonic_repair`` within each
-block of tied coordinates), ``dim + 2`` evaluations in all.  Every
-candidate is a real point and the estimate is its true quotient, so it
+direction (``spaces.shell``).  Euclidean and quantile vectors take steepest
+descent: the ``dim`` order-keeping forward steps of ``tangent_gradient``
+(which gives the vector resolvent its gradient too) and one more step along
+the descent direction projected onto the tangent cone (``isotonic_repair``
+within each block of tied coordinates), ``dim + 2`` evaluations in all.
+Every candidate is a real point and the estimate is its true quotient, so it
 underestimates the supremum up to rounding and validators that consume it
-stay conservative on the side they certify; on ``eps / x^2`` the shell
-costs ``1.5 * radius * 1e-6 / x`` relative.
+stay conservative on the side they certify; on ``eps / x^2`` the shell costs
+``1.5 * radius * 1e-6 / x`` relative.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .spaces import (
     distance,
     geodesic_point,
     isotonic_repair,
+    shell,
 )
 
 INF = math.inf
@@ -131,30 +132,6 @@ class SupFormula:
 
 # built once: the minimizers take the default path once per node evaluation
 _SUP_FORMULA = SupFormula()
-
-
-def _sup_candidates(space: SpaceHandle, x: Point, r: float):
-    """Probe points at distance ``r`` around ``x`` on the half-line (where
-    the origin stands in for a point beyond it) and on every branch of the
-    tripod."""
-    k = space.kind
-    if k is SpaceKind.HALF_LINE:
-        x0 = x.coords[0]
-        out = [Point(k, (x0 + r,))]
-        if x0 > 0:
-            out.append(Point(k, (max(x0 - r, 0.0),)))
-        return out
-    e, off = int(x.coords[0]), x.coords[1]
-    out = []
-    if off + r <= space.edge_lengths[e]:
-        out.append(Point(k, (float(e), off + r)))
-    if r < off:
-        out.append(Point(k, (float(e), off - r)))
-    else:
-        for e2, length in enumerate(space.edge_lengths):
-            if e2 != e and r - off <= length:
-                out.append(Point(k, (float(e2), r - off)))
-    return out
 
 
 def _sup_expr(f: FunctionalSpec, space: SpaceHandle, x: Point, fx: float, y: Point) -> float:
@@ -259,7 +236,7 @@ def descending_slope(
     r = method.radius * 1e-6
     if space.kind in (SpaceKind.EUCLIDEAN, SpaceKind.QUANTILE_1D):
         return _vector_sup(f, space, x, fx, r)
-    return max([_sup_expr(f, space, x, fx, y) for y in _sup_candidates(space, x, r)], default=0.0)
+    return max([_sup_expr(f, space, x, fx, y) for y in shell(space, x, r)], default=0.0)
 
 
 def slope_squared(f: FunctionalSpec, space: SpaceHandle, x: Point) -> float:

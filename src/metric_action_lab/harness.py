@@ -133,6 +133,10 @@ CONFIG_KEYS = {
                "example2": {"h"}, "linear": {"c"}},
 }
 
+# what an unknown-key hint calls the variants of each key that has them
+_VARIANT_TAGS = dict(experiment="mode", tolerances="mode", base_curve="base_curve", space="space",
+                     family="family", params="functional", discretization="experiment", certified="experiment")
+
 # the default of each grid size ``N``, certificate size, tolerance and example-1 ``eps_law``
 DEFAULTS = {"N": 64, "n_certificate": 1024, "margin": 0.05, "d_inf_tol": 0.02, "slope_cap": SLOPE_CAP,
             "eps_law": "1/h"}
@@ -142,7 +146,8 @@ def config_object(value, key: str, variant: str | None = None) -> ConfigObject:
     """The config value under ``key``: a JSON object whose keys
     ``CONFIG_KEYS[key]``, or ``CONFIG_KEYS[key][variant]`` for a key with
     variants, lists.  An unknown key is a ``ConfigError`` naming it and the
-    nearest known key."""
+    first other variant that reads it (not a vanishing family's own name,
+    which reads it outside vanishing mode), or else the nearest known key."""
     if not isinstance(value, dict):
         raise ConfigError(f"config key {key!r} must be a JSON object, got {value!r}")
     known = CONFIG_KEYS[key] if variant is None else CONFIG_KEYS[key][variant]
@@ -151,7 +156,9 @@ def config_object(value, key: str, variant: str | None = None) -> ConfigObject:
             import difflib  # only this error needs it; a module-level import costs every run
 
             near = difflib.get_close_matches(str(k), sorted(known), n=1)
-            hint = f"; did you mean {near[0]!r}?" if near else ""
+            readers = variant and [v for v, keys in CONFIG_KEYS[key].items() if k in keys and v not in variant]
+            hint = (f"; the {readers[0]} {_VARIANT_TAGS[key]} reads it" if readers
+                    else f"; did you mean {near[0]!r}?" if near else "")
             raise ConfigError(f"unknown config key {k!r}{hint}")
     return ConfigObject(value)
 
@@ -259,6 +266,8 @@ def family_from_config(space: SpaceHandle, fam: dict, eps_law: Optional[Callable
             base=inverse_square(1.0),
         )
     base = build_functional(space, name, fam.get("params"))
+    if fam.get("limit") is not None and fam.get("scale_limit") is not None:
+        raise ConfigError("a family takes 'limit' or 'scale_limit', not both")
     if fam.get("scale_law") is not None:
         law = parse_law(fam["scale_law"])
         member = lambda h: base.scaled(law(h))
@@ -431,9 +440,8 @@ def run_positive(cfg: ExperimentConfig) -> ExperimentReport:
     def one(h):
         row = {"h": h, "theta_target": target}
         try:
-            f_h = cfg.family.member(h)
-            x0h, x1h = cfg.x0_seq(h), cfg.x1_seq(h)
             out = experiment_recovery(cfg, gamma, h)
+            f_h, x0h, x1h = out.functional, cfg.x0_seq(h), cfg.x1_seq(h)
             theta_h = action(out.curve, f_h, x0h, x1h).total
             row.update(
                 tau=out.tau,
@@ -681,7 +689,7 @@ def _update_node_half_line(slope, a: float, v: float, b: float, dt0, dt1, w, spa
 
     lo = max(min(a, b, v) - span, 0.0)
     hi = max(a, b, v) + span
-    s, value, _, _ = grid_golden(local, lo, hi)
+    s, value, _ = grid_golden(local, lo, hi)
     return s, value, local(v)
 
 

@@ -11,7 +11,7 @@ method converges to the unique minimizer.  Solvers by space:
   bracket, plus parabolic steps) on an automatically expanded bracket.  The
   objective is convex along the line, so two probes with the same finite
   value hold a minimizer between them: the search stops once its values
-  tie, or once its bracket is 1e-11 wide;
+  tie, or once its bracket is ``LINE_TOL`` (1e-11) wide;
 * tripod: the objective is strongly convex along every edge, so an edge
   that does not descend from the branch point holds its minimizer there
   and needs no search; Brent, with the same stop rule, runs only on a
@@ -19,16 +19,18 @@ method converges to the unique minimizer.  Solvers by space:
   the iterations add up over the edges and the shared branch-point value);
 * Euclidean and quantile vectors: proximal-gradient with backtracking on
   the smooth part and Barzilai-Borwein steps ``|dy|^2 / <dy, dg>`` from its
-  gradients, falling back to cyclic coordinate descent on a refining grid
-  (``grid_golden``) when the functional is not smooth enough to difference.
-  The gradient is ``functionals.tangent_gradient``'s: ``dim`` forward steps
-  that keep the order, so none is projected.
+  gradients, falling back to cyclic coordinate descent, ``brent`` along
+  one coordinate at a time, when the functional is not smooth enough to
+  difference.  The gradient is ``functionals.tangent_gradient``'s: ``dim``
+  forward steps that keep the order, so none is projected.
 
 On the half-line and the tripod the objective is minimized along one
 coordinate: ``_line_objective`` is a float function whose distance term
 comes from ``spaces.distance_along``, so ``x``'s space tag is checked once
 per search, not once per probe, and every probe value is bit-identical to
-the point-based ``_objective``.
+the point-based ``_objective``.  There the optimality probe compares the
+result with ``spaces.shell``, the points around it on every branch, so it
+sees a branch point that should have crossed onto another edge.
 
 A supplied closed-form prox short-circuits everything.  The step range is
 enforced as ``tau < 1/(2 lam^-)`` throughout so the Lipschitz estimate for
@@ -61,12 +63,14 @@ from .spaces import (
     distance_along,
     geodesic_point,
     point_along,
+    shell,
 )
 
 VALUE_TOL = 1e-10
 POINT_TOL = 1e-8
 MAX_ITER = 4000         # proximal-gradient iterations before the fallback
 CD_SWEEPS = 60          # sweeps of the coordinate-descent fallback
+LINE_TOL = 1e-11        # bracket width at which the 1-d searches stop
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ULP2 = 2.0 * 2.0 ** -52   # Brent's relative step floor: two ulps of the iterate
@@ -93,8 +97,8 @@ def _require_tau(tau: float, lam: float):
         )
 
 
-def golden_section(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-11):
-    """Minimize a unimodal scalar function on [lo, hi].
+def golden_section(g: Callable[[float], float], lo: float, hi: float):
+    """Minimize a unimodal scalar function on [lo, hi] to ``LINE_TOL``.
 
     Tolerates ``inf`` plateaus at the ends of the bracket (the probe points
     simply lose every comparison), which covers objectives with a restricted
@@ -105,7 +109,7 @@ def golden_section(g: Callable[[float], float], lo: float, hi: float, tol: float
     its value, so ``g`` is called at most once per point.  Returns (argmin,
     min, evals), ``evals`` counting the calls of ``g``.
     """
-    a, b = float(lo), float(hi)
+    a, b, tol = float(lo), float(hi), LINE_TOL    # a local: the loop reads it every step
     ga = gb = None                      # end values, once evaluated
     n = 0
     while True:
@@ -144,7 +148,7 @@ def golden_section(g: Callable[[float], float], lo: float, hi: float, tol: float
     return x, v, n
 
 
-def brent(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-11):
+def brent(g: Callable[[float], float], lo: float, hi: float):
     """Minimize a convex scalar function on [lo, hi] by Brent's method.
 
     Golden-section steps that keep the bracket, and parabolic steps through
@@ -162,14 +166,14 @@ def brent(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-11)
 
     Once the parabola lands on the minimizer, its neighbours tie or close
     the bracket at once, where golden steps would walk the far end in to the
-    ``tol`` width.  Stops once the bracket is at most ``tol`` wide (to the
-    relative step floor), and then compares the bracket ends with the best
-    interior point, so a minimum at a bound is returned exactly and ``inf``
-    plateaus lose every comparison.  A plateau that covers both first probes
-    is handled as in ``golden_section``: the search restarts on the end
-    piece with a finite end and keeps the end values it knows, so ``g`` is
-    called at most once per point.  Returns (argmin, min, evals), ``evals``
-    counting the calls of ``g``.
+    ``LINE_TOL`` width.  Stops once the bracket is at most ``LINE_TOL`` wide
+    (to the relative step floor), then compares the bracket ends with the
+    best interior point, so a minimum at a bound is returned exactly and
+    ``inf`` plateaus lose every comparison.  A plateau that covers both
+    first probes is handled as in ``golden_section``: the search restarts
+    on the end piece with a finite end and keeps the end values it knows, so
+    ``g`` is called at most once per point.  Returns (argmin, min, evals),
+    ``evals`` counting the calls of ``g``.
     """
     a, b = float(lo), float(hi)
     fa = fb = None                      # end values, once evaluated
@@ -179,7 +183,7 @@ def brent(g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-11)
     d = e = 0.0                         # the last step and the one before
     while n < 300:
         m = 0.5 * (a + b)
-        tol1 = _ULP2 * abs(x) + 0.25 * tol
+        tol1 = _ULP2 * abs(x) + 0.25 * LINE_TOL
         if max(x - a, b - x) <= 2.0 * tol1:
             break
         golden = True
@@ -250,8 +254,7 @@ def grid_golden(g: Callable[[float], float], lo: float, hi: float):
     """Minimize a scalar function on [lo, hi] that need not be unimodal.
 
     Scans a 17-point grid, then runs golden section between the grid
-    neighbours of the best grid point.  Returns (argmin, min, evals, best
-    grid point).
+    neighbours of the best grid point.  Returns (argmin, min, evals).
     """
     # the points of np.linspace(lo, hi, 17), bit for bit
     step = (hi - lo) / 16
@@ -260,7 +263,7 @@ def grid_golden(g: Callable[[float], float], lo: float, hi: float):
     j = min(range(len(grid)), key=vals.__getitem__)  # first minimum, as np.argmin
     a, b = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
     x, v, n = golden_section(g, a, b)
-    return x, v, n + len(grid), grid[j]
+    return x, v, n + len(grid)
 
 
 def expand_bracket(g: Callable[[float], float], x0: float, lo_bound: float):
@@ -314,18 +317,18 @@ def _solve_half_line(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point
     return Point(SpaceKind.HALF_LINE, (v,)), val, n
 
 
-def tripod_edge_search(g: Callable[[float], float], length: float, g0: float, tol: float = 1e-11):
+def tripod_edge_search(g: Callable[[float], float], length: float, g0: float):
     """Minimize the strongly convex objective ``g`` along one tripod edge,
     given its value ``g0 = g(0)`` at the branch point.
 
-    An edge that does not descend from the branch point, ``g(tol) >= g0``
-    with ``g0`` finite, holds its minimizer in ``[0, tol]`` and returns
-    ``(0.0, g0)`` without a search; only a descending edge runs ``brent``.
-    Returns (argmin, min, evals).
+    An edge that does not descend from the branch point, ``g(LINE_TOL) >=
+    g0`` with ``g0`` finite, holds its minimizer in ``[0, LINE_TOL]`` and
+    returns ``(0.0, g0)`` without a search; only a descending edge runs
+    ``brent``.  Returns (argmin, min, evals).
     """
-    if math.isfinite(g0) and g(min(tol, length)) >= g0:
+    if math.isfinite(g0) and g(min(LINE_TOL, length)) >= g0:
         return 0.0, g0, 1
-    s, v, n = brent(g, 0.0, length, tol)
+    s, v, n = brent(g, 0.0, length)
     return s, v, n + 1
 
 
@@ -394,6 +397,8 @@ def _solve_vector(obj, f: FunctionalSpec, space: SpaceHandle, tau: float, x: Poi
 
 
 def _coordinate_descent(full, y, val):
+    """``brent`` along each coordinate in turn, on a span set by its last step;
+    a point is taken only where it lowers the value (``full`` need not be convex)."""
     y = np.array(y, dtype=float)
     n = 0
     span = np.ones(len(y))
@@ -405,12 +410,13 @@ def _coordinate_descent(full, y, val):
                 c[i] = v
                 return full(c)
 
-            vstar, vval, k, best = grid_golden(g1, y[i] - span[i], y[i] + span[i])
+            vstar, vval, k = brent(g1, y[i] - span[i], y[i] + span[i])
             n += k
+            step = 0.0
             if vval < val:
-                moved = max(moved, abs(vstar - y[i]))
-                y[i], val = vstar, vval
-            span[i] = max(4 * abs(vstar - best) + 1e-6, span[i] * 0.5)
+                step, y[i], val = abs(vstar - y[i]), vstar, vval
+            moved = max(moved, step)
+            span[i] = max(4 * step + 1e-6, span[i] * 0.5)
         if moved < 0.2 * POINT_TOL:
             break
     return y, val, n
@@ -427,8 +433,9 @@ def resolvent(
     Uses the closed-form prox when the functional carries one; otherwise
     dispatches to the space-appropriate solver.  Raises ``ConvergenceError``
     (with the best iterate attached) if the optimality probe fails: a move
-    of 1e-7 or 1e-5 times ``max(1, max |u_i|)`` (on the tripod, the offset)
-    along any coordinate lowers the value by more than 1e-7.
+    of 1e-7 or 1e-5 times ``max(1, max |u_i|)`` along any vector coordinate,
+    or to the half-line or tripod ``shell`` at 1e-7 or 1e-5 times ``max(1,
+    offset)`` (every branch), lowers the value by more than 1e-7.
     """
     _require_tau(tau, f.lam)
     obj = _objective(f, space, tau, x)
@@ -444,10 +451,12 @@ def resolvent(
     else:
         u, val, n = _solve_vector(obj, f, space, tau, x)
         method = "proximal_gradient"
-    # optimality probe: nearby perturbations must not beat the reported value
+    # optimality probe: nearby points must not beat the reported value
+    line = space.kind in (SpaceKind.HALF_LINE, SpaceKind.TRIPOD)
     gap = 0.0
     for delta in (POINT_TOL * 10, POINT_TOL * 1e3):
-        for y in _probe_points(space, u, delta):
+        near = shell(space, u, delta * max(1.0, u.coords[-1])) if line else _probe_points(space, u, delta)
+        for y in near:
             gap = max(gap, val - obj(y))
     if gap > 1e-7:
         raise ConvergenceError(
@@ -458,12 +467,6 @@ def resolvent(
 
 
 def _probe_points(space: SpaceHandle, u: Point, delta: float):
-    if space.kind is SpaceKind.TRIPOD:
-        delta *= max(1.0, u.coords[1])          # the offset, not the edge index
-        pts = [space.project((u.coords[0], u.coords[1] + delta))]
-        if u.coords[1] - delta >= 0:
-            pts.append(Point(space.kind, (u.coords[0], u.coords[1] - delta)))
-        return pts
     delta *= max(1.0, max(map(abs, u.coords)))  # the vector solver's scale
     out = []
     for i in range(len(u.coords)):

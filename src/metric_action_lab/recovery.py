@@ -132,10 +132,10 @@ def piece_diagnostics(out: RecoveryOutput) -> list:
     return diags
 
 
-def _is_trivial(piece: SampledCurve, g: Callable[[Point], float], tol: float) -> bool:
+def _is_trivial(piece: SampledCurve, g: Callable[[Point], float]) -> bool:
     anchor = piece.points[0]
     for p in piece.points:
-        if distance(piece.space, anchor, p) > tol or g(p) > 1e-12:
+        if distance(piece.space, anchor, p) > ENDPOINT_TOL or g(p) > 1e-12:
             return False
     return True
 
@@ -238,5 +238,5 @@ def build_recovery(
         pieces = [Piece(ride0, t0, "ride_in")] + pieces + [ride_out]
 
     g = functools.partial(slope_squared, f_h, space)
-    kept = [p for p in pieces if p.label == "middle" or not _is_trivial(p.curve, g, ENDPOINT_TOL)]
-    return RecoveryOutput(concatenate_rescale(kept, endpoint_tol=1e-8), kept, tau, f_h)
+    kept = [p for p in pieces if p.label == "middle" or not _is_trivial(p.curve, g)]
+    return RecoveryOutput(concatenate_rescale(kept), kept, tau, f_h)

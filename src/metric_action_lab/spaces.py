@@ -19,7 +19,8 @@ half-line, quantile) the distance is ``|u - v| / sqrt(weight)`` in
 coordinates, where ``SpaceHandle.weight`` is ``m`` on quantile vectors and 1
 elsewhere.  The half-line and each tripod edge are lines: ``point_along`` and
 ``distance_along`` give a point and its distance to a fixed point as
-functions of the coordinate along one of them, for the 1-d searches.
+functions of the coordinate along one of them, for the 1-d searches, and
+``shell`` the points at one distance along every branch around a point.
 
 All four spaces are geodesic and satisfy the quadrilateral comparison
 inequality
@@ -243,6 +244,30 @@ def distance_along(space: SpaceHandle, q: Point, edge: int = 0) -> Callable[[flo
     if int(eq) == edge:
         return lambda s: abs(s - oq)
     return lambda s: s + oq
+
+
+def shell(space: SpaceHandle, x: Point, r: float) -> list:
+    """The points at distance ``r`` from ``x`` on every branch of the
+    half-line (the origin stands in for one beyond it) or of a tripod,
+    where an ``r`` past the branch point reaches every other edge."""
+    k = space.kind
+    if k is SpaceKind.HALF_LINE:
+        x0 = x.coords[0]
+        out = [Point(k, (x0 + r,))]
+        if x0 > 0:
+            out.append(Point(k, (max(x0 - r, 0.0),)))
+        return out
+    e, off = int(x.coords[0]), x.coords[1]
+    out = []
+    if off + r <= space.edge_lengths[e]:
+        out.append(Point(k, (float(e), off + r)))
+    if r < off:
+        out.append(Point(k, (float(e), off - r)))
+    else:
+        for e2, length in enumerate(space.edge_lengths):
+            if e2 != e and r - off <= length:
+                out.append(Point(k, (float(e2), r - off)))
+    return out
 
 
 def geodesic_point(space: SpaceHandle, p: Point, q: Point, t: float) -> Point:

@@ -409,28 +409,32 @@ _FLOW = {"space": {"kind": "euclidean", "dim": 1}, "functional": {"name": "zero"
          "config key 'n_certificate' must be at least 1, got 0"),
         # params are checked per catalogue functional, space keys per kind
         (["flow"], {"space": {"kind": "half_line"}, "functional": {"name": "linear", "params": {"lam": 2.0}},
-                    "x": 1.0}, "unknown config key 'lam'"),
-        (["flow"], {**_FLOW, "space": {"kind": "half_line", "dim": 4}}, "unknown config key 'dim'"),
+                    "x": 1.0}, "unknown config key 'lam'; the quadratic functional reads it"),
+        (["flow"], {**_FLOW, "space": {"kind": "half_line", "dim": 4}},
+         "unknown config key 'dim'; the euclidean space reads it"),
         (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "space": {"kind": "half_line", "dim": 4}},
-         "unknown config key 'dim'"),
+         "unknown config key 'dim'; the euclidean space reads it"),
         (["flow"], {**_FLOW, "functional": {"name": "quadratic", "params": {"lamb": 2.0}}},
          "unknown config key 'lamb'; did you mean 'lam'?"),
         (["flow"], {**_FLOW, "space": {"kind": "tripod", "edge_length": [1, 1, 1]}},
          "unknown config key 'edge_length'; did you mean 'edge_lengths'?"),
         # family keys are checked per family name
         (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "family": {"name": "example1", "params": {"eps": 0.5}}},
-         "unknown config key 'params'"),
+         "unknown config key 'params'; the catalogue family reads it"),
         (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "family": {"name": "quadratic", "eps_law": "1"}},
-         "unknown config key 'eps_law'; did you mean 'scale_law'?"),
+         "unknown config key 'eps_law'; the example1 family reads it"),
         (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "base_curve": {"type": "bogus"}},
          "unknown base curve type 'bogus'"),
+        (["gamma", "positive"], {**_HALF_LINE_X0_LAW, "family": {"name": "quadratic", "limit": {"name": "zero"},
+                                                               "scale_limit": 2.0}},
+         "a family takes 'limit' or 'scale_limit', not both"),
     ],
     ids=["discretisation_positive", "discretisation_recovery", "n_certficate", "tau", "n_step", "curve",
          "x0_law_count_positive", "x0_law_count_recovery", "x0_law_true_positive",
          "x0_law_true_recovery", "eps_law_false", "scale_law_true", "tau_law_true", "N_negative",
          "base_curve_N_zero", "n_certificate_negative", "n_certificate_zero", "linear_lam",
          "half_line_dim_flow", "half_line_dim_positive", "quadratic_lamb", "tripod_edge_length",
-         "example1_params", "catalogue_eps_law", "base_curve_type"],
+         "example1_params", "catalogue_eps_law", "base_curve_type", "limit_and_scale_limit"],
 )
 def test_cli_rejects_config_when_read(tmp_path, capsys, command, cfg, message):
     path = write_json(tmp_path / "cfg.json", cfg)

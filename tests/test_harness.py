@@ -13,10 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metric_action_lab import euclidean, half_line
+from metric_action_lab import curves, euclidean, half_line, harness, proximal
 from metric_action_lab.curves import action, curve_to_csv, geodesic_curve, minimize_action
 from metric_action_lab.errors import ConfigError, DomainError
-from metric_action_lab.functionals import FunctionalFamily, inverse_square, quadratic, ramp, zero_functional
+from metric_action_lab.functionals import (
+    FunctionalFamily,
+    inverse_square,
+    quadratic,
+    ramp,
+    strip_closed_forms,
+    zero_functional,
+)
 from metric_action_lab.harness import (
     DEFAULTS,
     ExperimentConfig,
@@ -210,6 +217,16 @@ def test_family_from_config_limit_keys():
     assert named.id == "zero" and named.evaluate(E1.point(1.0)) == 0.0
 
 
+def test_family_rejects_limit_beside_scale_limit():
+    # earlier versions took the named limit and dropped scale_limit; null
+    # still means the key is absent
+    quad = {"name": "quadratic", "params": {"center": 0.0, "lam": 1.0}}
+    with pytest.raises(ConfigError, match="^a family takes 'limit' or 'scale_limit', not both$"):
+        family_from_config(E1, dict(quad, limit={"name": "zero"}, scale_limit=2.0))
+    assert family_from_config(E1, dict(quad, limit=None, scale_limit=2.0)).limit.lam == 2.0
+    assert family_from_config(E1, dict(quad, limit={"name": "zero"}, scale_limit=None)).limit.id == "zero"
+
+
 @pytest.mark.parametrize(
     "family, key",
     [
@@ -277,16 +294,17 @@ _READERS = {
 }
 
 
-def _load_benchmark_workloads():
-    """The benchmark's ``perfbench/workloads.py`` as a module."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _load_benchmark(name):
+    """The benchmark's ``perfbench/<name>.py`` as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
     spec.loader.exec_module(module)
     return module
 
 
-_WORKLOADS = _load_benchmark_workloads()
+_WORKLOADS = _load_benchmark("workloads")
+_TRACER = _load_benchmark("tracer")
 
 
 @pytest.mark.parametrize("name", [
@@ -310,6 +328,28 @@ def test_shipped_configs_load(name):
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
     cfg = ExperimentConfig.from_dict(json.loads(block))
     assert cfg.h_list == [8, 16, 32, 64] and cfg.base_curve_spec == {"type": "minimize_action", "N": 64}
+
+
+def test_tracer_finds_every_name_it_pins():
+    # the tracer hooks functions by name and keys its resolvent metrics on
+    # the solvers' ``method`` labels, so a renamed or deleted pin reads 0
+    stripped = [
+        _WORKLOADS.strip_config(ExperimentConfig.from_dict(
+            {"space": space, "family": {"name": "quadratic", "params": {"center": centre}}, "x0": x0,
+             "x1": x1, "h_list": [4], "mode": "flow", "base_curve": {"type": "geodesic", "N": 2}}))
+        for space, centre, x0, x1 in [({"kind": "tripod"}, [1, 0.2], [0, 0.3], [2, 0.3]),
+                                      ({"kind": "quantile_1d", "grid_size": 3}, 0.0, [0, 0.5, 1], [1, 1.5, 2])]]
+    f = quadratic(HL, HL.point(1.0))
+    with _TRACER.Tracer() as tracer:
+        for cfg in stripped:
+            assert "error" not in harness.run_positive(cfg).rows[0]
+        proximal.resolvent(f, HL, 0.1, HL.point(0.5))
+        proximal.resolvent(strip_closed_forms(f), HL, 0.1, HL.point(0.5))
+        curves.minimize_action(quadratic(E1, E1.point(0.0)), E1, E1.point(0.0), E1.point(1.0), 8)
+    stats = tracer.layer_stats()
+    pinned = [f"proximal.resolvent.{method}.calls" for method in _TRACER.SOLVERS]
+    for name in pinned + ["curves.minimize_action.sweeps", "harness.parallel_map.calls"]:
+        assert stats[name] > 0, name
 
 
 _VALID_CONFIG = {
@@ -420,6 +460,38 @@ def test_experiment_config_rejects_when_read(base, path, value, message):
     parent[path[-1]] = value
     with pytest.raises(ConfigError) as info:
         ExperimentConfig.from_dict(obj)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "kind, obj, message",
+    [
+        ("positive", {**_VALID_CONFIG, "eps_law": "1/h"}, "unknown config key 'eps_law'; the vanishing mode reads it"),
+        ("positive", {**_VALID_CONFIG, "tolerances": {"slope_cap": 5.0}},
+         "unknown config key 'slope_cap'; the vanishing mode reads it"),
+        ("positive", {**_VALID_CONFIG, "family": {"name": "quadratic", "eps_law": "1"}},
+         "unknown config key 'eps_law'; the example1 family reads it"),
+        ("positive", {**_VALID_CONFIG, "family": {"name": "example2", "scale_law": "2"}},
+         "unknown config key 'scale_law'; the catalogue family reads it"),
+        ("positive", {**_VALID_CONFIG, "base_curve": {"type": "geodesic", "path": "c.csv"}},
+         "unknown config key 'path'; the csv base_curve reads it"),
+        ("positive", {**_VALID_CONFIG, "space": {"kind": "tripod", "grid_size": 4}},
+         "unknown config key 'grid_size'; the quantile_1d space reads it"),
+        ("example1", {"h_list": [4], "discretization": {"N": 16}},
+         "unknown config key 'N'; the example2 experiment reads it"),
+        ("example2", {"h_list": [4], "eps_law": "1/h"}, "unknown config key 'eps_law'; the example1 experiment reads it"),
+        # a vanishing family's own name reads these only outside vanishing mode, which is no fix
+        ("positive", {**_VALID_VANISHING, "family": {"name": "quadratic", "scale_law": "2"}},
+         "unknown config key 'scale_law'"),
+    ],
+    ids=["mode_eps_law", "mode_slope_cap", "family_eps_law", "family_scale_law", "base_curve_path",
+         "space_grid_size", "example1_N", "example2_eps_law", "vanishing_family_scale_law"],
+)
+def test_unknown_key_hint_names_the_variant_that_reads_it(kind, obj, message):
+    # the nearest key of the config's own variant pointed away from the fix
+    # (``eps_law`` beside ``mode: resolvent`` suggested ``x1_law``)
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_dict(obj) if kind == "positive" else certified_args(kind, obj)
     assert str(info.value) == message
 
 
@@ -766,6 +838,23 @@ def test_run_liminf_builds_each_member_once():
     counted = dataclasses.replace(cfg, family=dataclasses.replace(
         cfg.family, member=lambda h: built.append(h) or member(h)))
     assert run_liminf(counted).rows == run_liminf(cfg).rows
+    assert built == [2, 4]
+
+
+@pytest.mark.parametrize("mode", ["resolvent", "flow"])
+def test_run_positive_builds_each_member_once(mode):
+    # the recovery output carries the member its pieces were built for
+    cfg = ExperimentConfig.from_dict(
+        {"space": {"kind": "euclidean", "dim": 1},
+         "family": {"name": "quadratic", "params": {"center": 0.0}, "scale_law": "1 + 1/h"},
+         "x0": 0.0, "x1": 1.0, "x0_law": "1/h", "h_list": [2, 4], "mode": mode,
+         "base_curve": {"type": "geodesic", "N": 8}}
+    )
+    built = []
+    member = cfg.family.member
+    counted = dataclasses.replace(cfg, family=dataclasses.replace(
+        cfg.family, member=lambda h: built.append(h) or member(h)))
+    assert run_positive(counted).rows == run_positive(cfg).rows
     assert built == [2, 4]
 
 

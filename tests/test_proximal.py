@@ -186,8 +186,8 @@ def test_resolvent_says_when_the_line_search_stops_short(monkeypatch):
     # a line search that ends 1e-3 off the minimum: the optimality probe sees it
     brent = proximal.brent
 
-    def short(g, lo, hi, tol=1e-11):
-        x, _, n = brent(g, lo, hi, tol)
+    def short(g, lo, hi):
+        x, _, n = brent(g, lo, hi)
         return x + 1e-3, g(x + 1e-3), n
 
     monkeypatch.setattr(proximal, "brent", short)
@@ -302,8 +302,9 @@ def test_lipschitz_same_point_is_zero():
     assert check_resolvent_lipschitz(f, E1, 0.3, x, x) <= 0.0
 
 
-def test_lipschitz_boxed_concave_sqrt2_factor(rng):
-    # f = -|x|^2/4 on the unit box, lam = -0.5, tau = 0.5: factor sqrt(2)
+def boxed_concave_lipschitz(rng) -> float:
+    """The worst Lipschitz residual of f = -|x|^2/4 on the unit box of E^2
+    (lam = -0.5) at tau = 0.5, factor sqrt(2), over 20 random pairs."""
     sp = euclidean(2)
 
     def ev(p):
@@ -318,7 +319,24 @@ def test_lipschitz_boxed_concave_sqrt2_factor(rng):
         x = sp.point(*rng.uniform(0, 1, size=2))
         y = sp.point(*rng.uniform(0, 1, size=2))
         worst = max(worst, check_resolvent_lipschitz(f, sp, tau, x, y))
-    assert worst <= 1e-6
+    return worst
+
+
+def test_lipschitz_boxed_concave_sqrt2_factor(rng):
+    assert boxed_concave_lipschitz(rng) <= 1e-6
+
+
+def test_boxed_concave_fallback_runs_brent(rng, monkeypatch):
+    # a gradient step leaves the box, so these resolvents take the
+    # coordinate-descent fallback, which searches each coordinate by Brent
+    def no_grid(*args):
+        raise AssertionError("the fallback ran grid_golden")
+
+    fallback, runs = proximal._coordinate_descent, []
+    monkeypatch.setattr(proximal, "grid_golden", no_grid)
+    monkeypatch.setattr(proximal, "_coordinate_descent", lambda *a: runs.append(1) or fallback(*a))
+    assert boxed_concave_lipschitz(rng) <= 1e-6
+    assert runs
 
 
 def test_tau_continuity_quadratic_numbers():
@@ -415,6 +433,21 @@ def test_quantile_resolvent_projected(rng):
     res = resolvent(f, sp, 0.4, x)
     want = quadratic(sp, c, 1.0).closed_form_prox(0.4, x)
     assert res.point.coords == pytest.approx(want.coords, abs=1e-7)
+
+
+def test_probe_sees_a_branch_point_that_should_cross(monkeypatch):
+    # the resolvent lies on edge 1; a solver that stops at the branch point
+    # is beaten by the shell's point on edge 1, which a probe along x's own
+    # edge never reaches
+    sp = tripod()
+    f, x, tau = strip_closed_forms(quadratic(sp, sp.point(1, 0.5), 1.0)), sp.point(0, 0.05), 0.3
+    res = resolvent(f, sp, tau, x)
+    assert res.point.coords == (1.0, pytest.approx(1.0 / 13.0)) and res.value == pytest.approx(0.116346, abs=1e-6)
+    branch, obj = sp.point(0, 0.0), proximal._objective(f, sp, tau, x)
+    monkeypatch.setattr(proximal, "_solve_tripod", lambda *_: (branch, obj(branch), 1))
+    with pytest.raises(ConvergenceError) as info:
+        resolvent(f, sp, tau, x)
+    assert info.value.best.point == branch and info.value.best.residual == pytest.approx(3.33e-6, rel=1e-3)
 
 
 def test_tripod_tie_flag():
