@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConcatenationError, DomainError, InitializationError
+from .errors import DomainError
 from .functionals import INF, FunctionalSpec, descending_slope, slope_squared
 from .spaces import (
     Point,
@@ -188,12 +188,12 @@ def concatenate_rescale(pieces: Sequence[Piece]) -> SampledCurve:
         _on_unit_interval(p.curve)
     kept = [p for p in pieces if p.duration > 0.0]
     if not kept:
-        raise ConcatenationError("no segment with positive duration")
+        raise DomainError("no segment with positive duration")
     for i in range(len(pieces) - 1):
         a, b = pieces[i], pieces[i + 1]
         gap = distance(a.curve.space, a.curve.end, b.curve.start)
         if gap > JUNCTION_TOL:
-            raise ConcatenationError(
+            raise DomainError(
                 f"junction {i} ({a.label or i} -> {b.label or i + 1}): endpoint gap {gap:.3e}"
             )
     total = sum(p.duration for p in kept)
@@ -258,7 +258,7 @@ def minimize_action(
     cur = geodesic_curve(space, x0, x1, N)
     value = action(cur, f, x0, x1)
     if not math.isfinite(value.total):
-        raise InitializationError("geodesic initialization has infinite action")
+        raise DomainError("geodesic initialization has infinite action")
     return _newton(f, space, x0, x1, cur, value, max_iter)
 
 

@@ -1,24 +1,21 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+A bad input fails with ``ConfigError`` (a config value) or ``DomainError``
+(a point, parameter or curve outside what the operation takes), and a
+solver that stops short with ``ConvergenceError``.
+"""
 
 
 class MetricActionError(Exception):
     """Base class for all library errors."""
 
 
-class SpaceMismatchError(MetricActionError):
-    """A point was used with a space it does not belong to."""
-
-
 class DomainError(MetricActionError, ValueError):
-    """A parameter lies outside its admissible range."""
+    """A point, parameter or curve lies outside its admissible range."""
 
 
 class ConfigError(MetricActionError, ValueError):
     """Invalid configuration value."""
-
-
-class PreconditionError(MetricActionError):
-    """A documented precondition does not hold for the given inputs."""
 
 
 class ConvergenceError(MetricActionError):
@@ -30,24 +27,3 @@ class ConvergenceError(MetricActionError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
-
-
-class FlowError(MetricActionError):
-    """Trajectory construction failed; ``partial`` is the list of points
-    reached before the failing step."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
-class ConcatenationError(MetricActionError):
-    """Curve concatenation failed; the message names the junction."""
-
-
-class InitializationError(MetricActionError):
-    """An initial guess is infeasible (infinite objective)."""
-
-
-class ScheduleError(MetricActionError):
-    """No admissible switch time exists on the supplied grid."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import SampledCurve, metric_speed
-from .errors import DomainError, FlowError, MetricActionError
+from .errors import DomainError, MetricActionError
 from .functionals import FunctionalSpec, descending_slope, evaluate, lam_neg
 from .proximal import resolvent, tau_upper_limit
 from .spaces import Point, SpaceHandle, distance
@@ -43,7 +43,10 @@ def flow(
 
 
 def flow_times(f: FunctionalSpec, space: SpaceHandle, x: Point, times) -> SampledCurve:
-    """Minimizing movements along an arbitrary increasing time grid."""
+    """Minimizing movements along an arbitrary increasing time grid.
+
+    A failing resolvent step re-raises the resolvent's own error class,
+    its message prefixed with the step index."""
     times = np.asarray(times, dtype=float)
     pts = [x]
     for k in range(len(times) - 1):
@@ -51,7 +54,7 @@ def flow_times(f: FunctionalSpec, space: SpaceHandle, x: Point, times) -> Sample
         try:
             res = resolvent(f, space, dt, pts[-1])
         except MetricActionError as exc:
-            raise FlowError(f"resolvent failed at step {k}: {exc}", partial=pts) from exc
+            raise type(exc)(f"resolvent failed at step {k}: {exc}") from exc
         pts.append(res.point)
     return SampledCurve(times, pts, space)
 

@@ -300,7 +300,10 @@ def quadratic(space: SpaceHandle, center: Point, lam: float = 1.0) -> Functional
         raise ConfigError("nonconvex quadratic only supported on flat spaces")
 
     def ev(x):
-        return 0.5 * lam * distance(space, x, center) ** 2
+        try:
+            return 0.5 * lam * distance(space, x, center) ** 2
+        except OverflowError:  # float ** 2 raises where * would give inf
+            raise DomainError(f"quadratic value overflows at {x.coords}") from None
 
     def slope(x):
         d = distance(space, x, center)

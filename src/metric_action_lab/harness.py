@@ -104,10 +104,9 @@ def parallel_map(fn: Callable, items: Sequence) -> list:
 # The keys each config object may carry.  One experiment config serves
 # ``gamma positive|liminf`` and ``recovery``.  By variant: its keys and
 # ``tolerances`` by ``mode`` (only ``vanishing`` reads ``eps_law`` and
-# ``slope_cap``); a certified example's keys, ``discretization`` and
-# ``tolerances`` by its kind; a ``base_curve``'s by its ``type``; a space's by
-# its kind; a family's by its name (``example1``, ``example2`` or catalogue),
-# or in vanishing mode by its base's; a catalogue functional's params by name.
+# ``slope_cap``); a certified example's keys and ``discretization`` by its
+# kind; a ``base_curve``'s by its ``type``; a space's by its kind; a family's by
+# its name, or in vanishing mode by its base's; a functional's params by name.
 _EXPERIMENT = {"space", "family", "x0", "x1", "x0_law", "x1_law", "h_list", "mode", "base_curve",
                "tolerances", "liminf"}
 CONFIG_KEYS = {
@@ -120,7 +119,7 @@ CONFIG_KEYS = {
     "base_curve": {"geodesic": {"type", "N"}, "minimize_action": {"type", "N"}, "csv": {"type", "path"}},
     "tolerances": {"resolvent": {"margin", "d_inf_tol"}, "flow": {"margin", "d_inf_tol"},
                    "vanishing": {"margin", "d_inf_tol", "slope_cap"},
-                   "example1": {"margin"}, "example2": {"margin"}},
+                   "certified example": {"margin"}},
     "discretization": {"example1": {"n_certificate"}, "example2": {"N", "n_certificate"}},
     "certified": {"example1": {"h_list", "discretization", "tolerances", "eps_law"},
                   "example2": {"h_list", "discretization", "tolerances", "with_optimizer"}},
@@ -146,8 +145,8 @@ def config_object(value, key: str, variant: str | None = None) -> ConfigObject:
     """The config value under ``key``: a JSON object whose keys
     ``CONFIG_KEYS[key]``, or ``CONFIG_KEYS[key][variant]`` for a key with
     variants, lists.  An unknown key is a ``ConfigError`` naming it and the
-    first other variant that reads it (not a vanishing family's own name,
-    which reads it outside vanishing mode), or else the nearest known key."""
+    first other variant of the same kind (all words but the last alike) that
+    reads it, or else the nearest known key."""
     if not isinstance(value, dict):
         raise ConfigError(f"config key {key!r} must be a JSON object, got {value!r}")
     known = CONFIG_KEYS[key] if variant is None else CONFIG_KEYS[key][variant]
@@ -156,7 +155,8 @@ def config_object(value, key: str, variant: str | None = None) -> ConfigObject:
             import difflib  # only this error needs it; a module-level import costs every run
 
             near = difflib.get_close_matches(str(k), sorted(known), n=1)
-            readers = variant and [v for v, keys in CONFIG_KEYS[key].items() if k in keys and v not in variant]
+            readers = variant and [v for v, keys in CONFIG_KEYS[key].items()
+                                   if k in keys and v.split()[:-1] == variant.split()[:-1]]
             hint = (f"; the {readers[0]} {_VARIANT_TAGS[key]} reads it" if readers
                     else f"; did you mean {near[0]!r}?" if near else "")
             raise ConfigError(f"unknown config key {k!r}{hint}")
@@ -804,7 +804,7 @@ def certified_args(kind: str, obj: dict) -> dict:
     the config ``obj``, whose keys ``CONFIG_KEYS["certified"][kind]`` lists."""
     obj = config_object(obj, "certified", kind)
     disc = config_object(obj.get("discretization", {}), "discretization", kind)
-    tol = config_object(obj.get("tolerances", {}), "tolerances", kind)
+    tol = config_object(obj.get("tolerances", {}), "tolerances", "certified example")
     args = {"h_list": config_h_list(obj["h_list"]), "margin": config_setting(tol, "margin"),
             "n_certificate": config_setting(disc, "n_certificate", config_count)}
     if kind == "example1":

@@ -59,6 +59,7 @@ from .spaces import (
     Point,
     SpaceHandle,
     SpaceKind,
+    check_tags,
     distance,
     distance_along,
     geodesic_point,
@@ -435,9 +436,11 @@ def resolvent(
     (with the best iterate attached) if the optimality probe fails: a move
     of 1e-7 or 1e-5 times ``max(1, max |u_i|)`` along any vector coordinate,
     or to the half-line or tripod ``shell`` at 1e-7 or 1e-5 times ``max(1,
-    offset)`` (every branch), lowers the value by more than 1e-7.
+    offset)`` (every branch), lowers the value by more than 1e-7.  A point
+    ``x`` of another space is a ``DomainError`` on every path.
     """
     _require_tau(tau, f.lam)
+    check_tags(space, x)
     obj = _objective(f, space, tau, x)
     if f.closed_form_prox is not None:
         u = f.closed_form_prox(tau, x)

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import PreconditionError, ScheduleError
+from .errors import ConvergenceError, DomainError
 from .curves import (
     ENDPOINT_TOL,
     Piece,
@@ -162,7 +162,7 @@ def _vanishing_endpoint_ride(f, space, anchor, eps_h, slope_cap):
         points.append(flow_times(f, space, points[-1], times[k - 1 : k + 1]).end)
         if eps_h * descending_slope(f, space, points[-1]) <= slope_cap:
             return SampledCurve(times[: k + 1] / times[k], points, space), float(times[k])
-    raise ScheduleError(
+    raise ConvergenceError(
         f"scaled slope never dropped under {slope_cap} on (0, {eps_h:g}); refine the grid"
     )
 
@@ -189,7 +189,7 @@ def build_recovery(
         f_h = f.scaled(eps_h)
         for name, pt in (("start", x0h), ("end", x1h)):
             if not f.in_domain(pt):
-                raise PreconditionError(f"{name} endpoint has infinite value")
+                raise DomainError(f"{name} endpoint has infinite value")
         ride0, t0 = _vanishing_endpoint_ride(f, space, x0h, eps_h, cfg.slope_cap)
         ride1, t1 = _vanishing_endpoint_ride(f, space, x1h, eps_h, cfg.slope_cap)
         x0h, x1h = ride0.end, ride1.end
@@ -201,7 +201,7 @@ def build_recovery(
 
     for name, pt in (("start", x0h), ("end", x1h)):
         if not math.isfinite(descending_slope(f_h, space, pt)):
-            raise PreconditionError(
+            raise DomainError(
                 f"{name} endpoint has infinite slope; this construction needs "
                 "bounded endpoint slopes (use the vanishing mode instead)"
             )

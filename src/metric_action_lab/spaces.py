@@ -29,8 +29,7 @@ inequality
 
 which :func:`check_cat0` evaluates as a testable residual.
 
-Everything here is pure and immutable; values are safe to share between
-threads.
+Everything here is pure and immutable.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .errors import DomainError, SpaceMismatchError
+from .errors import DomainError
 
 
 class SpaceKind(str, Enum):
@@ -80,11 +79,13 @@ class SpaceHandle:
 
         Euclidean: ``point(x1, ..., xn)``; half-line: ``point(x)``;
         tripod: ``point(edge_index, offset)``; quantile: ``point(v1, ..., vm)``
-        or ``point(sequence)``.
+        or ``point(sequence)``.  Coordinates must be finite.
         """
         if len(coords) == 1 and isinstance(coords[0], (list, tuple)):
             coords = tuple(coords[0])
         coords = tuple(float(c) for c in coords)
+        if not all(map(math.isfinite, coords)):
+            raise DomainError(f"point coordinates must be finite, got {coords}")
         if self.kind in (SpaceKind.EUCLIDEAN, SpaceKind.QUANTILE_1D) and len(coords) != self.dim:
             raise DomainError(f"expected {self.dim} coordinates, got {len(coords)}")
         if self.kind is SpaceKind.HALF_LINE:
@@ -189,22 +190,23 @@ def isotonic_repair(values: Sequence[float]) -> list:
     return out
 
 
-def _check_tags(space: SpaceHandle, *points: Point):
+def check_tags(space: SpaceHandle, *points: Point):
+    """``DomainError`` unless every point is tagged with ``space``'s kind."""
     for p in points:
         if p.space_kind is not space.kind:
-            raise SpaceMismatchError(
+            raise DomainError(
                 f"point tagged {p.space_kind.value} used with {space.kind.value} space"
             )
 
 
 def distance(space: SpaceHandle, p: Point, q: Point) -> float:
-    """Metric distance between two points of ``space``; ``_check_tags``
+    """Metric distance between two points of ``space``; ``check_tags``
     runs only to raise.  Bit for bit ``|u - v| / sqrt(weight)``: off
     quantile vectors the division by ``sqrt(1) = 1.0``, which is exact, is
     left out."""
     k = space.kind
     if p.space_kind is not k or q.space_kind is not k:
-        _check_tags(space, p, q)
+        check_tags(space, p, q)
     if k is _QUANTILE_1D:
         return math.dist(p.coords, q.coords) / math.sqrt(space.dim)
     if k is not _TRIPOD:
@@ -234,7 +236,7 @@ def distance_along(space: SpaceHandle, q: Point, edge: int = 0) -> Callable[[flo
     The closure does the same IEEE operations as :func:`distance`; ``q``'s
     tag is checked once, here, so a 1-d search pays no dispatch per probe.
     """
-    _check_tags(space, q)
+    check_tags(space, q)
     if space.kind is SpaceKind.HALF_LINE:
         q0 = q.coords[0]
         return lambda v: abs(v - q0)
@@ -249,7 +251,8 @@ def distance_along(space: SpaceHandle, q: Point, edge: int = 0) -> Callable[[flo
 def shell(space: SpaceHandle, x: Point, r: float) -> list:
     """The points at distance ``r`` from ``x`` on every branch of the
     half-line (the origin stands in for one beyond it) or of a tripod,
-    where an ``r`` past the branch point reaches every other edge."""
+    where an ``r`` past the branch point reaches every other edge; a vector
+    space has no branches and raises ``DomainError``."""
     k = space.kind
     if k is SpaceKind.HALF_LINE:
         x0 = x.coords[0]
@@ -257,6 +260,8 @@ def shell(space: SpaceHandle, x: Point, r: float) -> list:
         if x0 > 0:
             out.append(Point(k, (max(x0 - r, 0.0),)))
         return out
+    if k is not _TRIPOD:
+        raise DomainError(f"no line coordinate on a {k.value} space")
     e, off = int(x.coords[0]), x.coords[1]
     out = []
     if off + r <= space.edge_lengths[e]:
@@ -272,7 +277,7 @@ def shell(space: SpaceHandle, x: Point, r: float) -> list:
 
 def geodesic_point(space: SpaceHandle, p: Point, q: Point, t: float) -> Point:
     """Constant speed geodesic from ``p`` to ``q`` evaluated at ``t`` in [0, 1]."""
-    _check_tags(space, p, q)
+    check_tags(space, p, q)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"geodesic parameter {t} outside [0, 1]")
     k = space.kind
@@ -298,7 +303,7 @@ def check_cat0(space: SpaceHandle, y: Point, x0: Point, x1: Point) -> float:
 
     which must be nonpositive (up to tolerance) in all implemented spaces.
     """
-    _check_tags(space, y, x0, x1)
+    check_tags(space, y, x0, x1)
     d0 = distance(space, y, x0)
     d1 = distance(space, y, x1)
     d01 = distance(space, x0, x1)

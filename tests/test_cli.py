@@ -303,6 +303,31 @@ def test_cli_action_rejects_bad_curve_times(tmp_path, capsys, times, message):
     assert err == f"metric-action-lab: cannot read curve {curve}: {message}\n"
 
 
+@pytest.mark.parametrize("node", ["nan", "inf"])
+def test_cli_action_rejects_a_non_finite_node(tmp_path, capsys, node):
+    curve = tmp_path / "curve.csv"
+    curve.write_text(f"t,coord_0\n0.0,0.0\n0.5,{node}\n1.0,1.0\n")
+    cfg = write_json(tmp_path / "cfg.json", {"space": {"kind": "half_line"}, "functional": {"name": "zero"},
+                                             "curve_csv": str(curve), "x0": 0.0, "x1": 1.0})
+    rc = main(["action", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"metric-action-lab: cannot read curve {curve}: point coordinates must be finite, got ({node},)\n"
+    assert not (tmp_path / "action.json").exists()
+
+
+def test_cli_flow_from_an_overflowing_start_exits_2_with_one_line(tmp_path, capsys):
+    # d(x, centre)^2 overflows a float; a value of inf would mean "off the domain"
+    cfg = write_json(tmp_path / "cfg.json", {"space": {"kind": "euclidean", "dim": 1},
+                                             "functional": {"name": "quadratic", "params": {"center": 0.0}},
+                                             "x": 1e200, "T": 1.0, "n_steps": 10})
+    rc = main(["flow", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("metric-action-lab: resolvent failed at step 0: quadratic value overflows at (")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_gamma_liminf(tmp_path):
     cfg = write_json(
         tmp_path / "cfg.json",

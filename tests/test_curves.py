@@ -21,7 +21,7 @@ from metric_action_lab.curves import (
     minimize_action,
     uniform_distance,
 )
-from metric_action_lab.errors import ConcatenationError, DomainError
+from metric_action_lab.errors import DomainError
 from metric_action_lab.functionals import (
     descending_slope,
     inverse_square,
@@ -167,7 +167,7 @@ def test_concatenate_five_piece_domain_length():
 def test_concatenate_rejects_gap():
     a = line_curve(E1, 4, lambda t: t)
     b = line_curve(E1, 4, lambda t: 2.0 + t)
-    with pytest.raises(ConcatenationError, match="junction 0"):
+    with pytest.raises(DomainError, match="junction 0"):
         concatenate_rescale([Piece(a, 1.0, "a"), Piece(b, 1.0, "b")])
 
 

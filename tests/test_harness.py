@@ -483,9 +483,14 @@ def test_experiment_config_rejects_when_read(base, path, value, message):
         # a vanishing family's own name reads these only outside vanishing mode, which is no fix
         ("positive", {**_VALID_VANISHING, "family": {"name": "quadratic", "scale_law": "2"}},
          "unknown config key 'scale_law'"),
+        ("positive", {**_VALID_VANISHING, "family": {"name": "quadratic", "eps_law": "1"}},
+         "unknown config key 'eps_law'"),
+        # a certified config has no mode, so no mode is a fix
+        ("example1", {"h_list": [4], "tolerances": {"d_inf_tol": 0.1}}, "unknown config key 'd_inf_tol'"),
     ],
     ids=["mode_eps_law", "mode_slope_cap", "family_eps_law", "family_scale_law", "base_curve_path",
-         "space_grid_size", "example1_N", "example2_eps_law", "vanishing_family_scale_law"],
+         "space_grid_size", "example1_N", "example2_eps_law", "vanishing_family_scale_law",
+         "vanishing_family_eps_law", "certified_d_inf_tol"],
 )
 def test_unknown_key_hint_names_the_variant_that_reads_it(kind, obj, message):
     # the nearest key of the config's own variant pointed away from the fix

@@ -474,6 +474,17 @@ def test_concave_quadratic_closed_form_prox_matches_numeric(space, lam, rng):
         assert max(abs(a - b) for a, b in zip(exact.point.coords, numeric.point.coords)) <= 1e-6
 
 
+@pytest.mark.parametrize("strip", [False, True], ids=["closed_form", "stripped"])
+def test_vector_resolvent_rejects_a_point_of_another_space(strip):
+    # both paths check the tag at entry; the stripped solver used to fail in numpy
+    q = quantile_1d(4)
+    f = quadratic(q, q.point(0.0, 1.0, 2.0, 3.0))
+    f = strip_closed_forms(f) if strip else f
+    wrong = euclidean(2).point(0.5, 1.0)
+    with pytest.raises(DomainError, match="point tagged euclidean used with quantile_1d space"):
+        resolvent(f, q, 0.1, wrong)
+
+
 @pytest.mark.parametrize("space", [euclidean(2), quantile_1d(4)], ids=["euclidean2", "quantile4"])
 def test_vector_resolvent_matches_closed_form_prox(space, rng):
     # proximal gradient with Barzilai-Borwein steps on stripped quadratics

@@ -7,7 +7,7 @@ import pytest
 
 from metric_action_lab import distance, euclidean, half_line, uniform_distance
 from metric_action_lab.curves import action, geodesic_curve
-from metric_action_lab.errors import ConvergenceError, FlowError, PreconditionError
+from metric_action_lab.errors import ConvergenceError, DomainError
 from metric_action_lab.flow import flow_times
 from metric_action_lab.functionals import (
     inverse_square,
@@ -137,7 +137,7 @@ def test_resolvent_recovery_infinite_endpoint_slope_rejected():
         x0_seq=lambda h: HL.point(0.0),  # slope is infinite here
         x1_seq=lambda h: HL.point(1.0),
     )
-    with pytest.raises(PreconditionError, match="bounded endpoint slopes"):
+    with pytest.raises(DomainError, match="bounded endpoint slopes"):
         build_recovery(f, cfg, 2)
 
 
@@ -275,7 +275,7 @@ def test_vanishing_ride_stops_at_the_first_tame_step(monkeypatch):
     assert 0.5 * 2.0 / ride.end.coords[0] ** 3 <= 10.0 < 0.5 * 2.0 / ride.points[-2].coords[0] ** 3
 
 
-def test_vanishing_ride_resolvent_failure_raises_flow_error(monkeypatch):
+def test_vanishing_ride_resolvent_failure_keeps_its_class(monkeypatch):
     def fail(*args):
         raise ConvergenceError("no convergence")
 
@@ -286,7 +286,7 @@ def test_vanishing_ride_resolvent_failure_raises_flow_error(monkeypatch):
         x0_seq=lambda h: HL.point(0.1),
         x1_seq=lambda h: HL.point(1.0),
     )
-    with pytest.raises(FlowError, match="no convergence"):
+    with pytest.raises(ConvergenceError, match="resolvent failed at step 0: no convergence"):
         build_recovery(inverse_square(1.0), cfg, 2, eps=lambda h: 0.5)
 
 
@@ -298,13 +298,11 @@ def test_vanishing_mode_rejects_an_endpoint_outside_the_domain():
         x0_seq=lambda h: HL.point(0.0),
         x1_seq=lambda h: HL.point(1.0),
     )
-    with pytest.raises(PreconditionError, match="start endpoint has infinite value"):
+    with pytest.raises(DomainError, match="start endpoint has infinite value"):
         build_recovery(inverse_square(1.0), cfg, 2, eps=lambda h: 0.5)
 
 
 def test_vanishing_mode_schedule_error_on_impossible_cap():
-    from metric_action_lab.errors import ScheduleError
-
     gamma = geodesic_curve(HL, HL.point(0.0), HL.point(1.0), 16)
     cfg = RecoveryConfig(
         mode=RecoveryMode.VANISHING,
@@ -313,7 +311,7 @@ def test_vanishing_mode_schedule_error_on_impossible_cap():
         x1_seq=lambda h: HL.point(1.0),
         slope_cap=1e-9,  # unreachable on the ride grid
     )
-    with pytest.raises(ScheduleError, match="refine the grid"):
+    with pytest.raises(ConvergenceError, match="refine the grid"):
         build_recovery(inverse_square(1.0), cfg, 2, eps=lambda h: 0.5)
 
 

@@ -16,8 +16,8 @@ from metric_action_lab import (
     random_point,
     tripod,
 )
-from metric_action_lab.errors import DomainError, SpaceMismatchError
-from metric_action_lab.spaces import Point
+from metric_action_lab.errors import DomainError
+from metric_action_lab.spaces import Point, shell
 
 
 def test_euclidean_distance_pythagoras():
@@ -40,10 +40,38 @@ def test_tripod_distance_through_branch():
 def test_space_tag_mismatch_raises():
     sp = euclidean(1)
     other = half_line().point(1.0)
-    with pytest.raises(SpaceMismatchError):
+    with pytest.raises(DomainError):
         distance(sp, sp.point(0.0), other)
-    with pytest.raises(SpaceMismatchError):
+    with pytest.raises(DomainError):
         distance(sp, other, sp.point(0.0))
+
+
+@pytest.mark.parametrize(
+    "space, coords",
+    [
+        (euclidean(2), (math.nan, 0.0)),
+        (euclidean(2), (0.0, math.inf)),
+        (half_line(), (math.nan,)),
+        (half_line(), (math.inf,)),
+        (quantile_1d(3), (-math.inf, 0.0, 1.0)),
+        (quantile_1d(3), (0.0, 1.0, math.nan)),
+        (tripod(), (math.nan, 0.5)),
+        (tripod(), (math.inf, 0.5)),
+    ],
+    ids=["euclidean_nan", "euclidean_inf", "half_line_nan", "half_line_inf", "quantile_minus_inf",
+         "quantile_nan", "tripod_nan_edge", "tripod_inf_edge"],
+)
+def test_point_rejects_non_finite_coordinates(space, coords):
+    with pytest.raises(DomainError, match="point coordinates must be finite"):
+        space.point(*coords)
+
+
+@pytest.mark.parametrize("space", [euclidean(2), quantile_1d(3)], ids=["euclidean", "quantile"])
+def test_shell_rejects_vector_spaces(space):
+    # a vector space has no branches; like ``point_along``, ``shell`` says so
+    x = random_point(space, np.random.default_rng(0))
+    with pytest.raises(DomainError, match="no line coordinate"):
+        shell(space, x, 0.1)
 
 
 def test_geodesic_midpoints():
