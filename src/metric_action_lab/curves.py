@@ -137,13 +137,21 @@ def node_weights(dts: np.ndarray) -> np.ndarray:
 
 
 def action(c: SampledCurve, f: FunctionalSpec, x0: Point, x1: Point) -> ActionValue:
-    """Discretized action of ``c`` under ``f`` with prescribed endpoints."""
+    """Discretized action of ``c`` under ``f`` with prescribed endpoints.
+
+    Its nodes are finite, so a kinetic or potential term (or their sum)
+    that overflows to ``inf`` is a ``DomainError``: ``inf`` means a node off
+    the domain of ``f``, or endpoints that miss their anchors.
+    """
     endpoint_ok = (
         distance(c.space, c.start, x0) <= ENDPOINT_TOL
         and distance(c.space, c.end, x1) <= ENDPOINT_TOL
     )
-    speeds = metric_speed(c)
-    kinetic = float(np.sum(speeds**2 * np.diff(c.times)))
+    with np.errstate(over="ignore"):    # reported below as a DomainError
+        speeds = metric_speed(c)
+        kinetic = float(np.sum(speeds**2 * np.diff(c.times)))
+    if not math.isfinite(kinetic):
+        raise DomainError("the kinetic term of the action overflows")
     weights = node_weights(np.diff(c.times)).tolist()  # Python floats: no numpy scalar in the values
     potential = 0.0
     for k, p in enumerate(c.points):
@@ -152,10 +160,14 @@ def action(c: SampledCurve, f: FunctionalSpec, x0: Point, x1: Point) -> ActionVa
             potential = INF
             break
         potential += weights[k] * s * s
+        if potential == INF:
+            raise DomainError(f"the potential term of the action overflows at {p.coords}")
     if not endpoint_ok:
         total = INF
     else:
         total = kinetic + potential
+        if total == INF and potential < INF:
+            raise DomainError("the action overflows")
     return ActionValue(total, kinetic, potential, endpoint_ok)
 
 

@@ -240,9 +240,15 @@ def descending_slope(
 
 
 def slope_squared(f: FunctionalSpec, space: SpaceHandle, x: Point) -> float:
-    """Squared default descending slope; ``inf`` where the slope is infinite."""
+    """Squared default descending slope; ``inf`` where the slope is infinite.
+    A finite slope whose square overflows is a ``DomainError``."""
     s = descending_slope(f, space, x)
-    return s * s if math.isfinite(s) else INF
+    if not math.isfinite(s):
+        return INF
+    s2 = s * s
+    if s2 == INF:
+        raise DomainError(f"squared slope overflows at {x.coords}")
+    return s2
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,9 @@ method converges to the unique minimizer.  Solvers by space:
   gradients, falling back to cyclic coordinate descent, ``brent`` along
   one coordinate at a time, when the functional is not smooth enough to
   difference.  The gradient is ``functionals.tangent_gradient``'s: ``dim``
-  forward steps that keep the order, so none is projected.
+  forward steps that keep the order, so none is projected.  Each iterate
+  keeps the ``f(u)`` behind its objective value (``_prox_value``), and its
+  gradient reuses it.
 
 On the half-line and the tripod the objective is minimized along one
 coordinate: ``_line_objective`` is a float function whose distance term
@@ -30,15 +32,20 @@ comes from ``spaces.distance_along``, so ``x``'s space tag is checked once
 per search, not once per probe, and every probe value is bit-identical to
 the point-based ``_objective``.  There the optimality probe compares the
 result with ``spaces.shell``, the points around it on every branch, so it
-sees a branch point that should have crossed onto another edge.
+sees a branch point that should have crossed onto another edge.  On
+vectors it moves one coordinate at a time; a move keeps the order of
+quantile coordinates unless it passes a neighbour, and only such a move
+is projected (``_probe_points``).
 
-A supplied closed-form prox short-circuits everything.  The step range is
-enforced as ``tau < 1/(2 lam^-)`` throughout so the Lipschitz estimate for
-the resolvent applies in every validator.
+A supplied closed-form prox short-circuits everything: its value comes
+from ``_prox_value`` at once, with no objective closure built and no probe.
+The step range is enforced as ``tau < 1/(2 lam^-)`` throughout so the
+Lipschitz estimate for the resolvent applies in every validator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -287,7 +294,18 @@ def expand_bracket(g: Callable[[float], float], x0: float, lo_bound: float):
     return lo, hi
 
 
+def _prox_value(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point, y: Point):
+    """``(f(y) + d(y, x)^2 / (2 tau), f(y))``; the first is ``inf`` off the
+    domain of ``f``."""
+    fy = evaluate(f, y)
+    if not math.isfinite(fy):
+        return INF, fy
+    return fy + distance(space, y, x) ** 2 / (2.0 * tau), fy
+
+
 def _objective(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
+    """``y -> _prox_value(f, space, tau, x, y)[0]``, by the same IEEE
+    operations, without a call per probe."""
     def val(y: Point) -> float:
         fy = evaluate(f, y)
         if not math.isfinite(fy):
@@ -343,34 +361,38 @@ def _solve_tripod(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
 
 
 def _solve_vector(obj, f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
-    """Proximal-gradient with backtracking; coordinate descent fallback."""
+    """Proximal-gradient with backtracking; coordinate descent fallback.
+
+    Each iterate keeps the ``f(u)`` behind its value, so its gradient
+    evaluates ``f`` only at the ``dim`` forward steps."""
     xv = np.array(x.coords)
     h = 4e-6 * math.sqrt(space.weight)  # times max(1, max |u_i|): f's rounding grows with it
+    value = functools.partial(_prox_value, f, space, tau, x)
 
     def prox_step(z, s):
         # exact prox of the coupling term d(., x)^2 / (2 tau) in coordinates
         w = s / (tau * space.weight)
         return space.project(tuple((z + w * xv) / (1.0 + w)))
 
-    def gradient(u):
-        g = tangent_gradient(f, space, u, evaluate(f, u), h * max(1.0, max(map(abs, u.coords))))[0]
+    def gradient(u, fu):
+        g = tangent_gradient(f, space, u, fu, h * max(1.0, max(map(abs, u.coords))))[0]
         return None if g is None else np.array(g)
 
     u = space.project(x.coords)
-    step, val, it = tau, obj(u), 0
-    g = gradient(u) if math.isfinite(val) else None
+    (val, fu), step, it = value(u), tau, 0
+    g = gradient(u, fu) if math.isfinite(val) else None
     smooth = g is not None
     for it in range(1, MAX_ITER + 1):
         if not smooth:
             break
         y = np.array(u.coords)
         u_new = prox_step(y - step * g, step)
-        v_new = obj(u_new)
+        v_new, f_new = value(u_new)
         bt = 0
         while v_new > val + 1e-15 and bt < 60:
             step *= 0.5
             u_new = prox_step(y - step * g, step)
-            v_new = obj(u_new)
+            v_new, f_new = value(u_new)
             bt += 1
         if bt >= 60:
             smooth = False
@@ -381,7 +403,7 @@ def _solve_vector(obj, f: FunctionalSpec, space: SpaceHandle, tau: float, x: Poi
         u, val = u_new, v_new
         if move < 0.2 * POINT_TOL and gain < VALUE_TOL:
             break
-        g_new = gradient(u)
+        g_new = gradient(u, f_new)
         if g_new is None:
             smooth = False
             break
@@ -441,10 +463,10 @@ def resolvent(
     """
     _require_tau(tau, f.lam)
     check_tags(space, x)
-    obj = _objective(f, space, tau, x)
     if f.closed_form_prox is not None:
         u = f.closed_form_prox(tau, x)
-        return ResolventResult(u, obj(u), 0, 0.0, method="closed_form")
+        return ResolventResult(u, _prox_value(f, space, tau, x, u)[0], 0, 0.0, method="closed_form")
+    obj = _objective(f, space, tau, x)
     if space.kind is SpaceKind.HALF_LINE:
         u, val, n = _solve_half_line(f, space, tau, x)
         method = "golden_section"
@@ -470,13 +492,23 @@ def resolvent(
 
 
 def _probe_points(space: SpaceHandle, u: Point, delta: float):
-    delta *= max(1.0, max(map(abs, u.coords)))  # the vector solver's scale
+    """``space.project`` of each move of one coordinate of the projected
+    point ``u`` by ``+-delta`` times ``max(1, max |u_i|)``.  A move that
+    keeps the order of quantile coordinates, and every move on ``R^n``,
+    projects to itself, so only a move past a neighbour calls ``project``."""
+    c, k = u.coords, space.kind
+    delta *= max(1.0, max(map(abs, c)))  # the vector solver's scale
+    last = len(c) - 1
+    ordered = k is SpaceKind.QUANTILE_1D
     out = []
-    for i in range(len(u.coords)):
+    for i in range(last + 1):
         for s in (delta, -delta):
-            c = list(u.coords)
-            c[i] += s
-            out.append(space.project(tuple(c)))
+            v = c[i] + s
+            moved = c[:i] + (v,) + c[i + 1 :]
+            if ordered and not ((i == 0 or c[i - 1] <= v) and (i == last or v <= c[i + 1])):
+                out.append(space.project(moved))
+            else:
+                out.append(Point(k, moved))
     return out
 
 

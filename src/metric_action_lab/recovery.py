@@ -14,6 +14,13 @@ where the regularizing map ``R`` is the resolvent (``resolvent`` mode) or
 the gradient flow (``flow`` mode).  The pieces are concatenated and the time
 is rescaled linearly to [0, 1], so the final curve joins x0h to x1h exactly.
 
+One build regularizes each point once.  The entry and exit pieces are built
+first and record their ends as ``R_tau(x0h)`` and ``R_tau(x1h)``; the
+junctions x0h, x0, x1 and x1h, each shared by two pieces, are then flowed
+(or resolved) once.  Points are matched by the exact bits of their
+coordinates, so ``0.0`` and ``-0.0`` stay apart and a repair node that only
+rounds near a junction is computed on its own.  Nothing outlives the build.
+
 The ``vanishing`` mode handles scaled families ``eps_h * f``: it first rides
 the flow of the unscaled functional from each endpoint until the scaled
 slope drops under a cap, then applies the flow-mode construction between
@@ -132,6 +139,14 @@ def piece_diagnostics(out: RecoveryOutput) -> list:
     return diags
 
 
+def _bits(p: Point) -> tuple:
+    """A key for the exact bits of ``p``'s coordinates.  Equal floats have
+    equal bits but for ``0.0 == -0.0``, so a point with a zero coordinate
+    adds the signs of its coordinates."""
+    c = p.coords
+    return c if all(c) else (c, tuple(math.copysign(1.0, v) for v in c))
+
+
 def _is_trivial(piece: SampledCurve, g: Callable[[Point], float]) -> bool:
     anchor = piece.points[0]
     for p in piece.points:
@@ -207,11 +222,18 @@ def build_recovery(
             )
 
     # the flow map reuses the entry-piece grid so that junction points are
-    # produced by the identical discrete computation on both sides
+    # produced by the identical discrete computation on both sides; each
+    # point is regularized once, keyed on its exact bits (0.0 is not -0.0)
+    done = {}
+
     def regularize(p: Point) -> Point:
-        if use_flow:
-            return flow_times(f_h, space, p, phi_t * tau).end
-        return resolvent(f_h, space, tau, p).point
+        key = _bits(p)
+        if key not in done:
+            if use_flow:
+                done[key] = flow_times(f_h, space, p, phi_t * tau).end
+            else:
+                done[key] = resolvent(f_h, space, tau, p).point
+        return done[key]
 
     def entry_piece(anchor: Point) -> SampledCurve:
         if use_flow:
@@ -220,19 +242,21 @@ def build_recovery(
             pts = [anchor] + [
                 resolvent(f_h, space, float(s * tau), anchor).point for s in phi_t[1:]
             ]
+        done[_bits(anchor)] = pts[-1]   # phi_t ends at 1: the end is R_tau(anchor)
         return SampledCurve(phi_t, pts, space)
 
     def repair_piece(a: Point, b: Point, d: float) -> SampledCurve:
         n = max(2, int(math.ceil(d / DELTA_S)))
         return geodesic_curve(space, a, b, n).mapped(regularize)
 
-    pieces = [Piece(entry_piece(x0h), tau, "entry")]
+    entry, exit_ = entry_piece(x0h), entry_piece(x1h)   # first: they seed ``done``
+    pieces = [Piece(entry, tau, "entry")]
     if d0 > ENDPOINT_TOL:
         pieces.append(Piece(repair_piece(x0h, x0, d0), d0, "repair_start"))
     pieces.append(Piece(cfg.base_curve.mapped(regularize), 1.0, "middle"))
     if d1 > ENDPOINT_TOL:
         pieces.append(Piece(repair_piece(x1h, x1, d1).reversed_time(), d1, "repair_end"))
-    pieces.append(Piece(entry_piece(x1h).reversed_time(), tau, "exit"))
+    pieces.append(Piece(exit_.reversed_time(), tau, "exit"))
     if vanishing:
         ride_out = Piece(ride1.reversed_time(), t1, "ride_out")
         pieces = [Piece(ride0, t0, "ride_in")] + pieces + [ride_out]

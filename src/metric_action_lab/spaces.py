@@ -112,9 +112,12 @@ class SpaceHandle:
         Half-line clamps at zero, quantile vectors are isotonically
         projected, tripod offsets are clamped into their edge.  Nondecreasing
         quantile coordinates come back as they are, bit-identical to
-        pool-adjacent-violators, which would divide each by 1.
+        pool-adjacent-violators, which would divide each by 1.  Coordinates
+        other than ``dim`` of them are a ``DomainError``.
         """
         coords = tuple(float(c) for c in coords)
+        if len(coords) != self.dim:
+            raise DomainError(f"expected {self.dim} coordinates, got {len(coords)}")
         if self.kind is SpaceKind.HALF_LINE:
             return Point(self.kind, (max(coords[0], 0.0),))
         if self.kind is SpaceKind.QUANTILE_1D:

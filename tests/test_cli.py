@@ -328,6 +328,26 @@ def test_cli_flow_from_an_overflowing_start_exits_2_with_one_line(tmp_path, caps
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("base", ["start", "csv_node"])
+def test_cli_gamma_positive_with_an_overflowing_action_exits_2_with_one_line(tmp_path, capsys, base):
+    # finite nodes, but the target's kinetic term overflows a float: from
+    # x0 = 1e200 the squared speed, at a node of 1e308 the speed itself
+    cfg = {"space": {"kind": "euclidean", "dim": 1},
+           "family": {"name": "quadratic", "params": {"center": 0.0, "lam": 1.0}},
+           "x0": 0.0, "x1": 1.0, "h_list": [2, 4], "base_curve": {"type": "geodesic", "N": 8}}
+    if base == "start":
+        cfg["x0"] = 1e200
+    else:
+        curve = tmp_path / "curve.csv"
+        curve.write_text("t,coord_0\n0.0,0.0\n0.5,1e308\n1.0,1.0\n")
+        cfg["base_curve"] = {"type": "csv", "path": str(curve)}
+    rc = main(["gamma", "positive", "--config", write_json(tmp_path / "cfg.json", cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "metric-action-lab: the kinetic term of the action overflows\n"
+    assert not (tmp_path / "gamma_positive.json").exists()
+
+
 def test_cli_gamma_liminf(tmp_path):
     cfg = write_json(
         tmp_path / "cfg.json",

@@ -102,6 +102,23 @@ def test_action_infinite_slope_node():
     assert av.total == math.inf
 
 
+@pytest.mark.parametrize(
+    "points, term",
+    [
+        ((0.0, 1e200), "kinetic term of the action"),         # the square of the speed
+        ((0.0, 1e308, 1.0), "kinetic term of the action"),    # the speed itself
+        ((1e160, 1e160), "potential term of the action"),     # slope 1e160, squared
+        ((0.0, 6.5e153, 1.3e154), "the action overflows"),    # each term finite, not their sum
+    ],
+    ids=["squared_speed", "speed", "squared_slope", "sum"],
+)
+def test_action_overflow_from_finite_nodes_is_a_domain_error(points, term):
+    # inf means "off the domain" or "endpoints missed": an overflow is neither
+    c = SampledCurve(np.linspace(0.0, 1.0, len(points)), [E1.point(v) for v in points], E1)
+    with pytest.raises(DomainError, match=term):
+        action(c, QUAD, c.start, c.end)
+
+
 def test_action_values_are_python_floats(rng):
     # the trapezoid weights are Python floats, so no numpy scalar reaches a
     # report: not on any space, and not where the action is infinite

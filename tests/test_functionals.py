@@ -5,7 +5,7 @@ import pytest
 
 from metric_action_lab import ClosedForm, SupFormula, descending_slope, euclidean, half_line, quantile_1d, tripod
 from metric_action_lab.curves import action, geodesic_curve
-from metric_action_lab.errors import ConfigError
+from metric_action_lab.errors import ConfigError, DomainError
 from metric_action_lab.functionals import (
     FunctionalSpec,
     check_lambda_convexity,
@@ -14,6 +14,7 @@ from metric_action_lab.functionals import (
     linear_half_line,
     quadratic,
     ramp,
+    slope_squared,
     strip_closed_forms,
     zero_functional,
 )
@@ -333,3 +334,14 @@ def test_tangent_gradient_projects_nothing_and_evaluates_through_the_tracer(spac
     # the differences are exact on quadratics: grad_i = lam (x_i - c_i) / weight
     want = [2.0 * (a - b) / space.weight for a, b in zip(x.coords, centre.coords)]
     assert grad == pytest.approx(want, rel=1e-6, abs=1e-8)
+
+
+def test_slope_squared_overflow_is_a_domain_error():
+    # a finite slope whose square overflows is not "off the domain"
+    e1 = euclidean(1)
+    f = quadratic(e1, e1.point(0.0), 1.0)
+    assert slope_squared(f, e1, e1.point(1e150)) == pytest.approx(1e300)
+    with pytest.raises(DomainError, match=r"squared slope overflows at \(1e\+160,\)"):
+        slope_squared(f, e1, e1.point(1e160))
+    hl = half_line()
+    assert slope_squared(inverse_square(1.0), hl, hl.point(0.0)) == math.inf

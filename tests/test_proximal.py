@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metric_action_lab import (
     FunctionalFamily,
@@ -16,6 +19,7 @@ from metric_action_lab import (
 )
 from metric_action_lab import functionals, proximal
 from metric_action_lab.errors import ConvergenceError, DomainError
+from metric_action_lab.flow import flow_times
 from metric_action_lab.functionals import (
     FunctionalSpec,
     SupFormula,
@@ -558,3 +562,73 @@ def test_probe_sees_a_wrong_resolvent_at_large_coordinates(case, monkeypatch):
     monkeypatch.setattr(proximal, "_solve_vector", lambda obj, *_: (off, obj(off), 1))
     with pytest.raises(ConvergenceError):
         resolvent(strip_closed_forms(f), space, tau, x)
+
+
+# the grid of a recovery entry piece at step 0.02 (``recovery._phi_times``)
+_FLOW_TIMES = 0.02 * np.concatenate(([0.0], np.geomspace(1e-4, 1.0, 12)))
+
+
+def test_stripped_quantile_flow_to_the_last_bit():
+    # twelve proximal-gradient resolvents from a point with a tie; each feeds
+    # the next, so the end pins every step's arithmetic
+    q4 = quantile_1d(4)
+    f = strip_closed_forms(quadratic(q4, q4.point(0.1, 0.1, 0.1, 0.1), 1.0))
+    end = flow_times(f, q4, q4.point(-0.35, 0.2, 0.2, 0.95), _FLOW_TIMES).end
+    assert [c.hex() for c in end.coords] == [
+        "-0x1.5d4fa215fb871p-2", "0x1.958f7b3cf8136p-3", "0x1.958f7b3cf8136p-3", "0x1.ddd0e5e18fcb4p-1"]
+
+
+def test_stripped_tripod_flow_to_the_last_bit():
+    # twelve Brent resolvents, from edge 1 towards a centre on edge 0
+    tp = tripod()
+    f = strip_closed_forms(quadratic(tp, tp.point(0, 0.2), 1.0))
+    end = flow_times(f, tp, tp.point(1, 0.6), _FLOW_TIMES).end
+    assert [c.hex() for c in end.coords] == ["0x1.0000000000000p+0", "0x1.2b1ef679e0855p-1"]
+
+
+def test_stripped_quantile_resolvent_evaluates_f_once_per_point():
+    # 3 iterations: f at the start and at each iterate (4), f at the 4
+    # forward steps of 3 gradients (12) and at the 16 probe points; each
+    # iterate's own f(u) is reused by its gradient, not evaluated again
+    q4 = quantile_1d(4)
+    f = strip_closed_forms(quadratic(q4, q4.point(0.1, 0.1, 0.1, 0.1), 1.0))
+    calls = []
+    counted = replace(f, evaluate=lambda y: calls.append(y) or f.evaluate(y))
+    res = resolvent(counted, q4, 0.01, q4.point(-0.35, 0.2, 0.2, 0.95))
+    assert (res.method, res.iterations, len(calls)) == ("proximal_gradient", 3, 32)
+    assert [c.hex() for c in res.point.coords] == [
+        "-0x1.61d66e82c9619p-2", "0x1.979280c2a8e54p-3", "0x1.979280c2a9800p-3", "0x1.e217519da7ddbp-1"]
+
+
+_probe_coordinate = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-7, -1e-7, 1.0]))
+
+
+@given(
+    st.lists(_probe_coordinate, min_size=1, max_size=6),
+    st.sampled_from(["euclidean", "quantile", "quantile_tied"]),
+    st.sampled_from([proximal.POINT_TOL * 10, proximal.POINT_TOL * 1e3, 0.5]),
+)
+@settings(max_examples=150, deadline=None)
+def test_probe_points_are_the_projected_moves(values, kind, delta):
+    # a move that keeps the order is built as it is; it must be what
+    # ``project`` gives, bit for bit, and a move past a neighbour too
+    if kind == "euclidean":
+        space = euclidean(len(values))
+    else:
+        values = sorted(values)
+        if kind == "quantile_tied":
+            values = values[:1] + values + values[-1:]
+        if len(values) < 2:
+            values = values * 2
+        space = quantile_1d(len(values))
+    u = space.project(values)
+    scale = delta * max(1.0, max(map(abs, u.coords)))
+    want = []
+    for i in range(len(u.coords)):
+        for s in (scale, -scale):
+            c = list(u.coords)
+            c[i] += s
+            want.append(space.project(c))
+    got = proximal._probe_points(space, u, delta)
+    assert [p.space_kind for p in got] == [p.space_kind for p in want]
+    assert [[c.hex() for c in p.coords] for p in got] == [[c.hex() for c in p.coords] for p in want]

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from metric_action_lab import distance, euclidean, half_line, uniform_distance
+from metric_action_lab import distance, euclidean, half_line, tripod, uniform_distance
 from metric_action_lab.curves import action, geodesic_curve
 from metric_action_lab.errors import ConvergenceError, DomainError
 from metric_action_lab.flow import flow_times
@@ -191,6 +191,55 @@ def test_piece_contributions_sum_to_the_action(mode):
 # --------------------------------------------------------------------------
 # flow mode
 # --------------------------------------------------------------------------
+
+
+def _recorded_flow_starts(monkeypatch):
+    """Patch ``recovery.flow_times`` to record the bits of each start point."""
+    recovery_module = importlib.import_module("metric_action_lab.recovery")
+    starts, original = [], recovery_module.flow_times
+
+    def recorded(f, space, x, times):
+        starts.append(tuple(c.hex() for c in x.coords))
+        return original(f, space, x, times)
+
+    monkeypatch.setattr(recovery_module, "flow_times", recorded)
+    return starts
+
+
+@pytest.mark.parametrize("space", [E1, tripod()], ids=["euclidean1", "tripod"])
+def test_flow_recovery_flows_each_start_point_once(space, monkeypatch):
+    # x0h, x0, x1 and x1h each end one piece and start the next: the entry
+    # and exit flows' ends are the regularized x0h and x1h, and each junction
+    # is flowed once.  A repair node that only rounds near a junction is
+    # another point, flowed on its own.
+    if space is E1:
+        f = QUAD
+        gamma = geodesic_curve(E1, E1.point(0.0), E1.point(1.0), 16)
+        x0h, x1h = E1.point(0.05), E1.point(1.03)
+    else:
+        f = quadratic(space, space.point(0, 0.2), 1.0)
+        gamma = geodesic_curve(space, space.point(0, 0.5), space.point(1, 0.75), 16)
+        # the repair geodesic from edge 2 ends at (0, (0.2 + 0.5) - 0.2), one ulp below x0
+        x0h, x1h = space.point(2, 0.2), space.point(1, 0.72)
+    starts = _recorded_flow_starts(monkeypatch)
+    cfg = cfg_for(gamma, lambda h: x0h, lambda h: x1h, mode=RecoveryMode.FLOW, tau=0.05)
+    out = build_recovery(f, cfg, 4)
+    assert [p.label for p in out.pieces] == ["entry", "repair_start", "middle", "repair_end", "exit"]
+    assert len(starts) == len(set(starts))
+    assert {tuple(c.hex() for c in p.coords) for p in (x0h, gamma.start, gamma.end, x1h)} <= set(starts)
+    if space is not E1:
+        assert ((0.0).hex(), (0.49999999999999994).hex()) in starts
+
+
+def test_flow_recovery_keeps_signed_zeros_apart(monkeypatch):
+    # -0.0 == 0.0, but they are different points to flow: the entry flows
+    # x0h = -0.0, and the middle piece flows the base curve's 0.0 itself
+    starts = _recorded_flow_starts(monkeypatch)
+    cfg = cfg_for(unit_line(8), lambda h: E1.point(-0.0), lambda h: E1.point(1.0),
+                  mode=RecoveryMode.FLOW, tau=0.05)
+    build_recovery(QUAD, cfg, 4)
+    assert sorted(k for k in starts if float.fromhex(k[0]) == 0.0) == [("-0x0.0p+0",), ("0x0.0p+0",)]
+    assert len(starts) == len(set(starts))
 
 
 def test_flow_recovery_middle_piece_exponential():

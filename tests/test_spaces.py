@@ -66,6 +66,26 @@ def test_point_rejects_non_finite_coordinates(space, coords):
         space.point(*coords)
 
 
+@pytest.mark.parametrize(
+    "space, coords",
+    [
+        (euclidean(2), (1.0,)),
+        (euclidean(2), (1.0, 2.0, 3.0)),
+        (half_line(), (1.0, 2.0)),
+        (half_line(), ()),
+        (tripod(), (1.0,)),
+        (tripod(), (1.0, 0.5, 0.5)),
+        (quantile_1d(3), (0.0, 1.0)),
+        (quantile_1d(3), (0.0, 1.0, 2.0, 3.0)),
+    ],
+    ids=["euclidean_short", "euclidean_long", "half_line_long", "half_line_empty", "tripod_short",
+         "tripod_long", "quantile_short", "quantile_long"],
+)
+def test_project_rejects_a_wrong_number_of_coordinates(space, coords):
+    with pytest.raises(DomainError, match=f"expected {space.dim} coordinates, got {len(coords)}"):
+        space.project(coords)
+
+
 @pytest.mark.parametrize("space", [euclidean(2), quantile_1d(3)], ids=["euclidean", "quantile"])
 def test_shell_rejects_vector_spaces(space):
     # a vector space has no branches; like ``point_along``, ``shell`` says so
