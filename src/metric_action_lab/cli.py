@@ -9,7 +9,7 @@ Subcommands:
 * ``action`` evaluates the action of a curve CSV under a catalogue
   functional.
 * ``recovery`` builds per-index recovery curves and writes curve CSVs plus
-  a summary JSON.
+  a summary JSON; an index that fails has an ``error`` there and no CSV.
 * ``gamma positive|example1|example2|liminf`` runs the convergence
   experiments.
 
@@ -46,6 +46,7 @@ from .harness import (
     experiment_recovery,
     family_from_config,
     flow_config,
+    index_rows,
     load_config,
     resolve_base_curve,
     run_gamma,
@@ -247,17 +248,19 @@ def cmd_recovery(args) -> int:
     gamma, meta = resolve_base_curve(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary = {"schema": 1, "mode": cfg.mode.value, "meta": meta, "h": {}}
-    for h in cfg.h_list:
+
+    def curve_file(h):
         res = experiment_recovery(cfg, gamma, h)
+        entry = {"tau": res.tau, "pieces": [asdict(p) for p in piece_diagnostics(res)]}
         (out / f"recovery_h{h}.csv").write_text(curve_to_csv(res.curve))
-        summary["h"][str(h)] = {
-            "tau": res.tau,
-            "pieces": [asdict(p) for p in piece_diagnostics(res)],
-        }
+        return entry
+
+    rows = index_rows(cfg.h_list, {}, curve_file, {})
+    summary = {"schema": 1, "mode": cfg.mode.value, "meta": meta, "h": {str(r.pop("h")): r for r in rows}}
     write_json(out / "recovery_summary.json", summary)
-    print(f"wrote {out}/recovery_summary.json and {len(cfg.h_list)} curve files")
-    return 0
+    failed = sum("error" in r for r in rows)
+    print(f"wrote {out}/recovery_summary.json and {len(rows) - failed} curve files")
+    return 1 if failed else 0
 
 
 def cmd_gamma(args) -> int:

@@ -27,6 +27,7 @@ import csv
 import functools
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -113,6 +114,8 @@ class Piece:
 
 
 def geodesic_curve(space: SpaceHandle, x0: Point, x1: Point, n_intervals: int) -> SampledCurve:
+    if not (isinstance(n_intervals, numbers.Integral) and n_intervals >= 1):
+        raise DomainError(f"need an integer number of intervals >= 1, got {n_intervals!r}")
     times = np.linspace(0.0, 1.0, n_intervals + 1)
     pts = [geodesic_point(space, x0, x1, float(t)) for t in times]
     return SampledCurve(times, pts, space)
@@ -314,7 +317,11 @@ def _newton(f, space, x0, x1, cur, value, max_iter):
             sigma = np.where(C[1:, 0] == C[:-1, 0], 1.0, -1.0)
             at = lambda i, x: Point(space.kind, (edges[i], float(x[0])))
         X = C[:, chart]
-        step = _newton_step(g, space, X, cur.times, sigma, at)
+        try:
+            with np.errstate(over="raise"):     # an overflow raises FloatingPointError
+                step = _newton_step(g, space, X, cur.times, sigma, at)
+        except FloatingPointError:
+            raise DomainError("the Newton step of the action overflows") from None
         project = lambda i, x: space.project(at(i, x).coords)
         residual = max(
             float(np.max(np.abs(x - project(i, x - dx).coords[chart])))

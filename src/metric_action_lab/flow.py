@@ -14,6 +14,7 @@ so the slack keeps finite-step checks from producing false failures.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 import numpy as np
 
@@ -34,8 +35,8 @@ def flow(
     f: FunctionalSpec, space: SpaceHandle, x: Point, T: float, n_steps: int
 ) -> SampledCurve:
     """Minimizing-movement trajectory on [0, T] with uniform steps."""
-    if n_steps < 1 or T <= 0:
-        raise DomainError("need T > 0 and n_steps >= 1")
+    if not (isinstance(n_steps, numbers.Integral) and n_steps >= 1 and T > 0):
+        raise DomainError(f"need T > 0 and an integer n_steps >= 1, got T={T!r}, n_steps={n_steps!r}")
     dt = T / n_steps
     if dt >= tau_upper_limit(f.lam):
         raise DomainError(f"step {dt:g} too large for modulus {f.lam:g}")
@@ -48,9 +49,10 @@ def flow_times(f: FunctionalSpec, space: SpaceHandle, x: Point, times) -> Sample
     A failing resolvent step re-raises the resolvent's own error class,
     its message prefixed with the step index."""
     times = np.asarray(times, dtype=float)
+    ts = times.tolist()     # Python floats: inf - inf gives nan without a numpy warning
     pts = [x]
-    for k in range(len(times) - 1):
-        dt = float(times[k + 1] - times[k])
+    for k in range(len(ts) - 1):
+        dt = ts[k + 1] - ts[k]
         try:
             res = resolvent(f, space, dt, pts[-1])
         except MetricActionError as exc:
@@ -72,7 +74,10 @@ def check_evi(
     below f(v) - f(x_t) up to O(dt) slack.
     """
     fv = evaluate(f, v)
-    d2 = np.array([distance(space, p, v) ** 2 for p in traj.points])
+    try:
+        d2 = np.array([distance(space, p, v) ** 2 for p in traj.points])
+    except OverflowError:  # float ** 2 raises where * would give inf
+        raise DomainError(f"a squared distance to {v.coords} overflows") from None
     worst = -math.inf
     for k in range(1, len(traj.points) - 1):
         dt2 = traj.times[k + 1] - traj.times[k - 1]
@@ -120,7 +125,10 @@ def check_energy_identity(
     """
     speeds = metric_speed(traj)
     dts = np.diff(traj.times)
-    kinetic = float(np.sum(speeds**2 * dts))
+    with np.errstate(over="ignore"):    # reported below as a DomainError
+        kinetic = float(np.sum(speeds**2 * dts))
+    if not math.isfinite(kinetic):
+        raise DomainError("the kinetic integral of the trajectory overflows")
     drop = float(evaluate(f, traj.start) - evaluate(f, traj.end))
     rel = abs(drop - kinetic) / max(1.0, abs(drop))
     gap = 0.0
@@ -148,7 +156,11 @@ def check_slope_bounds_along_flow(
     s_x = descending_slope(f, space, x)
     rate = distance(space, u, x) / t
     lt = f.lam * t
-    factor = 1.0 if abs(lt) < 1e-12 else math.expm1(lt) / lt
+    try:
+        factor = 1.0 if abs(lt) < 1e-12 else math.expm1(lt) / lt
+        growth = math.exp(lam_neg(f.lam) * t)
+    except OverflowError:
+        raise DomainError(f"exp(lam t) overflows at lam={f.lam:g}, t={t:g}") from None
     lower = factor * s_u - rate
-    upper = rate - math.exp(lam_neg(f.lam) * t) * s_x if math.isfinite(s_x) else -math.inf
+    upper = rate - growth * s_x if math.isfinite(s_x) else -math.inf
     return lower, upper

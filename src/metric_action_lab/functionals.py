@@ -38,6 +38,7 @@ from .spaces import (
     Point,
     SpaceHandle,
     SpaceKind,
+    check_tags,
     distance,
     geodesic_point,
     isotonic_repair,
@@ -230,6 +231,7 @@ def descending_slope(
         if f.closed_form_slope is None:
             raise ConfigError(f"functional {f.id!r} has no closed-form slope")
         return f.closed_form_slope(x)
+    check_tags(space, x)
     fx = evaluate(f, x)
     if not math.isfinite(fx):
         return INF
@@ -276,7 +278,10 @@ def check_lambda_convexity(
         f0, f1 = evaluate(f, x0), evaluate(f, x1)
         if not (math.isfinite(f0) and math.isfinite(f1)):
             continue
-        d2 = distance(space, x0, x1) ** 2
+        try:
+            d2 = distance(space, x0, x1) ** 2
+        except OverflowError:  # float ** 2 raises where * would give inf
+            raise DomainError(f"squared distance overflows between {x0.coords} and {x1.coords}") from None
         for t in t_grid:
             xt = geodesic_point(space, x0, x1, t)
             ft = evaluate(f, xt)

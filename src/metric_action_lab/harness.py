@@ -17,9 +17,10 @@ accept; the CLI only dispatches to them.
 Reports serialize to a CSV table (one row per index) plus a JSON summary.
 Identical configurations produce byte-identical files.  ``load_config``
 reads every JSON config, ``load_curve`` every curve file, and ``write_json``
-writes every JSON file.  Per-index work items run in order in the calling
-thread; ``METRIC_ACTION_LAB_THREADS`` is accepted and ignored, because the
-work is pure Python and holds the GIL.
+writes every JSON file.  Every command that runs an ``h_list`` goes through
+``index_rows``, which keeps a library error at one index in that index's
+row; the items run in order in the calling thread, and
+``METRIC_ACTION_LAB_THREADS`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -95,6 +96,23 @@ def parallel_map(fn: Callable, items: Sequence) -> list:
     per-index spans.
     """
     return [fn(x) for x in items]
+
+
+def index_rows(h_list: Sequence, fixed: dict, row: Callable, failed: dict) -> list:
+    """The row ``{"h": h, **fixed, **row(h)}`` of each index, through
+    ``parallel_map``.  A library error at one index, a law that fails at that
+    ``h`` included, gives that row the ``failed`` values and the error's
+    message under ``error``; the other rows still run."""
+
+    def one(h):
+        out = {"h": h, **fixed}
+        try:
+            out.update(row(h))
+        except MetricActionError as exc:
+            out.update(failed, error=str(exc))
+        return out
+
+    return parallel_map(one, h_list)
 
 
 # --------------------------------------------------------------------------
@@ -430,38 +448,30 @@ POSITIVE_COLUMNS = ["h", "tau", "theta_h", "theta_target", "gap", "d_inf", "slop
 
 def run_positive(cfg: ExperimentConfig) -> ExperimentReport:
     """Build recovery curves per index and compare against the target.
-
-    A library error at one index, a law that fails at that ``h`` included,
-    gives that row an ``error`` entry and infinite gaps; the other rows run.
-    """
+    A failed index (``index_rows``) gets infinite gaps."""
     gamma, base_meta = resolve_base_curve(cfg)
     target = action(gamma, cfg.family.limit, cfg.x0, cfg.x1).total
 
-    def one(h):
-        row = {"h": h, "theta_target": target}
-        try:
-            out = experiment_recovery(cfg, gamma, h)
-            f_h, x0h, x1h = out.functional, cfg.x0_seq(h), cfg.x1_seq(h)
-            theta_h = action(out.curve, f_h, x0h, x1h).total
-            row.update(
-                tau=out.tau,
-                theta_h=theta_h,
-                gap=theta_h - target,
-                d_inf=uniform_distance(out.curve, gamma),
-                slope_x0=descending_slope(f_h, cfg.space, x0h),
-                slope_x1=descending_slope(f_h, cfg.space, x1h),
-                endpoint_gap=max(
-                    space_distance(cfg.space, out.curve.start, x0h),
-                    space_distance(cfg.space, out.curve.end, x1h),
-                ),
-            )
-        except MetricActionError as exc:
-            row.update(tau=math.nan, theta_h=math.inf, gap=math.inf, d_inf=math.inf,
-                       slope_x0=math.nan, slope_x1=math.nan, endpoint_gap=math.inf)
-            row["error"] = str(exc)
-        return row
+    def recovery_row(h):
+        out = experiment_recovery(cfg, gamma, h)
+        f_h, x0h, x1h = out.functional, cfg.x0_seq(h), cfg.x1_seq(h)
+        theta_h = action(out.curve, f_h, x0h, x1h).total
+        return dict(
+            tau=out.tau,
+            theta_h=theta_h,
+            gap=theta_h - target,
+            d_inf=uniform_distance(out.curve, gamma),
+            slope_x0=descending_slope(f_h, cfg.space, x0h),
+            slope_x1=descending_slope(f_h, cfg.space, x1h),
+            endpoint_gap=max(
+                space_distance(cfg.space, out.curve.start, x0h),
+                space_distance(cfg.space, out.curve.end, x1h),
+            ),
+        )
 
-    rows = parallel_map(one, cfg.h_list)
+    failed = dict(tau=math.nan, theta_h=math.inf, gap=math.inf, d_inf=math.inf,
+                  slope_x0=math.nan, slope_x1=math.nan, endpoint_gap=math.inf)
+    rows = index_rows(cfg.h_list, {"theta_target": target}, recovery_row, failed)
     for row in rows:
         row["pass"] = bool(
             math.isfinite(row["gap"]) and row["gap"] <= cfg.margin and row["d_inf"] <= cfg.d_inf_tol
@@ -516,9 +526,8 @@ def _certified_report(
     """Rows ``certificate(h)`` per index against the straight-curve target.
 
     The target is the action of the straight curve from 0 to 1 on the
-    half-line under the zero functional.  A library error at one index,
-    a law that fails at that ``h`` included, gives that row an ``error``
-    entry, ``nan`` values and no pass; the other rows run.  A row passes
+    half-line under the zero functional.  A failed index (``index_rows``)
+    gets ``nan`` values and no pass.  A row passes
     when its ``bound`` column beats the target by ``margin``.  The first
     passing row is the witness; the verdict is a violation only when every
     row passes, so an empty grid stays inconclusive.
@@ -527,15 +536,7 @@ def _certified_report(
     x0, x1 = space.point(0.0), space.point(1.0)
     target = action(geodesic_curve(space, x0, x1, 256), zero_functional(space), x0, x1).total
 
-    def one(h):
-        row = {"h": h, "theta_target": target}
-        try:
-            row.update(certificate(h))
-        except MetricActionError as exc:
-            row.update(dict.fromkeys(columns[1:-2], math.nan), error=str(exc))
-        return row
-
-    rows = parallel_map(one, list(h_list))
+    rows = index_rows(h_list, {"theta_target": target}, certificate, dict.fromkeys(columns[1:-2], math.nan))
     witness = None
     for row in rows:
         row["pass"] = bool(row[bound] > target + margin)
@@ -737,35 +738,33 @@ LIMINF_COLUMNS = ["h", "theta_h", "theta_limit", "difference", "d_inf"]
 
 def liminf_probe(
     family: FunctionalFamily,
-    curves: dict,
+    h_list: Sequence,
+    curve_of: Callable,
     gamma: SampledCurve,
     tail_from: int = 0,
     slack: float = 1e-6,
 ) -> ExperimentReport:
     """Empirical check that member actions do not undercut the limit action.
 
-    ``curves`` maps index to a curve converging uniformly to ``gamma``.
-    The probe evaluates each member action with the curve's own endpoints
-    and reports the tail minimum of the differences.
+    For each index of ``h_list``, in increasing order and once,
+    ``curve_of(h, f_h)`` with ``f_h = family.member(h)`` is a curve
+    converging uniformly to ``gamma``; each member action takes the curve's
+    own endpoints.  A failed index (``index_rows``) gets ``nan`` values.
+    The verdict is consistent when every difference from ``tail_from`` on
+    is at least ``-slack``; a ``nan`` there leaves it inconclusive.
     """
     theta_limit = action(gamma, family.limit, gamma.start, gamma.end).total
 
-    def one(h):
-        c = curves[h]
+    def row(h):
         f_h = family.member(h)
+        c = curve_of(h, f_h)
         th = action(c, f_h, c.start, c.end).total
-        return {
-            "h": h,
-            "theta_h": th,
-            "theta_limit": theta_limit,
-            "difference": th - theta_limit,
-            "d_inf": uniform_distance(c, gamma),
-        }
+        return {"theta_h": th, "difference": th - theta_limit, "d_inf": uniform_distance(c, gamma)}
 
-    hs = sorted(curves)
-    rows = parallel_map(one, hs)
+    rows = index_rows(sorted(set(h_list)), {"theta_limit": theta_limit}, row,
+                      dict.fromkeys(("theta_h", "difference", "d_inf"), math.nan))
     tail = [r["difference"] for r in rows if r["h"] >= tail_from]
-    ok = bool(tail) and min(tail) >= -slack
+    ok = bool(tail) and all(d >= -slack for d in tail)
     return ExperimentReport(
         columns=LIMINF_COLUMNS,
         rows=rows,
@@ -779,13 +778,12 @@ def run_liminf(cfg: ExperimentConfig) -> ExperimentReport:
     the config's ``liminf`` settings: the resolvent steps ``tau_law``, the
     tail start ``tail_from`` and the ``slack``."""
     gamma, base_meta = resolve_base_curve(cfg)
-    members, curves = {}, {}
-    for h in cfg.h_list:
-        f_h = members[h] = cfg.family.member(h)
+
+    def resolvent_image(h, f_h):
         tau = cfg.tau_law(h)
-        curves[h] = gamma.mapped(lambda p: resolvent(f_h, cfg.space, tau, p).point)
-    family = replace(cfg.family, member=members.__getitem__)
-    report = liminf_probe(family, curves, gamma, tail_from=cfg.tail_from, slack=cfg.slack)
+        return gamma.mapped(lambda p: resolvent(f_h, cfg.space, tau, p).point)
+
+    report = liminf_probe(cfg.family, cfg.h_list, resolvent_image, gamma, tail_from=cfg.tail_from, slack=cfg.slack)
     report.meta.update(base_meta)
     return report
 

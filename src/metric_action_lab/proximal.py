@@ -300,7 +300,10 @@ def _prox_value(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point, y: 
     fy = evaluate(f, y)
     if not math.isfinite(fy):
         return INF, fy
-    return fy + distance(space, y, x) ** 2 / (2.0 * tau), fy
+    try:
+        return fy + distance(space, y, x) ** 2 / (2.0 * tau), fy
+    except OverflowError:  # float ** 2 raises where * would give inf
+        raise DomainError(f"resolvent objective overflows at {y.coords}") from None
 
 
 def _objective(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
@@ -310,7 +313,10 @@ def _objective(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
         fy = evaluate(f, y)
         if not math.isfinite(fy):
             return INF
-        return fy + distance(space, y, x) ** 2 / (2.0 * tau)
+        try:
+            return fy + distance(space, y, x) ** 2 / (2.0 * tau)
+        except OverflowError:
+            raise DomainError(f"resolvent objective overflows at {y.coords}") from None
 
     return val
 
@@ -324,7 +330,10 @@ def _line_objective(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point,
         fy = evaluate(f, at(s))
         if not math.isfinite(fy):
             return INF
-        return fy + dist(s) ** 2 / (2.0 * tau)
+        try:
+            return fy + dist(s) ** 2 / (2.0 * tau)
+        except OverflowError:
+            raise DomainError(f"resolvent objective overflows at {at(s).coords}") from None
 
     return val
 

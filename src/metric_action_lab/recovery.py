@@ -80,6 +80,7 @@ def default_tau_schedule(h: int, d0: float, d1: float, lam: float) -> float:
 
 
 DELTA_S = 1e-2          # arclength step for repair geodesics
+MAX_REPAIR_NODES = 10**5    # nodes of a repair geodesic: endpoint gaps up to 1000
 N_PHI_MIN = 8           # nodes on entry/exit pieces
 DT_MIN = 1e-3           # finest time step on entry/exit pieces
 SLOPE_CAP = 10.0        # default vanishing-mode switch threshold
@@ -131,7 +132,10 @@ def piece_diagnostics(out: RecoveryOutput) -> list:
         kinetic = potential = 0.0
         if p.duration > 0:
             dts = np.diff(p.curve.times) * p.duration
-            kinetic = float(np.sum(interval_lengths(space, p.curve.points) ** 2 / dts))
+            with np.errstate(over="ignore"):    # reported below as a DomainError
+                kinetic = float(np.sum(interval_lengths(space, p.curve.points) ** 2 / dts))
+            if not math.isfinite(kinetic):
+                raise DomainError(f"the kinetic integral of the {p.label} piece overflows")
             gv = np.array([g(x) for x in p.curve.points])
             potential = float(np.sum(node_weights(dts) * gv))
         contribution = total_duration * kinetic + potential / total_duration
@@ -153,19 +157,6 @@ def _is_trivial(piece: SampledCurve, g: Callable[[Point], float]) -> bool:
         if distance(piece.space, anchor, p) > ENDPOINT_TOL or g(p) > 1e-12:
             return False
     return True
-
-
-def estimated_entry_constant(f_h, space, x0h, x1h, tau, use_flow: bool) -> float:
-    """Constant C with entry-piece action <= C tau, from measured slopes."""
-    s0 = descending_slope(f_h, space, x0h)
-    s1 = descending_slope(f_h, space, x1h)
-    s = max(s0, s1)
-    lam = f_h.lam
-    if use_flow:
-        return 2.0 * math.exp(2.0 * lam_neg(lam) * tau) * s * s
-    a = 1.0 / ((1.0 + min(lam, 0.0) * tau) * math.sqrt(1.0 - 2.0 * lam_neg(lam) * tau))
-    b = max(1.0, 1.0 / (1.0 + lam * tau))
-    return (a * a + b * b) * s * s
 
 
 def _vanishing_endpoint_ride(f, space, anchor, eps_h, slope_cap):
@@ -194,6 +185,8 @@ def build_recovery(
     enough to tame the scaled slope before the flow-mode construction joins
     the reached points.
     """
+    if not h > 0:
+        raise DomainError(f"index h must be positive, got {h}")
     space = cfg.base_curve.space
     x0h, x1h = cfg.x0_seq(h), cfg.x1_seq(h)
     x0, x1 = cfg.base_curve.start, cfg.base_curve.end
@@ -212,6 +205,8 @@ def build_recovery(
     d0, d1 = distance(space, x0h, x0), distance(space, x1h, x1)
     tau = default_tau_schedule(h, d0, d1, f_h.lam) if cfg.tau is None else cfg.tau
     tau = min(tau, tau_cap(f_h.lam))
+    if not tau > 0:
+        raise DomainError(f"recovery step tau must be positive, got {tau}")
     phi_t = _phi_times(tau)
 
     for name, pt in (("start", x0h), ("end", x1h)):
@@ -246,6 +241,8 @@ def build_recovery(
         return SampledCurve(phi_t, pts, space)
 
     def repair_piece(a: Point, b: Point, d: float) -> SampledCurve:
+        if not d <= MAX_REPAIR_NODES * DELTA_S:
+            raise DomainError(f"an endpoint gap of {d:g} needs more than {MAX_REPAIR_NODES} repair nodes")
         n = max(2, int(math.ceil(d / DELTA_S)))
         return geodesic_curve(space, a, b, n).mapped(regularize)
 

@@ -194,26 +194,33 @@ def isotonic_repair(values: Sequence[float]) -> list:
 
 
 def check_tags(space: SpaceHandle, *points: Point):
-    """``DomainError`` unless every point is tagged with ``space``'s kind."""
+    """``DomainError`` unless every point is tagged with ``space``'s kind
+    and has its ``dim`` coordinates."""
     for p in points:
         if p.space_kind is not space.kind:
             raise DomainError(
                 f"point tagged {p.space_kind.value} used with {space.kind.value} space"
             )
+        if len(p.coords) != space.dim:
+            raise DomainError(f"expected {space.dim} coordinates, got {len(p.coords)}")
 
 
 def distance(space: SpaceHandle, p: Point, q: Point) -> float:
     """Metric distance between two points of ``space``; ``check_tags``
-    runs only to raise.  Bit for bit ``|u - v| / sqrt(weight)``: off
-    quantile vectors the division by ``sqrt(1) = 1.0``, which is exact, is
-    left out."""
+    runs only to raise, on another kind or on vectors of unequal lengths.
+    Bit for bit ``|u - v| / sqrt(weight)``: off quantile vectors the
+    division by ``sqrt(1) = 1.0``, which is exact, is left out."""
     k = space.kind
     if p.space_kind is not k or q.space_kind is not k:
         check_tags(space, p, q)
-    if k is _QUANTILE_1D:
-        return math.dist(p.coords, q.coords) / math.sqrt(space.dim)
-    if k is not _TRIPOD:
-        return math.dist(p.coords, q.coords)
+    try:
+        if k is _QUANTILE_1D:
+            return math.dist(p.coords, q.coords) / math.sqrt(space.dim)
+        if k is not _TRIPOD:
+            return math.dist(p.coords, q.coords)
+    except ValueError:  # math.dist of unequal lengths: one of them is not ``dim``
+        check_tags(space, p, q)
+        raise
     # tripod: through the branch point unless both points share an edge
     (ep, op), (eq, oq) = p.coords, q.coords
     if int(ep) == int(eq):
@@ -311,11 +318,14 @@ def check_cat0(space: SpaceHandle, y: Point, x0: Point, x1: Point) -> float:
     d1 = distance(space, y, x1)
     d01 = distance(space, x0, x1)
     residuals = []
-    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        xt = geodesic_point(space, x0, x1, t)
-        lhs = distance(space, y, xt) ** 2
-        rhs = (1 - t) * d0**2 + t * d1**2 - t * (1 - t) * d01**2
-        residuals.append(lhs - rhs)
+    try:
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+            xt = geodesic_point(space, x0, x1, t)
+            lhs = distance(space, y, xt) ** 2
+            rhs = (1 - t) * d0**2 + t * d1**2 - t * (1 - t) * d01**2
+            residuals.append(lhs - rhs)
+    except OverflowError:  # float ** 2 raises where * would give inf
+        raise DomainError("a squared distance of the CAT(0) comparison overflows") from None
     return max(residuals)
 
 

@@ -365,6 +365,38 @@ def test_cli_gamma_liminf(tmp_path):
     assert rc == 0
 
 
+# x0_law fails at h=8 (positive, recovery), tau_law at h=16 (liminf)
+_FAILING_INDEX = dict(_HALF_LINE_X0_LAW, x0_law="0.5 + 1/(h-8)", h_list=[4, 8, 16],
+                      base_curve={"type": "geodesic", "N": 8}, liminf={"tau_law": "1/(16-h)"})
+
+
+def test_cli_gamma_liminf_keeps_a_failing_index_in_its_row(tmp_path):
+    rc = main(["gamma", "liminf", "--config", write_json(tmp_path / "cfg.json", _FAILING_INDEX),
+               "--out", str(tmp_path)])
+    assert rc == 1
+    payload = json.loads((tmp_path / "gamma_liminf.json").read_text())
+    assert payload["verdict"] == "Inconclusive"
+    rows = {row["h"]: row for row in payload["rows"]}
+    assert list(rows) == [4, 8, 16]
+    for h in (4, 8):
+        assert "error" not in rows[h] and math.isfinite(rows[h]["theta_h"])
+    assert "law '1/(16-h)' fails at h=16" in rows[16]["error"]
+    assert [rows[16][k] for k in ("theta_h", "difference", "d_inf")] == ["nan"] * 3
+    assert math.isfinite(rows[16]["theta_limit"])
+
+
+def test_cli_recovery_keeps_a_failing_index_in_its_row(tmp_path):
+    rc = main(["recovery", "--config", write_json(tmp_path / "cfg.json", _FAILING_INDEX),
+               "--out", str(tmp_path)])
+    assert rc == 1
+    summary = json.loads((tmp_path / "recovery_summary.json").read_text())["h"]
+    assert list(summary) == ["16", "4", "8"]
+    assert list(summary["8"]) == ["error"] and "law '0.5 + 1/(h-8)' fails at h=8" in summary["8"]["error"]
+    for h in (4, 16):
+        assert "pieces" in summary[str(h)] and (tmp_path / f"recovery_h{h}.csv").exists()
+    assert not (tmp_path / "recovery_h8.csv").exists()
+
+
 def test_cli_gamma_liminf_rejects_a_seed(tmp_path, capsys):
     # no experiment draws a random number, so a config seed would change nothing
     cfg = dict(_HALF_LINE_X0_LAW, x0_law="0.5 + 1/h", h_list=[8, 16], seed=7,

@@ -35,6 +35,20 @@ def _sites():
     return raised, caught
 
 
+def test_library_errors_are_caught_in_three_places_only():
+    # one handler per policy: a failing index keeps its own row, the CLI
+    # exits 2 with one line, and a flow step prefixes its index
+    sites = set()
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                    if "MetricActionError" in map(_named, types):
+                        sites.add(f"{path.stem}.{top.name}")
+    assert sites == {"harness.index_rows", "cli.main", "flow.flow_times"}
+
+
 def test_each_error_type_is_raised_documented_and_defined_in_errors():
     # a type with no raise site, or one the README does not name, is vocabulary nobody can use
     raised, caught = _sites()

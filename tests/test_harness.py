@@ -796,7 +796,7 @@ def test_liminf_constant_sequence_equality():
     f = quadratic(E1, E1.point(0.0), 1.0)
     fam = FunctionalFamily(member=lambda h: f, limit=f)
     gamma = geodesic_curve(E1, E1.point(0.0), E1.point(1.0), 64)
-    rep = liminf_probe(fam, {h: gamma for h in (1, 2, 4)}, gamma)
+    rep = liminf_probe(fam, [1, 2, 4], lambda h, f_h: gamma, gamma)
     assert rep.verdict is Verdict.CONSISTENT
     for row in rep.rows:
         assert row["difference"] == pytest.approx(0.0, abs=1e-12)
@@ -806,11 +806,9 @@ def test_liminf_resolvent_images_quadratic():
     f = quadratic(E1, E1.point(0.0), 1.0)
     fam = FunctionalFamily(member=lambda h: f, limit=f)
     gamma = geodesic_curve(E1, E1.point(0.0), E1.point(1.0), 64)
-    curves = {
-        h: gamma.mapped(lambda p, _h=h: resolvent(f, E1, 1.0 / _h, p).point)
-        for h in (8, 16, 32, 64)
-    }
-    rep = liminf_probe(fam, curves, gamma, tail_from=64, slack=0.05)
+    rep = liminf_probe(fam, [8, 16, 32, 64],
+                       lambda h, f_h: gamma.mapped(lambda p: resolvent(f_h, E1, 1.0 / h, p).point),
+                       gamma, tail_from=64, slack=0.05)
     assert rep.verdict is Verdict.CONSISTENT
     # closed form: the image of the curve scales by 1/(1+tau), so its action
     # undershoots by theta (1 - 1/(1+tau)^2), vanishing along the tail
@@ -825,11 +823,30 @@ def test_liminf_resolvent_images_quadratic():
 def test_liminf_ramp_family_straight_curve():
     fam = FunctionalFamily(member=lambda h: ramp(float(h)), limit=zero_functional(HL))
     gamma = geodesic_curve(HL, HL.point(0.0), HL.point(1.0), 256)
-    rep = liminf_probe(fam, {h: gamma for h in (4, 8, 16)}, gamma)
+    rep = liminf_probe(fam, [4, 8, 16], lambda h, f_h: gamma, gamma)
     assert rep.verdict is Verdict.CONSISTENT
     for row in rep.rows:
         # potential toll of the straight curve under the ramp: about h
         assert row["difference"] == pytest.approx(row["h"], rel=0.2)
+
+
+def test_liminf_failed_tail_row_is_inconclusive():
+    # a failing index keeps its row, with nan values; a nan anywhere in the
+    # tail leaves the verdict open (``min`` would skip one after a number)
+    f = quadratic(E1, E1.point(0.0), 1.0)
+    fam = FunctionalFamily(member=lambda h: f, limit=f)
+    gamma = geodesic_curve(E1, E1.point(0.0), E1.point(1.0), 16)
+
+    def curve_of(h, f_h):
+        if h == 16:
+            raise DomainError("no curve at h=16")
+        return gamma
+
+    rep = liminf_probe(fam, [4, 8, 16], curve_of, gamma, tail_from=4)
+    assert rep.verdict is Verdict.INCONCLUSIVE
+    assert [row["difference"] for row in rep.rows[:2]] == [0.0, 0.0]
+    assert rep.rows[2]["error"] == "no curve at h=16"
+    assert all(math.isnan(rep.rows[2][k]) for k in ("theta_h", "difference", "d_inf"))
 
 
 def test_run_liminf_builds_each_member_once():

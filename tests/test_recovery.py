@@ -10,7 +10,9 @@ from metric_action_lab.curves import action, geodesic_curve
 from metric_action_lab.errors import ConvergenceError, DomainError
 from metric_action_lab.flow import flow_times
 from metric_action_lab.functionals import (
+    descending_slope,
     inverse_square,
+    lam_neg,
     quadratic,
     ramp,
     zero_functional,
@@ -21,7 +23,6 @@ from metric_action_lab.recovery import (
     _vanishing_endpoint_ride,
     build_recovery,
     default_tau_schedule,
-    estimated_entry_constant,
     piece_diagnostics,
     tau_cap,
 )
@@ -104,6 +105,19 @@ def test_resolvent_recovery_repair_piece_bound():
     direct_bound = d0 * (1.0 + x_max**2) / (1 + tau) ** 2
     assert own <= direct_bound + 1e-9
     assert own <= (1.0 + x_max**2) / tau**2 * d0  # the crude envelope
+
+
+def estimated_entry_constant(f_h, space, x0h, x1h, tau, use_flow: bool) -> float:
+    """Constant C with entry-piece action <= C tau, from measured slopes."""
+    s0 = descending_slope(f_h, space, x0h)
+    s1 = descending_slope(f_h, space, x1h)
+    s = max(s0, s1)
+    lam = f_h.lam
+    if use_flow:
+        return 2.0 * math.exp(2.0 * lam_neg(lam) * tau) * s * s
+    a = 1.0 / ((1.0 + min(lam, 0.0) * tau) * math.sqrt(1.0 - 2.0 * lam_neg(lam) * tau))
+    b = max(1.0, 1.0 / (1.0 + lam * tau))
+    return (a * a + b * b) * s * s
 
 
 def test_resolvent_recovery_entry_piece_bound():
