@@ -39,6 +39,7 @@ from .spaces import (
     Point,
     SpaceHandle,
     SpaceKind,
+    check_tags,
     distance,
     geodesic_point,
     isotonic_repair,
@@ -127,8 +128,22 @@ def interval_lengths(space: SpaceHandle, points: Sequence[Point]) -> np.ndarray:
 
 
 def metric_speed(c: SampledCurve) -> np.ndarray:
-    """Per-interval speeds d(p_k, p_{k+1}) / dt_k."""
-    return interval_lengths(c.space, c.points) / np.diff(c.times)
+    """Per-interval speeds d(p_k, p_{k+1}) / dt_k; one that overflows is a ``DomainError``."""
+    with np.errstate(over="ignore"):    # reported below as a DomainError
+        speeds = interval_lengths(c.space, c.points) / np.diff(c.times)
+    if not np.isfinite(speeds).all():
+        k = int(np.argmin(np.isfinite(speeds)))
+        raise DomainError(f"the metric speed overflows between nodes {k} and {k + 1}")
+    return speeds
+
+
+def kinetic_integral(c: SampledCurve) -> float:
+    """The action's kinetic term ``sum_k speed_k^2 dt_k``; an overflow is a ``DomainError``."""
+    with np.errstate(over="ignore"):    # reported below as a DomainError
+        kinetic = float(np.sum(metric_speed(c) ** 2 * np.diff(c.times)))
+    if not math.isfinite(kinetic):
+        raise DomainError("the kinetic term of the action overflows")
+    return kinetic
 
 
 def node_weights(dts: np.ndarray) -> np.ndarray:
@@ -150,11 +165,7 @@ def action(c: SampledCurve, f: FunctionalSpec, x0: Point, x1: Point) -> ActionVa
         distance(c.space, c.start, x0) <= ENDPOINT_TOL
         and distance(c.space, c.end, x1) <= ENDPOINT_TOL
     )
-    with np.errstate(over="ignore"):    # reported below as a DomainError
-        speeds = metric_speed(c)
-        kinetic = float(np.sum(speeds**2 * np.diff(c.times)))
-    if not math.isfinite(kinetic):
-        raise DomainError("the kinetic term of the action overflows")
+    kinetic = kinetic_integral(c)
     weights = node_weights(np.diff(c.times)).tolist()  # Python floats: no numpy scalar in the values
     potential = 0.0
     for k, p in enumerate(c.points):
@@ -459,6 +470,7 @@ def format_table(header: Sequence[str], rows) -> str:
 
 
 def curve_to_csv(c: SampledCurve) -> str:
+    check_tags(c.space, *c.points)     # another space's point would not fit the header
     if c.space.kind is SpaceKind.TRIPOD:
         header = ["t", "edge", "offset"]
         rows = ([t, int(p.coords[0]), p.coords[1]] for t, p in zip(c.times, c.points))

@@ -26,21 +26,22 @@ method converges to the unique minimizer.  Solvers by space:
   keeps the ``f(u)`` behind its objective value (``_prox_value``), and its
   gradient reuses it.
 
-On the half-line and the tripod the objective is minimized along one
-coordinate: ``_line_objective`` is a float function whose distance term
-comes from ``spaces.distance_along``, so ``x``'s space tag is checked once
-per search, not once per probe, and every probe value is bit-identical to
-the point-based ``_objective``.  There the optimality probe compares the
-result with ``spaces.shell``, the points around it on every branch, so it
-sees a branch point that should have crossed onto another edge.  On
-vectors it moves one coordinate at a time; a move keeps the order of
-quantile coordinates unless it passes a neighbour, and only such a move
-is projected (``_probe_points``).
+``_prox_value`` is the objective at a point, its squared distance from
+``spaces.squared_distance``; the optimality probe and the coordinate-descent
+fallback evaluate it.  On the half-line and the tripod the objective is
+minimized along one coordinate: ``_line_objective`` inlines it as a float
+function whose distance term comes from ``spaces.distance_along``, so
+``x``'s space tag is checked once per search, not once per probe, and every
+probe value is bit-identical to ``_prox_value``'s.  There the optimality
+probe compares the result with ``spaces.shell``, the points around it on
+every branch, so it sees a branch point that should have crossed onto
+another edge.  On vectors it moves one coordinate at a time; a move keeps
+the order of quantile coordinates unless it passes a neighbour, and only
+such a move is projected (``_probe_points``).
 
 A supplied closed-form prox short-circuits everything: its value comes
-from ``_prox_value`` at once, with no objective closure built and no probe.
-The step range is enforced as ``tau < 1/(2 lam^-)`` throughout so the
-Lipschitz estimate for the resolvent applies in every validator.
+from ``_prox_value`` at once, with no probe.  Only ``resolvent`` checks the
+step range ``0 < tau < 1/(2 lam^-)``; every validator steps through it.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .spaces import (
     geodesic_point,
     point_along,
     shell,
+    squared_distance,
 )
 
 VALUE_TOL = 1e-10
@@ -96,13 +98,6 @@ class ResolventResult:
 def tau_upper_limit(lam: float) -> float:
     ln = lam_neg(lam)
     return INF if ln == 0.0 else 1.0 / (2.0 * ln)
-
-
-def _require_tau(tau: float, lam: float):
-    if not 0.0 < tau < tau_upper_limit(lam):
-        raise DomainError(
-            f"step {tau} outside (0, {tau_upper_limit(lam):g}) for modulus {lam:g}"
-        )
 
 
 def golden_section(g: Callable[[float], float], lo: float, hi: float):
@@ -300,33 +295,15 @@ def _prox_value(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point, y: 
     fy = evaluate(f, y)
     if not math.isfinite(fy):
         return INF, fy
-    try:
-        return fy + distance(space, y, x) ** 2 / (2.0 * tau), fy
-    except OverflowError:  # float ** 2 raises where * would give inf
-        raise DomainError(f"resolvent objective overflows at {y.coords}") from None
-
-
-def _objective(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
-    """``y -> _prox_value(f, space, tau, x, y)[0]``, by the same IEEE
-    operations, without a call per probe."""
-    def val(y: Point) -> float:
-        fy = evaluate(f, y)
-        if not math.isfinite(fy):
-            return INF
-        try:
-            return fy + distance(space, y, x) ** 2 / (2.0 * tau)
-        except OverflowError:
-            raise DomainError(f"resolvent objective overflows at {y.coords}") from None
-
-    return val
+    return fy + squared_distance(space, y, x) / (2.0 * tau), fy
 
 
 def _line_objective(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point, edge: int = 0):
-    """``_objective`` as a function of the coordinate along one line (the
-    half-line, or tripod edge ``edge``)."""
+    """``_prox_value``'s objective as a function of the coordinate along one
+    line (the half-line, or tripod edge ``edge``)."""
     at, dist = point_along(space, edge), distance_along(space, x, edge)
 
-    def val(s: float) -> float:
+    def val(s: float) -> float:  # _prox_value and squared_distance inlined: a call per probe costs ~8%
         fy = evaluate(f, at(s))
         if not math.isfinite(fy):
             return INF
@@ -369,7 +346,7 @@ def _solve_tripod(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
     return u, edges[e][1], 1 + sum(n for _, _, n in edges)
 
 
-def _solve_vector(obj, f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
+def _solve_vector(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
     """Proximal-gradient with backtracking; coordinate descent fallback.
 
     Each iterate keeps the ``f(u)`` behind its value, so its gradient
@@ -422,7 +399,7 @@ def _solve_vector(obj, f: FunctionalSpec, space: SpaceHandle, tau: float, x: Poi
         step = min(float(np.dot(dy, dy)) / curv if curv > 0.0 else step * 1.5, 1e6)
         g = g_new
     if not smooth:
-        y, val, extra = _coordinate_descent(lambda c: obj(space.project(tuple(c))), u.coords, val)
+        y, val, extra = _coordinate_descent(lambda c: value(space.project(tuple(c)))[0], u.coords, val)
         it += extra
         u = space.project(tuple(y))
     return u, val, it
@@ -470,12 +447,12 @@ def resolvent(
     offset)`` (every branch), lowers the value by more than 1e-7.  A point
     ``x`` of another space is a ``DomainError`` on every path.
     """
-    _require_tau(tau, f.lam)
+    if not 0.0 < tau < tau_upper_limit(f.lam):
+        raise DomainError(f"step {tau} outside (0, {tau_upper_limit(f.lam):g}) for modulus {f.lam:g}")
     check_tags(space, x)
     if f.closed_form_prox is not None:
         u = f.closed_form_prox(tau, x)
         return ResolventResult(u, _prox_value(f, space, tau, x, u)[0], 0, 0.0, method="closed_form")
-    obj = _objective(f, space, tau, x)
     if space.kind is SpaceKind.HALF_LINE:
         u, val, n = _solve_half_line(f, space, tau, x)
         method = "golden_section"
@@ -483,7 +460,7 @@ def resolvent(
         u, val, n = _solve_tripod(f, space, tau, x)
         method = "per_edge_golden"
     else:
-        u, val, n = _solve_vector(obj, f, space, tau, x)
+        u, val, n = _solve_vector(f, space, tau, x)
         method = "proximal_gradient"
     # optimality probe: nearby points must not beat the reported value
     line = space.kind in (SpaceKind.HALF_LINE, SpaceKind.TRIPOD)
@@ -491,7 +468,7 @@ def resolvent(
     for delta in (POINT_TOL * 10, POINT_TOL * 1e3):
         near = shell(space, u, delta * max(1.0, u.coords[-1])) if line else _probe_points(space, u, delta)
         for y in near:
-            gap = max(gap, val - obj(y))
+            gap = max(gap, val - _prox_value(f, space, tau, x, y)[0])
     if gap > 1e-7:
         raise ConvergenceError(
             f"resolvent probe found improvement {gap:.2e}",
@@ -557,7 +534,6 @@ def check_resolvent_lipschitz(
     f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point, y: Point
 ) -> float:
     """``d(J x, J y) - d(x, y) / sqrt(1 - 2 lam^- tau)``, expected <= tol."""
-    _require_tau(tau, f.lam)
     ju = resolvent(f, space, tau, x).point
     jv = resolvent(f, space, tau, y).point
     factor = 1.0 / math.sqrt(1.0 - 2.0 * lam_neg(f.lam) * tau)
@@ -570,7 +546,6 @@ def check_tau_continuity(
     """Step-continuity residual for 0 < nu < mu within the admissible range."""
     if not 0.0 < nu < mu:
         raise DomainError("need 0 < nu < mu")
-    _require_tau(mu, f.lam)
     s_x = descending_slope(f, space, x)
     jn = resolvent(f, space, nu, x).point
     jm = resolvent(f, space, mu, x).point
@@ -584,7 +559,6 @@ def check_resolvent_identity(
     """``d(J_mu x, J_nu(gamma(nu/mu)))`` with gamma the geodesic J_mu x -> x."""
     if not 0.0 < nu < mu:
         raise DomainError("need 0 < nu < mu")
-    _require_tau(mu, f.lam)
     jm = resolvent(f, space, mu, x).point
     mid = geodesic_point(space, jm, x, nu / mu)
     jn = resolvent(f, space, nu, mid).point

@@ -21,6 +21,8 @@ elsewhere.  The half-line and each tripod edge are lines: ``point_along`` and
 ``distance_along`` give a point and its distance to a fixed point as
 functions of the coordinate along one of them, for the 1-d searches, and
 ``shell`` the points at one distance along every branch around a point.
+``squared_distance`` makes an overflowing square a ``DomainError``; the
+coordinates that ``SpaceHandle.point`` validates, ``project`` repairs.
 
 All four spaces are geodesic and satisfy the quadrilateral comparison
 inequality
@@ -41,6 +43,8 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .errors import DomainError
+
+INF = math.inf
 
 
 class SpaceKind(str, Enum):
@@ -78,8 +82,10 @@ class SpaceHandle:
         """Build a validated point of this space.
 
         Euclidean: ``point(x1, ..., xn)``; half-line: ``point(x)``;
-        tripod: ``point(edge_index, offset)``; quantile: ``point(v1, ..., vm)``
-        or ``point(sequence)``.  Coordinates must be finite.
+        tripod: ``point(edge_index, offset)``, the edge in
+        ``range(len(edge_lengths))``; quantile: ``point(v1, ..., vm)`` or
+        ``point(sequence)``.  Coordinates must be finite; ``project`` repairs
+        an offset 1e-12 past its edge or a quantile order broken by 1e-9.
         """
         if len(coords) == 1 and isinstance(coords[0], (list, tuple)):
             coords = tuple(coords[0])
@@ -94,42 +100,44 @@ class SpaceHandle:
         elif self.kind is SpaceKind.TRIPOD:
             if len(coords) != 2:
                 raise DomainError("tripod points are (edge, offset) pairs")
-            e = int(coords[0])
-            if not 0 <= e < len(self.edge_lengths):
-                raise DomainError(f"edge index {e} out of range")
-            if not 0.0 <= coords[1] <= self.edge_lengths[e] + 1e-12:
-                raise DomainError(f"offset {coords[1]} outside edge {e}")
-            coords = (float(e), min(coords[1], self.edge_lengths[e]))
+            if coords[0] not in range(len(self.edge_lengths)):
+                raise DomainError(f"edge index {coords[0]:g} out of range")
+            if not 0.0 <= coords[1] <= self.edge_lengths[int(coords[0])] + 1e-12:
+                raise DomainError(f"offset {coords[1]} outside edge {coords[0]:g}")
         elif self.kind is SpaceKind.QUANTILE_1D:
             if any(b < a - 1e-9 for a, b in zip(coords, coords[1:])):
                 raise DomainError("quantile vector must be nondecreasing")
-            coords = tuple(isotonic_repair(coords))
-        return Point(self.kind, coords)
+        return self.project(coords)
 
     def project(self, coords: Sequence[float]) -> "Point":
         """Repair raw coordinates into a valid point (metric projection).
 
         Half-line clamps at zero, quantile vectors are isotonically
-        projected, tripod offsets are clamped into their edge.  Nondecreasing
-        quantile coordinates come back as they are, bit-identical to
-        pool-adjacent-violators, which would divide each by 1.  Coordinates
-        other than ``dim`` of them are a ``DomainError``.
+        projected, tripod edges are rounded to the nearest edge and offsets
+        clamped into it.  Nondecreasing quantile coordinates come back as
+        they are, bit-identical to pool-adjacent-violators, which would
+        divide each by 1.  Coordinates other than ``dim`` of them, or a
+        non-finite one, are a ``DomainError``.
         """
         coords = tuple(float(c) for c in coords)
         if len(coords) != self.dim:
             raise DomainError(f"expected {self.dim} coordinates, got {len(coords)}")
-        if self.kind is SpaceKind.HALF_LINE:
-            return Point(self.kind, (max(coords[0], 0.0),))
-        if self.kind is SpaceKind.QUANTILE_1D:
-            if all(map(operator.le, coords, coords[1:])):
-                return Point(self.kind, coords)
-            return Point(self.kind, tuple(isotonic_repair(coords)))
-        if self.kind is SpaceKind.TRIPOD:
+        k = self.kind
+        if k is _QUANTILE_1D and all(map(operator.le, coords, coords[1:])):
+            if -INF < coords[0] and coords[-1] < INF:   # nan has failed the order test
+                return Point(k, coords)
+        elif k is SpaceKind.HALF_LINE and -INF < coords[0] < INF:
+            return Point(k, (max(coords[0], 0.0),))
+        if not all(map(math.isfinite, coords)):
+            raise DomainError(f"point coordinates must be finite, got {coords}")
+        if k is _QUANTILE_1D:
+            return Point(k, tuple(isotonic_repair(coords)))
+        if k is _TRIPOD:
             e = int(round(coords[0]))
             e = min(max(e, 0), len(self.edge_lengths) - 1)
             off = min(max(coords[1], 0.0), self.edge_lengths[e])
-            return Point(self.kind, (float(e), off))
-        return Point(self.kind, coords)
+            return Point(k, (float(e), off))
+        return Point(k, coords)
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,8 +202,8 @@ def isotonic_repair(values: Sequence[float]) -> list:
 
 
 def check_tags(space: SpaceHandle, *points: Point):
-    """``DomainError`` unless every point is tagged with ``space``'s kind
-    and has its ``dim`` coordinates."""
+    """``DomainError`` unless every point is tagged with ``space``'s kind,
+    has its ``dim`` coordinates and, on a tripod, lies on one of its edges."""
     for p in points:
         if p.space_kind is not space.kind:
             raise DomainError(
@@ -203,13 +211,15 @@ def check_tags(space: SpaceHandle, *points: Point):
             )
         if len(p.coords) != space.dim:
             raise DomainError(f"expected {space.dim} coordinates, got {len(p.coords)}")
+        if space.kind is _TRIPOD and p.coords[0] not in range(len(space.edge_lengths)):
+            raise DomainError(f"edge index {p.coords[0]:g} out of range")
 
 
 def distance(space: SpaceHandle, p: Point, q: Point) -> float:
     """Metric distance between two points of ``space``; ``check_tags``
-    runs only to raise, on another kind or on vectors of unequal lengths.
-    Bit for bit ``|u - v| / sqrt(weight)``: off quantile vectors the
-    division by ``sqrt(1) = 1.0``, which is exact, is left out."""
+    runs only to raise: on another kind, unequal lengths or a tripod edge
+    past the last.  Bit for bit ``|u - v| / sqrt(weight)``: off quantile
+    vectors the exact division by ``sqrt(1) = 1.0`` is left out."""
     k = space.kind
     if p.space_kind is not k or q.space_kind is not k:
         check_tags(space, p, q)
@@ -223,9 +233,20 @@ def distance(space: SpaceHandle, p: Point, q: Point) -> float:
         raise
     # tripod: through the branch point unless both points share an edge
     (ep, op), (eq, oq) = p.coords, q.coords
-    if int(ep) == int(eq):
+    if not ep < len(space.edge_lengths) > eq:    # an edge past the last
+        check_tags(space, p, q)
+    if ep == eq:    # whole edge indices: as int(ep) == int(eq), ~0.1 us sooner
         return abs(op - oq)
     return op + oq
+
+
+def squared_distance(space: SpaceHandle, p: Point, q: Point) -> float:
+    """``distance(space, p, q) ** 2`` (not ``d * d``, which rounds some
+    doubles otherwise); a square that overflows is a ``DomainError``."""
+    try:
+        return distance(space, p, q) ** 2
+    except OverflowError:  # float ** 2 raises where * would give inf
+        raise DomainError(f"squared distance overflows between {p.coords} and {q.coords}") from None
 
 
 def point_along(space: SpaceHandle, edge: int = 0) -> Callable[[float], Point]:
@@ -314,18 +335,12 @@ def check_cat0(space: SpaceHandle, y: Point, x0: Point, x1: Point) -> float:
     which must be nonpositive (up to tolerance) in all implemented spaces.
     """
     check_tags(space, y, x0, x1)
-    d0 = distance(space, y, x0)
-    d1 = distance(space, y, x1)
-    d01 = distance(space, x0, x1)
+    sq0, sq1, sq01 = (squared_distance(space, a, b) for a, b in ((y, x0), (y, x1), (x0, x1)))
     residuals = []
-    try:
-        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-            xt = geodesic_point(space, x0, x1, t)
-            lhs = distance(space, y, xt) ** 2
-            rhs = (1 - t) * d0**2 + t * d1**2 - t * (1 - t) * d01**2
-            residuals.append(lhs - rhs)
-    except OverflowError:  # float ** 2 raises where * would give inf
-        raise DomainError("a squared distance of the CAT(0) comparison overflows") from None
+    for t in (0.0, 0.25, 0.5, 0.75, 1.0):
+        xt = geodesic_point(space, x0, x1, t)
+        rhs = (1 - t) * sq0 + t * sq1 - t * (1 - t) * sq01
+        residuals.append(squared_distance(space, y, xt) - rhs)
     return max(residuals)
 
 

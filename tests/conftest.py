@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from metric_action_lab import euclidean, half_line, quantile_1d, tripod
 
 SEED = 20240901
+
+# ``--hypothesis-profile=ci``: the default settings, plus the
+# ``@reproduce_failure`` blob of a failing draw
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture

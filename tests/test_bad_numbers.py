@@ -3,9 +3,10 @@
 Every function the package exports that takes a space or a point raises
 only library errors, and no call returns a point with a non-finite
 coordinate.  Points enter through ``SpaceHandle.point``, which rejects
-``nan`` and infinite coordinates; finite coordinates near 1e200 go through
-to every function.  Grids and step counts stay at 64 or below, so no draw
-allocates a large array.
+``nan`` and infinite coordinates and a tripod edge that is not one of the
+space's; finite coordinates near 1e200 go through to every function, and
+a point of a 2-edge tripod to a 3-edge one and back.  Grids and step
+counts stay at 64 or below, so no draw allocates a large array.
 """
 
 import dataclasses
@@ -24,6 +25,7 @@ from metric_action_lab import (
     Point,
     RecoveryConfig,
     RecoveryMode,
+    SampledCurve,
     SpaceKind,
     SupFormula,
     action,
@@ -77,7 +79,10 @@ E1, E2, HL = euclidean(1), euclidean(2), half_line()
 # overflows and other bad inputs, one case each
 # --------------------------------------------------------------------------
 
-TRIPOD = tripod()
+TRIPOD, TRIPOD2 = tripod(), tripod((1.0, 1.0))
+ON_EDGE_2 = TRIPOD.point(2, 0.7)    # an edge that TRIPOD2 does not have
+# nodes 1e10 apart at times 1e-300 apart: the speed itself overflows
+FAST = SampledCurve(np.array([0.0, 1e-300]), [E1.point(0.0), E1.point(1e10)], E1)
 
 
 def _recovery(x0h, x1=1.0, h=4, tau=None):
@@ -96,18 +101,18 @@ _FAR = FunctionalSpec("far", lambda x: 0.0, 0.0, closed_form_prox=lambda tau, x:
     "call, message",
     [
         (lambda: check_cat0(E1, E1.point(1e200), E1.point(-1e200), E1.point(0.0)),
-         "a squared distance of the CAT(0) comparison overflows"),
+         "squared distance overflows between"),
         (lambda: check_lambda_convexity(zero_functional(E1), E1, [(E1.point(1e200), E1.point(-1e200))]),
          "squared distance overflows between"),
         (lambda: check_evi(geodesic_curve(E1, E1.point(1e200), E1.point(0.0), 4), zero_functional(E1), 0.0,
                            E1.point(-1e200), E1),
-         "a squared distance to"),
+         "squared distance overflows between"),
         # the optimality probe steps 1e-7 times the coordinate
         (lambda: resolvent(strip_closed_forms(linear_half_line(2.0)), HL, 0.1, HL.point(1e200)),
          "resolvent objective overflows"),
         (lambda: resolvent(strip_closed_forms(zero_functional(E2)), E2, 0.1, E2.point(1e200, 1e200)),
-         "resolvent objective overflows"),
-        (lambda: resolvent(_FAR, E1, 0.1, E1.point(1e200)), "resolvent objective overflows"),
+         "squared distance overflows between"),
+        (lambda: resolvent(_FAR, E1, 0.1, E1.point(1e200)), "squared distance overflows between"),
         (lambda: flow(zero_functional(E1), E1, E1.point(0.0), 1.0, 2.5), "an integer n_steps >= 1"),
         (lambda: minimize_action(zero_functional(E1), E1, E1.point(0.0), E1.point(1.0), 2.5),
          "an integer number of intervals >= 1"),
@@ -121,7 +126,7 @@ _FAR = FunctionalSpec("far", lambda x: 0.0, 0.0, closed_form_prox=lambda tau, x:
          "exp(lam t) overflows"),
         (lambda: check_energy_identity(geodesic_curve(E1, E1.point(1e200), E1.point(0.0), 4),
                                        zero_functional(E1), E1),
-         "the kinetic integral of the trajectory overflows"),
+         "the kinetic term of the action overflows"),
         (lambda: flow_times(zero_functional(E1), E1, E1.point(0.0), [math.inf, math.inf]),
          "resolvent failed at step 0: step nan outside"),
         (lambda: minimize_action(zero_functional(E1), E1, E1.point(1e200), E1.point(1e200), 2),
@@ -131,11 +136,29 @@ _FAR = FunctionalSpec("far", lambda x: 0.0, 0.0, closed_form_prox=lambda tau, x:
         (lambda: _recovery(E1.point(1e200)), "an endpoint gap of 1e+200 needs more than 100000 repair nodes"),
         (lambda: piece_diagnostics(_recovery(E1.point(0.0), x1=1e200)),
          "the kinetic integral of the middle piece overflows"),
+        (lambda: TRIPOD.point(1.7, 0.5), "edge index 1.7 out of range"),
+        (lambda: TRIPOD.point(-0.5, 0.2), "edge index -0.5 out of range"),
+        (lambda: distance(TRIPOD2, ON_EDGE_2, TRIPOD2.point(0, 0.0)), "edge index 2 out of range"),
+        (lambda: geodesic_point(TRIPOD2, ON_EDGE_2, TRIPOD2.point(0, 0.5), 0.5), "edge index 2 out of range"),
+        (lambda: descending_slope(strip_closed_forms(quadratic(TRIPOD2, TRIPOD2.point(0, 0.5))), TRIPOD2,
+                                  ON_EDGE_2), "edge index 2 out of range"),
+        (lambda: resolvent(strip_closed_forms(quadratic(TRIPOD2, TRIPOD2.point(0, 0.5))), TRIPOD2, 0.3,
+                           ON_EDGE_2), "edge index 2 out of range"),
+        (lambda: E1.project([math.nan]), "point coordinates must be finite"),
+        (lambda: HL.project([math.inf]), "point coordinates must be finite"),
+        (lambda: quantile_1d(3).project([0.0, math.nan, 1.0]), "point coordinates must be finite"),
+        (lambda: TRIPOD.project([math.nan, 0.5]), "point coordinates must be finite"),
+        (lambda: metric_speed(FAST), "the metric speed overflows between nodes 0 and 1"),
+        (lambda: check_energy_identity(FAST, zero_functional(E1), E1),
+         "the metric speed overflows between nodes 0 and 1"),
     ],
     ids=["check_cat0", "check_lambda_convexity", "check_evi", "line_objective", "vector_objective",
          "prox_value", "flow_n_steps", "minimize_action_N", "distance_lengths", "sup_formula_length",
          "sup_formula_kind", "slope_bounds_exp", "energy_identity_kinetic", "flow_times_inf",
-         "newton_step", "recovery_h", "recovery_tau", "recovery_repair_nodes", "piece_kinetic"],
+         "newton_step", "recovery_h", "recovery_tau", "recovery_repair_nodes", "piece_kinetic",
+         "point_fractional_edge", "point_negative_edge", "distance_missing_edge", "geodesic_missing_edge",
+         "sup_formula_missing_edge", "resolvent_missing_edge", "project_nan", "project_inf",
+         "project_quantile_nan", "project_tripod_nan", "metric_speed", "energy_identity_speed"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflows_and_bad_inputs_are_domain_errors(call, message):
@@ -150,9 +173,13 @@ def test_overflows_and_bad_inputs_are_domain_errors(call, message):
 # every exported function that takes a space or a point
 # --------------------------------------------------------------------------
 
-# E^1 and E^2, and quantile_1d(3) and (4), are one kind with different numbers of coordinates
-SPACES = [E1, E2, HL, tripod((1.0, 2.0, 3e200)), quantile_1d(3), quantile_1d(4)]
+# E^1 and E^2, and quantile_1d(3) and (4), are one kind with different
+# numbers of coordinates, and the two tripods one kind with different edges
+TRIPODS = [tripod((1.0, 2.0, 3e200)), tripod((1.0, 1.0))]
+SPACES = [E1, E2, HL, *TRIPODS, quantile_1d(3), quantile_1d(4)]
 BAD = [math.nan, math.inf, -math.inf]
+EDGES = st.sampled_from([0.5, 1.7, -0.5, 2.0, 3.0])                    # fractional or missing edges
+DTS = st.sampled_from([1e-300, 1e-150, 1e-10, 0.25])                    # a curve's time steps
 STEPS = st.sampled_from([0.1, 0.45, 2.0, 0.0, -0.1, 1e200, *BAD])        # tau, T and t
 PARAMS = st.sampled_from([0.0, 0.5, 1.0, -0.1, 1.5, *BAD])               # a geodesic's t
 COUNTS = st.sampled_from([1, 2, 8, 64, 0, -1, 2.5, math.nan])           # N and n_steps
@@ -164,16 +191,21 @@ def space(draw):
 
 def point(draw, sp):
     """A point that ``sp.point`` builds from coordinates of size at most 1
-    or about 1e200, one of which may be nan or infinite; or, one time in
-    five, a point of another space.  A recovery's repair piece takes 100
-    nodes per unit of its endpoint gap, so gaps in between make slow draws."""
+    or about 1e200, one of which may be nan or infinite, and a tripod edge
+    that may be fractional or missing; or, one time in five, a point of
+    another space, for a tripod half the time the other tripod.  A
+    recovery's repair piece takes 100 nodes per unit of its endpoint gap,
+    so gaps in between make slow draws."""
     if draw(st.integers(0, 4)) == 0:
-        sp = space(draw)
+        tripods = sp.kind is SpaceKind.TRIPOD and draw(st.booleans())
+        sp = draw(st.sampled_from(TRIPODS)) if tripods else space(draw)
     big = st.floats(0.5, 1.0).map(lambda v: v * 1e200)
     size = draw(st.sampled_from([st.floats(0.0, 1.0), big]))
     if sp.kind is SpaceKind.TRIPOD:
-        e = draw(st.integers(0, 2))
+        e = draw(st.integers(0, len(sp.edge_lengths) - 1))
         coords = [e, min(draw(size), sp.edge_lengths[e])]
+        if draw(st.integers(0, 4)) == 0:
+            coords[0] = draw(EDGES)
     else:
         coords = [draw(size) * draw(st.sampled_from([1.0, -1.0])) for _ in range(sp.dim)]
         coords = [abs(c) for c in coords] if sp.kind is SpaceKind.HALF_LINE else sorted(coords)
@@ -193,6 +225,11 @@ def functional(draw, sp):
 
 
 def curve(draw, sp):
+    """A geodesic between two drawn points or, one time in four, drawn
+    points at time steps down to 1e-300."""
+    if draw(st.integers(0, 3)) == 0:
+        times = np.cumsum([0.0, *draw(st.lists(DTS, min_size=1, max_size=4))])
+        return SampledCurve(times, [point(draw, sp) for _ in times], sp)
     return geodesic_curve(sp, point(draw, sp), point(draw, sp), draw(COUNTS))
 
 
@@ -217,6 +254,8 @@ def recovery(draw, sp, f):
 
 CALLS = {
     "point": on_space(point),
+    "project": on_space(lambda d, sp: sp.project(
+        d(st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.7, 1e200, -1e200, *BAD]), min_size=1, max_size=4)))),
     "random_point": on_space(lambda d, sp: random_point(sp, np.random.default_rng(d(st.integers(0, 9))))),
     "distance": on_space(lambda d, sp: distance(sp, point(d, sp), point(d, sp))),
     "geodesic_point": on_space(lambda d, sp: geodesic_point(sp, point(d, sp), point(d, sp), d(PARAMS))),

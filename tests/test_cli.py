@@ -316,6 +316,19 @@ def test_cli_action_rejects_a_non_finite_node(tmp_path, capsys, node):
     assert not (tmp_path / "action.json").exists()
 
 
+def test_cli_action_rejects_a_fractional_tripod_edge(tmp_path, capsys):
+    # edge 1.7 is no edge: it neither truncates to 1 nor rounds to 2
+    curve = tmp_path / "curve.csv"
+    curve.write_text("t,edge,offset\n0.0,0,0.5\n0.5,1.7,0.5\n1.0,1,0.5\n")
+    cfg = write_json(tmp_path / "cfg.json", {"space": {"kind": "tripod"}, "functional": {"name": "zero"},
+                                             "curve_csv": str(curve), "x0": [0, 0.5], "x1": [1, 0.5]})
+    rc = main(["action", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"metric-action-lab: cannot read curve {curve}: edge index 1.7 out of range\n"
+    assert not (tmp_path / "action.json").exists()
+
+
 def test_cli_flow_from_an_overflowing_start_exits_2_with_one_line(tmp_path, capsys):
     # d(x, centre)^2 overflows a float; a value of inf would mean "off the domain"
     cfg = write_json(tmp_path / "cfg.json", {"space": {"kind": "euclidean", "dim": 1},
@@ -344,7 +357,9 @@ def test_cli_gamma_positive_with_an_overflowing_action_exits_2_with_one_line(tmp
     rc = main(["gamma", "positive", "--config", write_json(tmp_path / "cfg.json", cfg), "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == "metric-action-lab: the kinetic term of the action overflows\n"
+    want = {"start": "the kinetic term of the action overflows",
+            "csv_node": "the metric speed overflows between nodes 0 and 1"}[base]
+    assert err == f"metric-action-lab: {want}\n"
     assert not (tmp_path / "gamma_positive.json").exists()
 
 

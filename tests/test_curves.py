@@ -106,7 +106,7 @@ def test_action_infinite_slope_node():
     "points, term",
     [
         ((0.0, 1e200), "kinetic term of the action"),         # the square of the speed
-        ((0.0, 1e308, 1.0), "kinetic term of the action"),    # the speed itself
+        ((0.0, 1e308, 1.0), "metric speed overflows between nodes 0 and 1"),    # the speed itself
         ((1e160, 1e160), "potential term of the action"),     # slope 1e160, squared
         ((0.0, 6.5e153, 1.3e154), "the action overflows"),    # each term finite, not their sum
     ],

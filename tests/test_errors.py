@@ -1,6 +1,7 @@
 """The error vocabulary: each exception type the library defines is raised
 (or, for the base class, caught) somewhere in the package and named in the
-README, and no module but ``errors`` defines one."""
+README, and no module but ``errors`` defines one.  The base class and
+``OverflowError`` are caught only at their pinned sites."""
 
 import ast
 import importlib
@@ -35,18 +36,31 @@ def _sites():
     return raised, caught
 
 
-def test_library_errors_are_caught_in_three_places_only():
-    # one handler per policy: a failing index keeps its own row, the CLI
-    # exits 2 with one line, and a flow step prefixes its index
+def _handlers(name):
+    """``module.definition`` of each top-level definition with an ``except`` naming ``name``."""
     sites = set()
     for path in PACKAGE.glob("*.py"):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 if isinstance(node, ast.ExceptHandler) and node.type is not None:
                     types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-                    if "MetricActionError" in map(_named, types):
+                    if name in map(_named, types):
                         sites.add(f"{path.stem}.{top.name}")
-    assert sites == {"harness.index_rows", "cli.main", "flow.flow_times"}
+    return sites
+
+
+def test_library_errors_are_caught_in_three_places_only():
+    # one handler per policy: a failing index keeps its own row, the CLI
+    # exits 2 with one line, and a flow step prefixes its index
+    assert _handlers("MetricActionError") == {"harness.index_rows", "cli.main", "flow.flow_times"}
+
+
+def test_overflow_errors_are_caught_in_four_places_only():
+    # one home per rule: every squared distance goes through
+    # spaces.squared_distance but its two inlined hot copies, and the
+    # fourth site is exp(lam t)
+    assert _handlers("OverflowError") == {"spaces.squared_distance", "functionals.quadratic",
+                                          "proximal._line_objective", "flow.check_slope_bounds_along_flow"}
 
 
 def test_each_error_type_is_raised_documented_and_defined_in_errors():

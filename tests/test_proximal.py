@@ -447,8 +447,9 @@ def test_probe_sees_a_branch_point_that_should_cross(monkeypatch):
     f, x, tau = strip_closed_forms(quadratic(sp, sp.point(1, 0.5), 1.0)), sp.point(0, 0.05), 0.3
     res = resolvent(f, sp, tau, x)
     assert res.point.coords == (1.0, pytest.approx(1.0 / 13.0)) and res.value == pytest.approx(0.116346, abs=1e-6)
-    branch, obj = sp.point(0, 0.0), proximal._objective(f, sp, tau, x)
-    monkeypatch.setattr(proximal, "_solve_tripod", lambda *_: (branch, obj(branch), 1))
+    branch = sp.point(0, 0.0)
+    value = proximal._prox_value(f, sp, tau, x, branch)[0]
+    monkeypatch.setattr(proximal, "_solve_tripod", lambda *_: (branch, value, 1))
     with pytest.raises(ConvergenceError) as info:
         resolvent(f, sp, tau, x)
     assert info.value.best.point == branch and info.value.best.residual == pytest.approx(3.33e-6, rel=1e-3)
@@ -559,7 +560,7 @@ def test_probe_sees_a_wrong_resolvent_at_large_coordinates(case, monkeypatch):
     f, x, tau = quadratic(space, space.point(*cc), 1.0), space.point(*xc), 0.1
     want = f.closed_form_prox(tau, x)
     off = space.project(tuple(w + 0.32 * (a - w) for w, a in zip(want.coords, x.coords)))
-    monkeypatch.setattr(proximal, "_solve_vector", lambda obj, *_: (off, obj(off), 1))
+    monkeypatch.setattr(proximal, "_solve_vector", lambda *args: (off, proximal._prox_value(*args, off)[0], 1))
     with pytest.raises(ConvergenceError):
         resolvent(strip_closed_forms(f), space, tau, x)
 

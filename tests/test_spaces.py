@@ -247,7 +247,7 @@ _coordinate = st.one_of(st.floats(-10, 10), st.sampled_from([0.0, -0.0, 1.0, mat
 @settings(max_examples=150, deadline=None)
 def test_quantile_project_matches_the_full_projection_bit_for_bit(values, order):
     # already nondecreasing coordinates skip pool-adjacent-violators, which
-    # would return each of them divided by 1
+    # would return each of them divided by 1; a nan is rejected on either path
     if order == "sorted":
         values = sorted(v for v in values if not math.isnan(v))
     elif order == "tied":
@@ -256,6 +256,10 @@ def test_quantile_project_matches_the_full_projection_bit_for_bit(values, order)
     if len(values) < 2:
         return
     sp = quantile_1d(len(values))
+    if any(map(math.isnan, values)):
+        with pytest.raises(DomainError, match="point coordinates must be finite"):
+            sp.project(values)
+        return
     got = sp.project(values)
     want = Point(sp.kind, tuple(isotonic_repair(values)))
     assert got.space_kind is want.space_kind
