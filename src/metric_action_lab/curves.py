@@ -137,10 +137,11 @@ def metric_speed(c: SampledCurve) -> np.ndarray:
     return speeds
 
 
-def kinetic_integral(c: SampledCurve) -> float:
-    """The action's kinetic term ``sum_k speed_k^2 dt_k``; an overflow is a ``DomainError``."""
+def kinetic_integral(speeds: np.ndarray, dts: np.ndarray) -> float:
+    """The action's kinetic term ``sum_k speed_k^2 dt_k`` from a curve's
+    ``metric_speed`` and interval lengths; an overflow is a ``DomainError``."""
     with np.errstate(over="ignore"):    # reported below as a DomainError
-        kinetic = float(np.sum(metric_speed(c) ** 2 * np.diff(c.times)))
+        kinetic = float(np.sum(speeds ** 2 * dts))
     if not math.isfinite(kinetic):
         raise DomainError("the kinetic term of the action overflows")
     return kinetic
@@ -165,8 +166,9 @@ def action(c: SampledCurve, f: FunctionalSpec, x0: Point, x1: Point) -> ActionVa
         distance(c.space, c.start, x0) <= ENDPOINT_TOL
         and distance(c.space, c.end, x1) <= ENDPOINT_TOL
     )
-    kinetic = kinetic_integral(c)
-    weights = node_weights(np.diff(c.times)).tolist()  # Python floats: no numpy scalar in the values
+    dts = np.diff(c.times)
+    kinetic = kinetic_integral(metric_speed(c), dts)
+    weights = node_weights(dts).tolist()  # Python floats: no numpy scalar in the values
     potential = 0.0
     for k, p in enumerate(c.points):
         s = descending_slope(f, c.space, p)

@@ -120,8 +120,8 @@ def check_energy_identity(
     the report also carries the worst node-wise gap between interval speed
     and the slope at the right node.
     """
-    kinetic = kinetic_integral(traj)
     speeds = metric_speed(traj)
+    kinetic = kinetic_integral(speeds, np.diff(traj.times))
     drop = float(evaluate(f, traj.start) - evaluate(f, traj.end))
     rel = abs(drop - kinetic) / max(1.0, abs(drop))
     gap = 0.0

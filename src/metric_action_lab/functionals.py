@@ -160,16 +160,14 @@ def tangent_gradient(f: FunctionalSpec, space: SpaceHandle, x: Point, fx: float,
     stays at its shell, since one that grows swallows the gaps of 3 at
     1e12 its tied-block test reads (the slope reads 73% low).
     """
-    k, n, lam = space.kind, space.dim, f.lam
+    k, c, half_lam = space.kind, x.coords, 0.5 * f.lam
     quantile = k is SpaceKind.QUANTILE_1D
+    up = tuple([v + s for v in c])     # every coordinate stepped; each step slices it in
     steps = []
-    for i in range(n):
-        c = list(x.coords)
-        for j in range(i, n if quantile else i + 1):
-            c[j] += s
-        y = Point(k, tuple(c))
+    for i in range(space.dim):
+        y = Point(k, c[:i] + (up[i:] if quantile else up[i : i + 1] + c[i + 1 :]))
         d = distance(space, x, y)
-        steps.append((d, evaluate(f, y) - fx - 0.5 * lam * d * d))
+        steps.append((d, evaluate(f, y) - fx - half_lam * d * d))
     diffs = [rise / s for _, rise in steps]
     if not all(map(math.isfinite, diffs)):
         return None, steps

@@ -24,20 +24,22 @@ method converges to the unique minimizer.  Solvers by space:
   difference.  The gradient is ``functionals.tangent_gradient``'s: ``dim``
   forward steps that keep the order, so none is projected.  Each iterate
   keeps the ``f(u)`` behind its objective value (``_prox_value``), and its
-  gradient reuses it.
+  gradient reuses it.  The iterates are coordinate tuples and each trial
+  point is projected once; the Barzilai-Borwein inner products stay
+  ``np.dot``, because a Python sum rounds them differently.
 
 ``_prox_value`` is the objective at a point, its squared distance from
 ``spaces.squared_distance``; the optimality probe and the coordinate-descent
 fallback evaluate it.  On the half-line and the tripod the objective is
 minimized along one coordinate: ``_line_objective`` inlines it as a float
-function whose distance term comes from ``spaces.distance_along``, so
-``x``'s space tag is checked once per search, not once per probe, and every
-probe value is bit-identical to ``_prox_value``'s.  There the optimality
-probe compares the result with ``spaces.shell``, the points around it on
-every branch, so it sees a branch point that should have crossed onto
-another edge.  On vectors it moves one coordinate at a time; a move keeps
-the order of quantile coordinates unless it passes a neighbour, and only
-such a move is projected (``_probe_points``).
+function whose distance term comes from ``spaces.distance_along``'s rule.
+``resolvent`` checks ``x``'s tags once, at entry, not once per edge or
+probe, and every probe value is bit-identical to ``_prox_value``'s.  There
+the optimality probe compares the result with ``spaces.shell``, the points
+around it on every branch, so it sees a branch point that should have
+crossed onto another edge.  On vectors it moves one coordinate at a time;
+a move keeps the order of quantile coordinates unless it passes a
+neighbour, and only such a move is projected (``_probe_points``).
 
 A supplied closed-form prox short-circuits everything: its value comes
 from ``_prox_value`` at once, with no probe.  Only ``resolvent`` checks the
@@ -68,8 +70,8 @@ from .spaces import (
     SpaceHandle,
     SpaceKind,
     check_tags,
+    _distance_along,
     distance,
-    distance_along,
     geodesic_point,
     point_along,
     shell,
@@ -300,15 +302,16 @@ def _prox_value(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point, y: 
 
 def _line_objective(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point, edge: int = 0):
     """``_prox_value``'s objective as a function of the coordinate along one
-    line (the half-line, or tripod edge ``edge``)."""
-    at, dist = point_along(space, edge), distance_along(space, x, edge)
+    line (the half-line, or tripod edge ``edge``); ``resolvent`` has
+    checked ``x``'s tags."""
+    at, dist, tau2 = point_along(space, edge), _distance_along(space, x, edge), 2.0 * tau
 
     def val(s: float) -> float:  # _prox_value and squared_distance inlined: a call per probe costs ~8%
         fy = evaluate(f, at(s))
         if not math.isfinite(fy):
             return INF
         try:
-            return fy + dist(s) ** 2 / (2.0 * tau)
+            return fy + dist(s) ** 2 / tau2
         except OverflowError:
             raise DomainError(f"resolvent objective overflows at {at(s).coords}") from None
 
@@ -351,40 +354,41 @@ def _solve_vector(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
 
     Each iterate keeps the ``f(u)`` behind its value, so its gradient
     evaluates ``f`` only at the ``dim`` forward steps."""
-    xv = np.array(x.coords)
+    xc, tw = x.coords, tau * space.weight
     h = 4e-6 * math.sqrt(space.weight)  # times max(1, max |u_i|): f's rounding grows with it
     value = functools.partial(_prox_value, f, space, tau, x)
 
-    def prox_step(z, s):
-        # exact prox of the coupling term d(., x)^2 / (2 tau) in coordinates
-        w = s / (tau * space.weight)
-        return space.project(tuple((z + w * xv) / (1.0 + w)))
+    def prox_step(y, g, s):
+        # the gradient step y - s g, then the exact prox of the coupling
+        # term d(., x)^2 / (2 tau) in coordinates
+        w = s / tw
+        w1 = 1.0 + w
+        return space.project([(yi - s * gi + w * xi) / w1 for yi, gi, xi in zip(y, g, xc)])
 
     def gradient(u, fu):
-        g = tangent_gradient(f, space, u, fu, h * max(1.0, max(map(abs, u.coords))))[0]
-        return None if g is None else np.array(g)
+        return tangent_gradient(f, space, u, fu, h * max(1.0, max(map(abs, u.coords))))[0]
 
-    u = space.project(x.coords)
+    u = space.project(xc)
     (val, fu), step, it = value(u), tau, 0
     g = gradient(u, fu) if math.isfinite(val) else None
     smooth = g is not None
     for it in range(1, MAX_ITER + 1):
         if not smooth:
             break
-        y = np.array(u.coords)
-        u_new = prox_step(y - step * g, step)
+        y = u.coords
+        u_new = prox_step(y, g, step)
         v_new, f_new = value(u_new)
         bt = 0
         while v_new > val + 1e-15 and bt < 60:
             step *= 0.5
-            u_new = prox_step(y - step * g, step)
+            u_new = prox_step(y, g, step)
             v_new, f_new = value(u_new)
             bt += 1
         if bt >= 60:
             smooth = False
             break
-        dy = np.array(u_new.coords) - y
-        move = float(np.max(np.abs(dy)))
+        dy = [a - b for a, b in zip(u_new.coords, y)]
+        move = max(map(abs, dy))
         gain = val - v_new
         u, val = u_new, v_new
         if move < 0.2 * POINT_TOL and gain < VALUE_TOL:
@@ -395,7 +399,7 @@ def _solve_vector(f: FunctionalSpec, space: SpaceHandle, tau: float, x: Point):
             break
         # Barzilai-Borwein step from the smooth part's gradients; grow the
         # step where the measured curvature is not positive
-        curv = float(np.dot(dy, g_new - g))
+        curv = float(np.dot(dy, [a - b for a, b in zip(g_new, g)]))
         step = min(float(np.dot(dy, dy)) / curv if curv > 0.0 else step * 1.5, 1e6)
         g = g_new
     if not smooth:

@@ -36,6 +36,7 @@ Everything here is pure and immutable.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -72,6 +73,11 @@ class SpaceHandle:
                 raise DomainError("tripod edge lengths must be positive")
         if self.kind is SpaceKind.QUANTILE_1D and self.dim < 2:
             raise DomainError("quantile grid size must be >= 2")
+
+    @functools.cached_property
+    def _edges(self) -> frozenset:
+        """The edge indices, as floats: ``distance``'s test of a tripod edge."""
+        return frozenset(map(float, range(len(self.edge_lengths))))
 
     @property
     def weight(self) -> int:
@@ -119,14 +125,14 @@ class SpaceHandle:
         divide each by 1.  Coordinates other than ``dim`` of them, or a
         non-finite one, are a ``DomainError``.
         """
-        coords = tuple(float(c) for c in coords)
+        coords = tuple(map(float, coords))
         if len(coords) != self.dim:
             raise DomainError(f"expected {self.dim} coordinates, got {len(coords)}")
         k = self.kind
         if k is _QUANTILE_1D and all(map(operator.le, coords, coords[1:])):
             if -INF < coords[0] and coords[-1] < INF:   # nan has failed the order test
                 return Point(k, coords)
-        elif k is SpaceKind.HALF_LINE and -INF < coords[0] < INF:
+        elif k is _HALF_LINE and -INF < coords[0] < INF:
             return Point(k, (max(coords[0], 0.0),))
         if not all(map(math.isfinite, coords)):
             raise DomainError(f"point coordinates must be finite, got {coords}")
@@ -162,7 +168,8 @@ class Point:
 _set_space_kind = Point.space_kind.__set__
 _set_coords = Point.coords.__set__
 
-_TRIPOD, _QUANTILE_1D = SpaceKind.TRIPOD, SpaceKind.QUANTILE_1D  # an Enum member lookup costs ~0.1 us
+# an Enum member lookup costs ~0.1 us
+_HALF_LINE, _TRIPOD, _QUANTILE_1D = SpaceKind.HALF_LINE, SpaceKind.TRIPOD, SpaceKind.QUANTILE_1D
 
 
 def euclidean(dim: int) -> SpaceHandle:
@@ -218,8 +225,9 @@ def check_tags(space: SpaceHandle, *points: Point):
 def distance(space: SpaceHandle, p: Point, q: Point) -> float:
     """Metric distance between two points of ``space``; ``check_tags``
     runs only to raise: on another kind, unequal lengths or a tripod edge
-    past the last.  Bit for bit ``|u - v| / sqrt(weight)``: off quantile
-    vectors the exact division by ``sqrt(1) = 1.0`` is left out."""
+    that is not one of its indices.  Bit for bit ``|u - v| /
+    sqrt(weight)``: off quantile vectors the exact division by ``sqrt(1) =
+    1.0`` is left out."""
     k = space.kind
     if p.space_kind is not k or q.space_kind is not k:
         check_tags(space, p, q)
@@ -233,7 +241,8 @@ def distance(space: SpaceHandle, p: Point, q: Point) -> float:
         raise
     # tripod: through the branch point unless both points share an edge
     (ep, op), (eq, oq) = p.coords, q.coords
-    if not ep < len(space.edge_lengths) > eq:    # an edge past the last
+    edges = space._edges
+    if ep not in edges or eq not in edges:  # a fractional or negative edge, or one past the last
         check_tags(space, p, q)
     if ep == eq:    # whole edge indices: as int(ep) == int(eq), ~0.1 us sooner
         return abs(op - oq)
@@ -252,10 +261,10 @@ def squared_distance(space: SpaceHandle, p: Point, q: Point) -> float:
 def point_along(space: SpaceHandle, edge: int = 0) -> Callable[[float], Point]:
     """``s -> p_s``, the point at coordinate ``s`` of one line: the
     half-line, or edge ``edge`` of a tripod."""
-    k = space.kind      # looked up once: an Enum member lookup costs ~0.1 us
-    if k is SpaceKind.HALF_LINE:
+    k = space.kind
+    if k is _HALF_LINE:
         return lambda v: Point(k, (v,))
-    if k is not SpaceKind.TRIPOD:
+    if k is not _TRIPOD:
         raise DomainError(f"no line coordinate on a {k.value} space")
     e = float(edge)
     return lambda s: Point(k, (e, s))
@@ -268,11 +277,18 @@ def distance_along(space: SpaceHandle, q: Point, edge: int = 0) -> Callable[[flo
     tag is checked once, here, so a 1-d search pays no dispatch per probe.
     """
     check_tags(space, q)
-    if space.kind is SpaceKind.HALF_LINE:
+    return _distance_along(space, q, edge)
+
+
+def _distance_along(space: SpaceHandle, q: Point, edge: int) -> Callable[[float], float]:
+    """:func:`distance_along` for a ``q`` whose tags are checked: the
+    resolvent checks its ``x`` once, not once per tripod edge."""
+    k = space.kind
+    if k is _HALF_LINE:
         q0 = q.coords[0]
         return lambda v: abs(v - q0)
-    if space.kind is not SpaceKind.TRIPOD:
-        raise DomainError(f"no line coordinate on a {space.kind.value} space")
+    if k is not _TRIPOD:
+        raise DomainError(f"no line coordinate on a {k.value} space")
     eq, oq = q.coords
     if int(eq) == edge:
         return lambda s: abs(s - oq)
@@ -285,7 +301,7 @@ def shell(space: SpaceHandle, x: Point, r: float) -> list:
     where an ``r`` past the branch point reaches every other edge; a vector
     space has no branches and raises ``DomainError``."""
     k = space.kind
-    if k is SpaceKind.HALF_LINE:
+    if k is _HALF_LINE:
         x0 = x.coords[0]
         out = [Point(k, (x0 + r,))]
         if x0 > 0:

@@ -139,6 +139,10 @@ _FAR = FunctionalSpec("far", lambda x: 0.0, 0.0, closed_form_prox=lambda tau, x:
         (lambda: TRIPOD.point(1.7, 0.5), "edge index 1.7 out of range"),
         (lambda: TRIPOD.point(-0.5, 0.2), "edge index -0.5 out of range"),
         (lambda: distance(TRIPOD2, ON_EDGE_2, TRIPOD2.point(0, 0.0)), "edge index 2 out of range"),
+        (lambda: distance(TRIPOD, Point(SpaceKind.TRIPOD, (1.7, 0.5)), TRIPOD.point(1, 0.5)),
+         "edge index 1.7 out of range"),
+        (lambda: distance(TRIPOD, TRIPOD.point(1, 0.5), Point(SpaceKind.TRIPOD, (-1.0, 0.5))),
+         "edge index -1 out of range"),
         (lambda: geodesic_point(TRIPOD2, ON_EDGE_2, TRIPOD2.point(0, 0.5), 0.5), "edge index 2 out of range"),
         (lambda: descending_slope(strip_closed_forms(quadratic(TRIPOD2, TRIPOD2.point(0, 0.5))), TRIPOD2,
                                   ON_EDGE_2), "edge index 2 out of range"),
@@ -156,7 +160,8 @@ _FAR = FunctionalSpec("far", lambda x: 0.0, 0.0, closed_form_prox=lambda tau, x:
          "prox_value", "flow_n_steps", "minimize_action_N", "distance_lengths", "sup_formula_length",
          "sup_formula_kind", "slope_bounds_exp", "energy_identity_kinetic", "flow_times_inf",
          "newton_step", "recovery_h", "recovery_tau", "recovery_repair_nodes", "piece_kinetic",
-         "point_fractional_edge", "point_negative_edge", "distance_missing_edge", "geodesic_missing_edge",
+         "point_fractional_edge", "point_negative_edge", "distance_missing_edge", "distance_fractional_edge",
+         "distance_negative_edge", "geodesic_missing_edge",
          "sup_formula_missing_edge", "resolvent_missing_edge", "project_nan", "project_inf",
          "project_quantile_nan", "project_tripod_nan", "metric_speed", "energy_identity_speed"],
 )

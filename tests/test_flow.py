@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from metric_action_lab import distance, euclidean, half_line
+from metric_action_lab import curves, distance, euclidean, half_line
 from metric_action_lab.errors import DomainError
 from metric_action_lab.flow import (
     check_contraction,
@@ -161,6 +161,15 @@ def test_energy_identity_quadratic():
     # along minimizing movements the interval speed equals the slope at the
     # right node exactly for this functional
     assert rep.max_speed_slope_gap <= 1e-10
+
+
+def test_energy_identity_measures_each_interval_once(monkeypatch):
+    # the kinetic term comes from the speeds: one distance per interval
+    traj = flow(QUAD, E1, E1.point(1.0), 1.0, 16)
+    calls = []
+    monkeypatch.setattr(curves, "distance", lambda *a: calls.append(a) or distance(*a))
+    check_energy_identity(traj, QUAD, E1)
+    assert len(calls) == 16
 
 
 def test_energy_identity_constant_functional():

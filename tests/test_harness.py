@@ -330,18 +330,23 @@ def test_shipped_configs_load(name):
     assert cfg.h_list == [8, 16, 32, 64] and cfg.base_curve_spec == {"type": "minimize_action", "N": 64}
 
 
+def _stripped_flow(space, centre, x0, x1):
+    return _WORKLOADS.strip_config(ExperimentConfig.from_dict(
+        {"space": space, "family": {"name": "quadratic", "params": {"center": centre}}, "x0": x0,
+         "x1": x1, "h_list": [4], "mode": "flow", "base_curve": {"type": "geodesic", "N": 2}}))
+
+
+# flow recoveries on the numeric resolvents: Brent on a tripod, proximal gradient on quantile vectors
+_STRIPPED_TRIPOD = _stripped_flow({"kind": "tripod"}, [1, 0.2], [0, 0.3], [2, 0.3])
+_STRIPPED_QUANTILE = _stripped_flow({"kind": "quantile_1d", "grid_size": 3}, 0.0, [0, 0.5, 1], [1, 1.5, 2])
+
+
 def test_tracer_finds_every_name_it_pins():
     # the tracer hooks functions by name and keys its resolvent metrics on
     # the solvers' ``method`` labels, so a renamed or deleted pin reads 0
-    stripped = [
-        _WORKLOADS.strip_config(ExperimentConfig.from_dict(
-            {"space": space, "family": {"name": "quadratic", "params": {"center": centre}}, "x0": x0,
-             "x1": x1, "h_list": [4], "mode": "flow", "base_curve": {"type": "geodesic", "N": 2}}))
-        for space, centre, x0, x1 in [({"kind": "tripod"}, [1, 0.2], [0, 0.3], [2, 0.3]),
-                                      ({"kind": "quantile_1d", "grid_size": 3}, 0.0, [0, 0.5, 1], [1, 1.5, 2])]]
     f = quadratic(HL, HL.point(1.0))
     with _TRACER.Tracer() as tracer:
-        for cfg in stripped:
+        for cfg in (_STRIPPED_TRIPOD, _STRIPPED_QUANTILE):
             assert "error" not in harness.run_positive(cfg).rows[0]
         proximal.resolvent(f, HL, 0.1, HL.point(0.5))
         proximal.resolvent(strip_closed_forms(f), HL, 0.1, HL.point(0.5))
@@ -350,6 +355,29 @@ def test_tracer_finds_every_name_it_pins():
     pinned = [f"proximal.resolvent.{method}.calls" for method in _TRACER.SOLVERS]
     for name in pinned + ["curves.minimize_action.sweeps", "harness.parallel_map.calls"]:
         assert stats[name] > 0, name
+
+
+@pytest.mark.parametrize("cfg, want", [
+    (_STRIPPED_TRIPOD, {"spaces.distance.calls": 2694, "functionals.evaluate.calls": 2000,
+                        "proximal.resolvent.per_edge_golden.calls": 96,
+                        "proximal.resolvent.per_edge_golden.iterations": 1377,
+                        "proximal.resolvent.proximal_gradient.calls": 0,
+                        "proximal.resolvent.proximal_gradient.iterations": 0,
+                        "flow.flow_times.steps": 96}),
+    (_STRIPPED_QUANTILE, {"spaces.distance.calls": 5631, "functionals.evaluate.calls": 2780,
+                          "proximal.resolvent.per_edge_golden.calls": 0,
+                          "proximal.resolvent.per_edge_golden.iterations": 0,
+                          "proximal.resolvent.proximal_gradient.calls": 96,
+                          "proximal.resolvent.proximal_gradient.iterations": 288,
+                          "flow.flow_times.steps": 96}),
+], ids=["tripod", "quantile"])
+def test_tracer_counts_of_the_stripped_flows(cfg, want):
+    # the hot path's work as the benchmark's tracer counts it: an edit that
+    # drops a probe point or an evaluation, or adds one, moves a count
+    with _TRACER.Tracer() as tracer:
+        assert "error" not in harness.run_positive(cfg).rows[0]
+    stats = tracer.layer_stats()
+    assert {name: stats[name] for name in want} == want
 
 
 _VALID_CONFIG = {

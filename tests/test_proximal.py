@@ -601,6 +601,23 @@ def test_stripped_quantile_resolvent_evaluates_f_once_per_point():
         "-0x1.61d66e82c9619p-2", "0x1.979280c2a8e54p-3", "0x1.979280c2a9800p-3", "0x1.e217519da7ddbp-1"]
 
 
+@pytest.mark.parametrize("start, iterations, evaluations, want", [
+    # on the centre's edge, on another edge, and at the branch point; each
+    # start evaluates f at its Brent probes and at its 4 shell points
+    ((0, 0.7), 12, 16, ["0x0.0p+0", "0x1.4f2094f2144e4p-1"]),
+    ((1, 0.6), 9, 13, ["0x1.0000000000000p+0", "0x1.0df6b0df658e7p-1"]),
+    ((0, 0.0), 11, 15, ["0x0.0p+0", "0x1.29e4129e4127cp-6"]),
+])
+def test_stripped_tripod_resolvent_evaluates_f_once_per_point(start, iterations, evaluations, want):
+    tp = tripod()
+    f = strip_closed_forms(quadratic(tp, tp.point(0, 0.2), 1.0))
+    calls = []
+    counted = replace(f, evaluate=lambda y: calls.append(y) or f.evaluate(y))
+    res = resolvent(counted, tp, 0.1, tp.point(*start))
+    assert (res.method, res.iterations, len(calls)) == ("per_edge_golden", iterations, evaluations)
+    assert [c.hex() for c in res.point.coords] == want
+
+
 _probe_coordinate = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-7, -1e-7, 1.0]))
 
 
