@@ -69,8 +69,8 @@ from .spaces import (
     Point,
     SpaceHandle,
     SpaceKind,
-    check_tags,
     _distance_along,
+    check_tags,
     distance,
     geodesic_point,
     point_along,
