@@ -122,15 +122,11 @@ def geodesic_curve(space: SpaceHandle, x0: Point, x1: Point, n_intervals: int) -
     return SampledCurve(times, pts, space)
 
 
-def interval_lengths(space: SpaceHandle, points: Sequence[Point]) -> np.ndarray:
-    """Distances d(p_k, p_{k+1}) between consecutive points."""
-    return np.array([distance(space, points[k], points[k + 1]) for k in range(len(points) - 1)])
-
-
 def metric_speed(c: SampledCurve) -> np.ndarray:
     """Per-interval speeds d(p_k, p_{k+1}) / dt_k; one that overflows is a ``DomainError``."""
+    lengths = np.array([distance(c.space, p, q) for p, q in zip(c.points[:-1], c.points[1:])])
     with np.errstate(over="ignore"):    # reported below as a DomainError
-        speeds = interval_lengths(c.space, c.points) / np.diff(c.times)
+        speeds = lengths / np.diff(c.times)
     if not np.isfinite(speeds).all():
         k = int(np.argmin(np.isfinite(speeds)))
         raise DomainError(f"the metric speed overflows between nodes {k} and {k + 1}")

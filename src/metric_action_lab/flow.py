@@ -20,7 +20,7 @@ import numpy as np
 
 from .curves import SampledCurve, kinetic_integral, metric_speed
 from .errors import DomainError, MetricActionError
-from .functionals import FunctionalSpec, descending_slope, evaluate, lam_neg
+from .functionals import FunctionalSpec, descending_slope, evaluate
 from .proximal import resolvent, tau_upper_limit
 from .spaces import Point, SpaceHandle, distance, squared_distance
 
@@ -29,6 +29,15 @@ LIPSCHITZ = 10.0
 
 def slack(dt: float) -> float:
     return 5.0 * LIPSCHITZ * dt
+
+
+def _exp_lam_t(lam: float, t: float, minus_one: bool = False) -> float:
+    """``exp(-lam t)``, or with ``minus_one`` ``expm1(lam t)``: the growth factors
+    of a ``lam``-convex flow over time ``t``.  An overflow is a ``DomainError``."""
+    try:
+        return math.expm1(lam * t) if minus_one else math.exp(-lam * t)
+    except OverflowError:
+        raise DomainError(f"exp(lam t) overflows at lam={lam:g}, t={t:g}") from None
 
 
 def flow(
@@ -74,11 +83,13 @@ def check_evi(
     below f(v) - f(x_t) up to O(dt) slack.
     """
     fv = evaluate(f, v)
-    d2 = np.array([squared_distance(space, p, v) for p in traj.points])
+    d2 = [squared_distance(space, p, v) for p in traj.points]
+    times = traj.times.tolist()     # Python floats: an overflow gives inf, not a numpy warning
     worst = -math.inf
     for k in range(1, len(traj.points) - 1):
-        dt2 = traj.times[k + 1] - traj.times[k - 1]
-        deriv = 0.5 * (d2[k + 1] - d2[k - 1]) / dt2
+        deriv = 0.5 * (d2[k + 1] - d2[k - 1]) / (times[k + 1] - times[k - 1])
+        if not math.isfinite(deriv):
+            raise DomainError(f"the EVI difference quotient overflows at node {k}")
         r = deriv + 0.5 * lam * d2[k] - fv + evaluate(f, traj.points[k])
         worst = max(worst, r)
     return worst
@@ -98,7 +109,7 @@ def check_contraction(
     d0 = distance(space, x0, x1)
     worst = -math.inf
     for k, t in enumerate(a.times):
-        r = distance(space, a.points[k], b.points[k]) - math.exp(-f.lam * t) * d0
+        r = distance(space, a.points[k], b.points[k]) - _exp_lam_t(f.lam, t) * d0
         worst = max(worst, r)
     return worst
 
@@ -149,11 +160,8 @@ def check_slope_bounds_along_flow(
     s_x = descending_slope(f, space, x)
     rate = distance(space, u, x) / t
     lt = f.lam * t
-    try:
-        factor = 1.0 if abs(lt) < 1e-12 else math.expm1(lt) / lt
-        growth = math.exp(lam_neg(f.lam) * t)
-    except OverflowError:
-        raise DomainError(f"exp(lam t) overflows at lam={f.lam:g}, t={t:g}") from None
+    factor = 1.0 if abs(lt) < 1e-12 else _exp_lam_t(f.lam, t, minus_one=True) / lt
+    growth = max(_exp_lam_t(f.lam, t), 1.0)     # exp(lam_neg(lam) t): 1 for lam >= 0
     lower = factor * s_u - rate
     upper = rate - growth * s_x if math.isfinite(s_x) else -math.inf
     return lower, upper

@@ -506,6 +506,12 @@ def run_positive(cfg: ExperimentConfig) -> ExperimentReport:
 # --------------------------------------------------------------------------
 
 
+def lower_bound_sum(terms) -> float:
+    """The sum of lower-bound ``terms`` rounded down, at most their exact sum: ``math.fsum``
+    rounds it to nearest, then one step toward ``-inf``.  Every certified total goes here."""
+    return math.nextafter(math.fsum(terms), -math.inf)
+
+
 def crossing_lower_bound(xs: np.ndarray, sqrt_g_right: Callable[[float], float]) -> float:
     """Certified action lower bound for any curve crossing [xs[0], xs[-1]].
 
@@ -514,10 +520,8 @@ def crossing_lower_bound(xs: np.ndarray, sqrt_g_right: Callable[[float], float])
     over everything reachable before the first hit of the right edge is the
     right-endpoint value, which is what ``sqrt_g_right`` must return.
     """
-    total = 0.0
-    for a, b in zip(xs[:-1], xs[1:]):
-        total += 2.0 * sqrt_g_right(float(b)) * (float(b) - float(a))
-    return total
+    ends = xs.tolist()
+    return lower_bound_sum(2.0 * sqrt_g_right(b) * (b - a) for a, b in zip(ends[:-1], ends[1:]))
 
 
 def _certified_report(
@@ -547,6 +551,10 @@ def _certified_report(
     return ExperimentReport(columns, rows, verdict, witness, meta)
 
 
+# sqrt(eps) such that x**3 is a normal float on every window in [sqrt(eps), 2 sqrt(eps)]:
+# (2**-339)**3 = 2**-1017 and (2 * 2**340)**3 = 2**1023
+EX1_SEPS_RANGE = (2.0**-339, 2.0**340)
+
 EXAMPLE1_COLUMNS = ["h", "eps", "x0h", "certified_lower_bound", "coarse_lower_bound",
                     "amgm_part", "kinetic_part", "slope_x0_closed", "slope_x0_sup",
                     "theta_target", "pass"]
@@ -571,16 +579,18 @@ def run_example1(h_list: Sequence[int], n_certificate: int = DEFAULTS["n_certifi
         if eps <= 0:
             raise DomainError(f"eps_law {eps_law!r} gives eps={eps} <= 0 at h={h}")
         seps = math.sqrt(eps)
+        if not EX1_SEPS_RANGE[0] <= seps < EX1_SEPS_RANGE[1]:
+            raise DomainError(f"eps_law {eps_law!r} gives eps={eps} at h={h}, whose window values "
+                              "2 eps / x**3 leave the floats")
         f_h = inverse_square(eps)
 
         def sqrt_g(x: float) -> float:
             return 2.0 * eps / x**3
 
-        xs = np.geomspace(seps, 2.0 * seps, n_certificate + 1)
-        amgm = crossing_lower_bound(xs, sqrt_g)
+        amgm = crossing_lower_bound(np.geomspace(seps, 2.0 * seps, n_certificate + 1), sqrt_g)
         kinetic = (1.0 - 2.0 * seps) ** 2
-        certified = amgm + kinetic
-        coarse = 2.0 * sqrt_g(2.0 * seps) * seps + kinetic
+        certified = lower_bound_sum((amgm, kinetic))
+        coarse = lower_bound_sum((crossing_lower_bound(np.array([seps, 2.0 * seps]), sqrt_g), kinetic))
         x0h = space.point(seps)
         s_closed = descending_slope(f_h, space, x0h)
         s_sup = descending_slope(f_h, space, x0h, SupFormula(radius=max(1.0, seps)))
@@ -610,8 +620,12 @@ def run_example2(h_list: Sequence[int], n_certificate: int = DEFAULTS["n_certifi
                  with_optimizer: bool = True) -> ExperimentReport:
     """Ramp family: the certified crossing toll is 2 while the target is 1.
 
-    A row's ``optimizer_converged`` (JSON only) is the ``converged`` flag of
-    the search that gave ``optimizer_upper_bound``, ``None`` without the
+    ``optimizer_upper_bound`` is the trapezoid action of the best search
+    curve, which samples the ramp's slope only at nodes: at h=5 and h=8
+    (N=64) it reads 2.5060 and 2.2917, below the infimum of the action,
+    2.6665 and 2.7777, so it is not always an upper bound.  No verdict
+    reads it.  A row's ``optimizer_converged`` (JSON only) is the
+    ``converged`` flag of the search that gave it, ``None`` without the
     optimizer.
     """
     n_certificate = config_count(n_certificate, "n_certificate")
@@ -640,7 +654,7 @@ def run_example2(h_list: Sequence[int], n_certificate: int = DEFAULTS["n_certifi
         return {
             "amgm_lower_bound": amgm,
             "kinetic_remainder": remainder,
-            "certified_lower_bound": amgm + remainder,
+            "certified_lower_bound": lower_bound_sum((amgm, remainder)),
             "optimizer_upper_bound": upper,
             "optimizer_converged": converged,
             "slope_x0": s0,

@@ -28,8 +28,8 @@ the reached points, and finally prepends/appends those flow segments.
 
 Repair pieces that are spatially constant with zero slope contribute
 nothing and are dropped, so the zero functional reproduces the base curve
-exactly.  The builder computes nothing else; ``piece_diagnostics`` integrates
-the kinetic and potential energy of each kept piece on request.
+exactly.  The builder computes nothing else; ``piece_diagnostics`` takes the
+``action`` of each kept piece in its own time on request.
 """
 
 from __future__ import annotations
@@ -47,10 +47,9 @@ from .curves import (
     ENDPOINT_TOL,
     Piece,
     SampledCurve,
+    action,
     concatenate_rescale,
     geodesic_curve,
-    interval_lengths,
-    node_weights,
 )
 from .flow import flow_times
 from .functionals import FunctionalSpec, descending_slope, lam_neg, slope_squared
@@ -122,22 +121,16 @@ def _phi_times(tau: float) -> np.ndarray:
 
 
 def piece_diagnostics(out: RecoveryOutput) -> list:
-    """Kinetic and potential integral of each piece in its own time, and its
-    contribution to the action of ``out.curve``, as ``PieceDiagnostics``."""
-    space = out.curve.space
-    g = functools.partial(slope_squared, out.functional, space)
+    """The kinetic and potential terms of ``action`` on each piece in its own time,
+    and the piece's share of the action of ``out.curve``, as ``PieceDiagnostics``."""
     total_duration = sum(p.duration for p in out.pieces)
     diags = []
     for p in out.pieces:
         kinetic = potential = 0.0
         if p.duration > 0:
-            dts = np.diff(p.curve.times) * p.duration
-            with np.errstate(over="ignore"):    # reported below as a DomainError
-                kinetic = float(np.sum(interval_lengths(space, p.curve.points) ** 2 / dts))
-            if not math.isfinite(kinetic):
-                raise DomainError(f"the kinetic integral of the {p.label} piece overflows")
-            gv = np.array([g(x) for x in p.curve.points])
-            potential = float(np.sum(node_weights(dts) * gv))
+            c = p.curve
+            value = action(SampledCurve(c.times * p.duration, c.points, c.space), out.functional, c.start, c.end)
+            kinetic, potential = value.kinetic, value.potential
         contribution = total_duration * kinetic + potential / total_duration
         diags.append(PieceDiagnostics(p.label, p.duration, kinetic, potential, contribution))
     return diags

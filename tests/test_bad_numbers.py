@@ -25,6 +25,7 @@ from metric_action_lab import (
     Point,
     RecoveryConfig,
     RecoveryMode,
+    RecoveryOutput,
     SampledCurve,
     SpaceKind,
     SupFormula,
@@ -93,6 +94,12 @@ def _recovery(x0h, x1=1.0, h=4, tau=None):
     return build_recovery(zero_functional(E1), cfg, h)
 
 
+# one piece of duration 200 under a quadratic of modulus 3.2e153: its
+# squared slopes are finite, their trapezoid sum is not
+_STEEP_CURVE = SampledCurve(np.array([0.0, 0.5, 1.0]), [E1.point(1.0), E1.point(1.00005), E1.point(1.0001)], E1)
+_STEEP = RecoveryOutput(_STEEP_CURVE, [Piece(_STEEP_CURVE, 200.0, "middle")], 0.1,
+                        quadratic(E1, E1.point(0.0), 3.2e153))
+
 # a closed-form prox that lands 2e200 away from its start
 _FAR = FunctionalSpec("far", lambda x: 0.0, 0.0, closed_form_prox=lambda tau, x: E1.point(-1e200))
 
@@ -135,7 +142,7 @@ _FAR = FunctionalSpec("far", lambda x: 0.0, 0.0, closed_form_prox=lambda tau, x:
         (lambda: _recovery(E1.point(0.0), tau=math.nan), "recovery step tau must be positive, got nan"),
         (lambda: _recovery(E1.point(1e200)), "an endpoint gap of 1e+200 needs more than 100000 repair nodes"),
         (lambda: piece_diagnostics(_recovery(E1.point(0.0), x1=1e200)),
-         "the kinetic integral of the middle piece overflows"),
+         "the kinetic term of the action overflows"),
         (lambda: TRIPOD.point(1.7, 0.5), "edge index 1.7 out of range"),
         (lambda: TRIPOD.point(-0.5, 0.2), "edge index -0.5 out of range"),
         (lambda: distance(TRIPOD2, ON_EDGE_2, TRIPOD2.point(0, 0.0)), "edge index 2 out of range"),
@@ -155,6 +162,16 @@ _FAR = FunctionalSpec("far", lambda x: 0.0, 0.0, closed_form_prox=lambda tau, x:
         (lambda: metric_speed(FAST), "the metric speed overflows between nodes 0 and 1"),
         (lambda: check_energy_identity(FAST, zero_functional(E1), E1),
          "the metric speed overflows between nodes 0 and 1"),
+        # each escaped as a numpy RuntimeWarning or a raw OverflowError before
+        # its caller went through the rule's one home
+        (lambda: piece_diagnostics(_STEEP), "the potential term of the action overflows at (1.0,)"),
+        (lambda: check_contraction(quadratic(E1, E1.point(0.0), -800.0), E1, E1.point(1e-300),
+                                   E1.point(-1e-300), 1.0, 2000),
+         "exp(lam t) overflows at lam=-800, t=0.8875"),
+        (lambda: check_evi(SampledCurve(np.array([0.0, 1e-10, 2e-10]),
+                                        [E1.point(0.0), E1.point(1e154), E1.point(1.3e154)], E1),
+                           zero_functional(E1), 0.0, E1.point(0.0), E1),
+         "the EVI difference quotient overflows at node 1"),
     ],
     ids=["check_cat0", "check_lambda_convexity", "check_evi", "line_objective", "vector_objective",
          "prox_value", "flow_n_steps", "minimize_action_N", "distance_lengths", "sup_formula_length",
@@ -163,7 +180,8 @@ _FAR = FunctionalSpec("far", lambda x: 0.0, 0.0, closed_form_prox=lambda tau, x:
          "point_fractional_edge", "point_negative_edge", "distance_missing_edge", "distance_fractional_edge",
          "distance_negative_edge", "geodesic_missing_edge",
          "sup_formula_missing_edge", "resolvent_missing_edge", "project_nan", "project_inf",
-         "project_quantile_nan", "project_tripod_nan", "metric_speed", "energy_identity_speed"],
+         "project_quantile_nan", "project_tripod_nan", "metric_speed", "energy_identity_speed",
+         "piece_potential", "contraction_exp", "evi_quotient"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflows_and_bad_inputs_are_domain_errors(call, message):

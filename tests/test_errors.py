@@ -57,10 +57,10 @@ def test_library_errors_are_caught_in_three_places_only():
 
 def test_overflow_errors_are_caught_in_four_places_only():
     # one home per rule: every squared distance goes through
-    # spaces.squared_distance but its two inlined hot copies, and the
-    # fourth site is exp(lam t)
+    # spaces.squared_distance but its two inlined hot copies, and every
+    # exp(lam t) through flow._exp_lam_t
     assert _handlers("OverflowError") == {"spaces.squared_distance", "functionals.quadratic",
-                                          "proximal._line_objective", "flow.check_slope_bounds_along_flow"}
+                                          "proximal._line_objective", "flow._exp_lam_t"}
 
 
 def test_each_error_type_is_raised_documented_and_defined_in_errors():

@@ -6,6 +6,7 @@ import math
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -688,6 +689,32 @@ def test_example1_report_bounds_and_slopes():
     assert rep.witness is not None
 
 
+def _exact_crossing(xs, sqrt_g_right):
+    """The exact rational sum of the window terms ``2 * value * width`` that
+    ``crossing_lower_bound`` adds, from the same float values and widths."""
+    ends = xs.tolist()
+    return sum(2 * Fraction(sqrt_g_right(b)) * Fraction(b - a) for a, b in zip(ends[:-1], ends[1:]))
+
+
+def test_certified_sums_are_at_most_the_exact_sums_of_their_terms():
+    # every certified total is rounded down: at most the exact sum of its own float inputs
+    for row in run_example2([4, 5, 8], with_optimizer=False).rows:
+        f_h, inv = ramp(float(row["h"])), 1.0 / row["h"]
+        exact = _exact_crossing(np.linspace(0.0, inv, DEFAULTS["n_certificate"] + 1),
+                                lambda x: float(f_h.closed_form_slope(HL.point(x))))
+        assert Fraction(row["amgm_lower_bound"]) <= exact
+        assert Fraction(row["certified_lower_bound"]) <= (Fraction(row["amgm_lower_bound"])
+                                                          + Fraction(row["kinetic_remainder"]))
+    for row in run_example1([100, 1000, 10000], n_certificate=512).rows:
+        eps, seps = row["eps"], row["x0h"]
+        sqrt_g = lambda x: 2.0 * eps / x**3
+        assert Fraction(row["amgm_part"]) <= _exact_crossing(np.geomspace(seps, 2.0 * seps, 513), sqrt_g)
+        kinetic = Fraction(row["kinetic_part"])
+        assert Fraction(row["certified_lower_bound"]) <= Fraction(row["amgm_part"]) + kinetic
+        coarse = _exact_crossing(np.array([seps, 2.0 * seps]), sqrt_g)
+        assert Fraction(row["coarse_lower_bound"]) <= coarse + kinetic
+
+
 def test_example1_failing_eps_gives_error_rows(tmp_path):
     # eps = 1/(h-8) is negative at h=4 and undefined at h=8; those rows
     # record the error, h=16 still runs and the verdict stays inconclusive
@@ -703,6 +730,13 @@ def test_example1_failing_eps_gives_error_rows(tmp_path):
     assert rep.verdict is Verdict.INCONCLUSIVE
     _, json_path = emit_report(rep, tmp_path, "ex1")
     assert json.loads(json_path.read_text())["rows"][0]["eps"] == "nan"
+    # an eps whose window values 2 eps / x**3 underflow or overflow a float
+    for law in ("1e-300", "1e300"):
+        rep = run_example1([4, 8], eps_law=law)
+        for row in rep.rows:
+            assert f"h={row['h']}" in row["error"] and f"eps={float(law)}" in row["error"]
+            assert math.isnan(row["certified_lower_bound"]) and row["pass"] is False
+        assert rep.verdict is Verdict.INCONCLUSIVE
 
 
 def test_example1_bound_limit_value():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metric_action_lab import distance, euclidean, half_line, tripod, uniform_distance
-from metric_action_lab.curves import action, geodesic_curve
+from metric_action_lab.curves import SampledCurve, action, geodesic_curve
 from metric_action_lab.errors import ConvergenceError, DomainError
 from metric_action_lab.flow import flow_times
 from metric_action_lab.functionals import (
@@ -200,6 +200,20 @@ def test_piece_contributions_sum_to_the_action(mode):
     total = sum(p.contribution for p in piece_diagnostics(out))
     av = action(out.curve, out.functional, out.curve.start, out.curve.end)
     assert total == pytest.approx(av.total, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", [RecoveryMode.FLOW, RecoveryMode.VANISHING])
+def test_piece_energies_are_the_action_of_each_piece_in_its_own_time(mode):
+    cfg = cfg_for(unit_line(16), lambda h: E1.point(1.0 / h), lambda h: E1.point(1.0 + 1.0 / h),
+                  mode=mode)
+    out = build_recovery(QUAD, cfg, 8, eps=lambda h: 1.0 / h)
+    diags = piece_diagnostics(out)
+    assert [d.label for d in diags] == [p.label for p in out.pieces]
+    for d, p in zip(diags, out.pieces):
+        c = p.curve
+        own = action(SampledCurve(c.times * p.duration, c.points, c.space), out.functional, c.start, c.end)
+        assert d.potential > 0.0
+        assert (d.kinetic, d.potential) == (own.kinetic, own.potential)  # bit for bit
 
 
 # --------------------------------------------------------------------------
